@@ -1,25 +1,8 @@
-"""Tiny exact linear algebra helpers used by the root-system layer."""
+"""Exact linear algebra helpers: the Cartan inverse and integer checks."""
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-
-def mat_identity(n):
-    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-
-
-def mat_mul(a, b):
-    n = len(a)
-    rng = range(n)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in rng) for j in rng) for i in rng
-    )
-
-
-def mat_vec(m, v):
-    rng = range(len(v))
-    return tuple(sum(row[k] * v[k] for k in rng) for row in m)
 
 
 def mat_inv(m):

@@ -148,9 +148,12 @@ def _max_order():
     if raw is None:
         return DEFAULT_MAX_GROUP_ORDER
     try:
-        return int(raw)
+        value = int(raw)
     except ValueError:
-        raise UsageError(f"{ENV_MAX_ORDER} must be an integer, got {raw!r}")
+        value = None
+    if value is None or value < 1:
+        raise UsageError(f"{ENV_MAX_ORDER} must be a positive integer, got {raw!r}")
+    return value
 
 
 def cmd_restrict(args) -> int:

@@ -187,7 +187,3 @@ def h_root(beta) -> int:
 def is_positive(vec) -> bool:
     """Nonzero and in the nonnegative cone over the simple roots."""
     return any(vec) and all(c >= 0 for c in vec)
-
-
-def is_negative(vec) -> bool:
-    return any(vec) and all(c <= 0 for c in vec)

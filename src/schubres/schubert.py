@@ -45,10 +45,6 @@ class NonGenericPointError(ArithmeticError):
     """A denominator linear form vanishes at the chosen evaluation point."""
 
 
-#: A vertex assignment over all of W, as accepted by gkm_check_class.
-GkmClass = dict
-
-
 @dataclass(frozen=True)
 class Chain:
     """An ascending path u_0 -> ... -> u_m with right-reflection roots."""

@@ -55,9 +55,12 @@ class SuiteResult:
         return not self.failures
 
     def check(self, condition, message):
+        """Count one case; on failure record ``message()``, which is only
+        built then, since formatting polynomials costs more than the
+        check itself."""
         self.cases += 1
         if not condition:
-            self.failures.append(message)
+            self.failures.append(message())
 
     def to_json(self):
         return {
@@ -98,7 +101,7 @@ def suite_oracle(rs: RootSystem, include_typea: bool | None = None) -> SuiteResu
                 got = sums.get(u, zero)
                 result.check(
                     got == expected,
-                    f"tau mismatch at u={u!r}, v={v!r}, word={word}: "
+                    lambda: f"tau mismatch at u={u!r}, v={v!r}, word={word}: "
                     f"billey {got!r} vs chain {expected!r}",
                 )
         if include_typea:
@@ -108,7 +111,7 @@ def suite_oracle(rs: RootSystem, include_typea: bool | None = None) -> SuiteResu
                     continue
                 result.check(
                     tau_typea(element_to_perm(u), pv) == chain_values[u],
-                    f"typea mismatch at u={u!r}, v={v!r}",
+                    lambda: f"typea mismatch at u={u!r}, v={v!r}",
                 )
     return result
 
@@ -121,19 +124,19 @@ def suite_characterization(rs: RootSystem) -> SuiteResult:
         norm = tau_chain(u, u)
         result.check(
             norm == expand(lambda_minus(u)),
-            f"normalization fails at u={u!r}",
+            lambda: f"normalization fails at u={u!r}",
         )
         for v in elements:
             value = tau_chain(u, v)
             below = bruhat_leq(u, v)
             result.check(
                 bool(value) == below,
-                f"support fails at u={u!r}, v={v!r}",
+                lambda: f"support fails at u={u!r}, v={v!r}",
             )
             if value:
                 result.check(
                     value.is_homogeneous() and value.degree() == u.length,
-                    f"homogeneity fails at u={u!r}, v={v!r}",
+                    lambda: f"homogeneity fails at u={u!r}, v={v!r}",
                 )
     return result
 
@@ -168,7 +171,8 @@ def suite_positivity(rs: RootSystem) -> SuiteResult:
                         c >= 0 and c.denominator == 1
                         for c in contribution.terms.values()
                     ),
-                    f"non-integral or negative contribution at u={u!r}, v={v!r}",
+                    lambda: "non-integral or negative contribution "
+                    f"at u={u!r}, v={v!r}",
                 )
             else:
                 scaled = contribution * Fraction(2**m)
@@ -177,13 +181,14 @@ def suite_positivity(rs: RootSystem) -> SuiteResult:
                         c >= 0 and c.denominator == 1
                         for c in scaled.terms.values()
                     ),
-                    f"2^m-scaled contribution not integral at u={u!r}, v={v!r}",
+                    lambda: f"2^m-scaled contribution not integral at u={u!r}, v={v!r}",
                 )
         value = tau_chain(u, v)
         if family in ("A", "C"):
             result.check(
                 all(c >= 0 and c.denominator == 1 for c in value.terms.values()),
-                f"restriction not a nonnegative integer polynomial at u={u!r}, v={v!r}",
+                lambda: "restriction not a nonnegative integer polynomial "
+                f"at u={u!r}, v={v!r}",
             )
         else:
             exponents = [
@@ -193,7 +198,7 @@ def suite_positivity(rs: RootSystem) -> SuiteResult:
                 all(c >= 0 for c in value.terms.values())
                 and all(e is not None for e in exponents)
                 and max(exponents, default=0) <= total_chain_length,
-                f"type B restriction outside 2^-L Z>=0 at u={u!r}, v={v!r}",
+                lambda: f"type B restriction outside 2^-L Z>=0 at u={u!r}, v={v!r}",
             )
     return result
 
@@ -219,7 +224,7 @@ def suite_gkm(rs: RootSystem) -> SuiteResult:
     mutated = gkm_check_class(rs, values)
     result.check(
         not mutated.ok,
-        "mutated class unexpectedly passes the edge-divisibility check",
+        lambda: "mutated class unexpectedly passes the edge-divisibility check",
     )
     return result
 
@@ -271,7 +276,7 @@ def suite_gt(
             alpha, _, total = gt_eval_resampling(u, v, chains, rng)
             result.check(
                 total == value_poly.evaluate(alpha),
-                f"moment-map sum disagrees at u={u!r}, v={v!r}, alpha={alpha}",
+                lambda: f"moment-map sum disagrees at u={u!r}, v={v!r}, alpha={alpha}",
             )
     return result
 
@@ -300,13 +305,13 @@ def suite_limits(
                 target = chain_contribution(gamma, v).evaluate(alpha)
                 result.check(
                     abs(value - target) <= tolerance * abs(target),
-                    f"surviving chain off target at u={u!r}, v={v!r}: "
+                    lambda: f"surviving chain off target at u={u!r}, v={v!r}: "
                     f"{value} vs {target}",
                 )
             else:
                 result.check(
                     abs(value) <= tolerance,
-                    f"vanishing chain too large at u={u!r}, v={v!r}: {value}",
+                    lambda: f"vanishing chain too large at u={u!r}, v={v!r}: {value}",
                 )
     return result
 
@@ -329,7 +334,7 @@ def suite_equivalence_typea(
         report = verify_equivalence(pu, pv)
         result.check(
             report.ok,
-            f"equivalence fails at u={pu}, v={pv}: "
+            lambda: f"equivalence fails at u={pu}, v={pv}: "
             f"{report.chain_count} chains vs {report.subword_count} subwords, "
             f"{len(report.contribution_mismatches)} mismatches",
         )
@@ -357,7 +362,8 @@ def suite_lemmas(rs: RootSystem) -> SuiteResult:
             )
             result.check(
                 all(c >= 0 for c in diff),
-                f"weight difference has a negative coordinate: p={p!r}, q={q!r}",
+                lambda: "weight difference has a negative coordinate: "
+                f"p={p!r}, q={q!r}",
             )
 
     # h(p, q) equals the minimum letter of a reduced word for p^-1 q.
@@ -365,12 +371,12 @@ def suite_lemmas(rs: RootSystem) -> SuiteResult:
         for q in elements:
             h = h_pair(p, q)
             if p == q:
-                result.check(h == INFINITY, f"h(p, p) != infinity at p={p!r}")
+                result.check(h == INFINITY, lambda: f"h(p, p) != infinity at p={p!r}")
             else:
                 word = (p.inverse() * q).canonical_word
                 result.check(
                     h == min(word),
-                    f"h mismatch at p={p!r}, q={q!r}: {h} vs min{word}",
+                    lambda: f"h mismatch at p={p!r}, q={q!r}: {h} vs min{word}",
                 )
 
     # Sandwich and monotonicity statements on triples p < q < r.
@@ -391,11 +397,11 @@ def suite_lemmas(rs: RootSystem) -> SuiteResult:
                 omega = weights[i]
                 result.check(
                     p.act(omega) == q.act(omega),
-                    f"sandwich fails at p={p!r}, q={q!r}, r={r!r}, i={i + 1}",
+                    lambda: f"sandwich fails at p={p!r}, q={q!r}, r={r!r}, i={i + 1}",
                 )
             result.check(
                 h_pr <= h_pair(p, q) and h_pr <= h_pair(q, r),
-                f"h monotonicity fails at p={p!r}, q={q!r}, r={r!r}",
+                lambda: f"h monotonicity fails at p={p!r}, q={q!r}, r={r!r}",
             )
 
     # Ascending reflection steps: h(p, p s_beta) = h(beta).
@@ -406,7 +412,8 @@ def suite_lemmas(rs: RootSystem) -> SuiteResult:
             q = p * reflection(rs, beta)
             result.check(
                 h_pair(p, q) == h_root(beta),
-                f"h of an ascending step differs from h of its root at p={p!r}, beta={beta}",
+                lambda: "h of an ascending step differs from h of its root "
+                f"at p={p!r}, beta={beta}",
             )
 
     # Weight drops match their closed forms, with the announced
@@ -419,18 +426,19 @@ def suite_lemmas(rs: RootSystem) -> SuiteResult:
         matches = _technical_drop_forms(rs, u, j)
         result.check(
             len(matches) == 1,
-            f"expected exactly one decomposition at u={u!r}, found {len(matches)}",
+            lambda: "expected exactly one decomposition "
+            f"at u={u!r}, found {len(matches)}",
         )
         if len(matches) == 1:
             form, expected_kind = matches[0]
             result.check(
                 drop == form and kind == expected_kind,
-                f"weight drop mismatch at u={u!r}: {drop} ({kind}) vs "
+                lambda: f"weight drop mismatch at u={u!r}: {drop} ({kind}) vs "
                 f"{form} ({expected_kind})",
             )
         result.check(
             h_root(drop) == j,
-            f"weight drop has wrong h at u={u!r}",
+            lambda: f"weight drop has wrong h at u={u!r}",
         )
         if rs.lie_type.family == "A":
             perm = element_to_perm(u)
@@ -440,7 +448,7 @@ def suite_lemmas(rs: RootSystem) -> SuiteResult:
             )
             result.check(
                 drop == expected,
-                f"type A drop is not x_j - x_u(j) at u={u!r}",
+                lambda: f"type A drop is not x_j - x_u(j) at u={u!r}",
             )
     return result
 

@@ -1,10 +1,19 @@
 """Weyl group elements, reduced words, Bruhat order and the h statistic.
 
-An element is identified by its exact action matrix on the simple-root
-basis (columns are the images of the simple roots; all entries are
-integers).  Elements are interned per root system, so equal elements are
-usually the same object.  Per-system caches are filled idempotently and
-are safe under the usual CPython concurrency guarantees.
+An element is identified by the permutation it induces on the finite
+root set, the standard faithful representation of a Weyl group.  Each
+root system gets a root table, built on first use: its positive roots in
+``rs.positive_roots`` order, then their negatives in the same order, and
+a dict from root to index.  ``perm[k]`` is the index of ``w(root_k)``, so
+the product is one tuple lookup per root, the inverse is the inverse
+permutation and the length counts positive indices sent to negative
+ones.  The action matrix on the simple-root basis (columns are the
+images of the simple roots; all entries are integers) is derived from
+the permutation and cached on first use.
+
+Elements are interned per root system, so equal elements are usually the
+same object.  Per-system caches are filled idempotently and are safe
+under the usual CPython concurrency guarantees.
 
 Words are tuples of 1-based simple-reflection indices.
 """
@@ -12,14 +21,8 @@ Words are tuples of 1-based simple-reflection indices.
 from __future__ import annotations
 
 import math
-from ._linalg import as_int, mat_identity, mat_inv, mat_mul
-from .rootsys import (
-    RootSystem,
-    Vector,
-    is_negative,
-    normalize_vector,
-    reflect,
-)
+from ._linalg import as_int
+from .rootsys import RootSystem, Vector, normalize_vector
 
 #: Default cap on the group order for exhaustive enumeration.
 DEFAULT_MAX_GROUP_ORDER = 100_000
@@ -30,24 +33,59 @@ INFINITY = math.inf
 Word = tuple
 
 
+class RootTable:
+    """The indexed root set of one root system.
+
+    ``roots[k]`` for ``k < npos`` are the positive roots in
+    ``rs.positive_roots`` order; ``roots[k + npos]`` is ``-roots[k]``.
+    """
+
+    __slots__ = ("roots", "index", "npos", "simple")
+
+    def __init__(self, rs: RootSystem):
+        positive = rs.positive_roots
+        self.npos = len(positive)
+        self.roots = positive + tuple(tuple(-c for c in b) for b in positive)
+        self.index = {beta: k for k, beta in enumerate(self.roots)}
+        #: Index of alpha_j for j = 1..n, in order.
+        self.simple = tuple(self.index[alpha] for alpha in rs.simple_roots)
+
+    def __len__(self):
+        """Number of roots; every ``rs._cache`` entry reports its size so."""
+        return len(self.roots)
+
+
+def root_table(rs: RootSystem) -> RootTable:
+    table = rs._cache.get("root_table")
+    if table is None:
+        table = rs._cache["root_table"] = RootTable(rs)
+    return table
+
+
 class WeylElement:
-    """A Weyl group element; immutable, hashable, interned per system."""
+    """A Weyl group element; immutable, hashable, interned per system.
 
-    __slots__ = ("rs", "matrix", "_hash", "_length", "_canonical")
+    ``perm`` is the permutation of root indices (see :class:`RootTable`)
+    that identifies the element; ``matrix`` is derived from it and
+    cached.
+    """
 
-    def __init__(self, rs: RootSystem, matrix):
+    __slots__ = ("rs", "perm", "_hash", "_length", "_canonical", "_matrix")
+
+    def __init__(self, rs: RootSystem, perm):
         self.rs = rs
-        self.matrix = matrix
-        self._hash = hash((rs.lie_type, matrix))
+        self.perm = perm
+        self._hash = hash(perm)
         self._length = None
         self._canonical = None
+        self._matrix = None
 
     def __eq__(self, other):
         if self is other:
             return True
         if not isinstance(other, WeylElement):
             return NotImplemented
-        return self.rs.lie_type == other.rs.lie_type and self.matrix == other.matrix
+        return self.perm == other.perm and self.rs.lie_type == other.rs.lie_type
 
     def __hash__(self):
         return self._hash
@@ -55,41 +93,51 @@ class WeylElement:
     def __mul__(self, other):
         if not isinstance(other, WeylElement):
             return NotImplemented
-        if self.rs.lie_type != other.rs.lie_type:
+        if self.rs is not other.rs and self.rs.lie_type != other.rs.lie_type:
             raise ValueError("cannot compose elements of different root systems")
-        return _element(self.rs, mat_mul(self.matrix, other.matrix))
+        return _element(self.rs, tuple(map(self.perm.__getitem__, other.perm)))
 
     def inverse(self) -> "WeylElement":
-        inv = mat_inv(self.matrix)
-        return _element(
-            self.rs, tuple(tuple(as_int(x) for x in row) for row in inv)
-        )
+        inv = [0] * len(self.perm)
+        for k, image in enumerate(self.perm):
+            inv[image] = k
+        return _element(self.rs, tuple(inv))
+
+    @property
+    def matrix(self):
+        """Action matrix on the simple-root basis, as a tuple of rows."""
+        if self._matrix is None:
+            table = root_table(self.rs)
+            columns = [table.roots[self.perm[k]] for k in table.simple]
+            self._matrix = tuple(zip(*columns))
+        return self._matrix
 
     def act(self, vec) -> Vector:
-        """Linear action on a coordinate vector over the simple roots."""
+        """Linear action on a coordinate vector over the simple roots.
+
+        A root is looked up in the root table; any other vector, such as
+        a fundamental weight, is multiplied by :attr:`matrix`.
+        """
         if len(vec) != self.rs.rank:
             raise ValueError("vector length does not match the rank")
+        table = root_table(self.rs)
+        root = table.index.get(vec) if type(vec) is tuple else None
+        if root is not None:
+            return table.roots[self.perm[root]]
         rng = range(self.rs.rank)
         return tuple(
             sum(row[k] * vec[k] for k in rng if vec[k]) for row in self.matrix
         )
 
     def is_identity(self) -> bool:
-        return self._length == 0 or self.matrix == mat_identity(self.rs.rank)
+        return self.length == 0
 
     @property
     def length(self) -> int:
         """Number of positive roots sent to negative roots."""
         if self._length is None:
-            count = 0
-            for beta in self.rs.positive_roots:
-                img = self.act(beta)
-                for c in img:
-                    if c:
-                        if c < 0:
-                            count += 1
-                        break
-            self._length = count
+            npos = root_table(self.rs).npos
+            self._length = sum(image >= npos for image in self.perm[:npos])
         return self._length
 
     @property
@@ -115,17 +163,17 @@ class WeylElement:
         return f"<{self.rs.lie_type} {word}>"
 
 
-def _element(rs: RootSystem, matrix) -> WeylElement:
+def _element(rs: RootSystem, perm) -> WeylElement:
     table = rs._cache.setdefault("elements", {})
-    el = table.get(matrix)
+    el = table.get(perm)
     if el is None:
-        el = WeylElement(rs, matrix)
-        table[matrix] = el
+        el = WeylElement(rs, perm)
+        table[perm] = el
     return el
 
 
 def identity(rs: RootSystem) -> WeylElement:
-    return _element(rs, mat_identity(rs.rank))
+    return _element(rs, tuple(range(len(root_table(rs)))))
 
 
 def simple_reflection(rs: RootSystem, i: int) -> WeylElement:
@@ -134,17 +182,16 @@ def simple_reflection(rs: RootSystem, i: int) -> WeylElement:
     cache = rs._cache.setdefault("simple_reflections", {})
     el = cache.get(i)
     if el is None:
-        n = rs.rank
+        # s_i(beta) = beta - <beta, alpha_i^vee> alpha_i, in integers.
+        table = root_table(rs)
         i0 = i - 1
-        rows = []
-        for r in range(n):
-            if r != i0:
-                rows.append(tuple(int(c == r) for c in range(n)))
-            else:
-                rows.append(
-                    tuple(int(c == i0) - rs.cartan[c][i0] for c in range(n))
-                )
-        el = _element(rs, tuple(rows))
+        column = [row[i0] for row in rs.cartan]
+        perm = []
+        for beta in table.roots:
+            image = list(beta)
+            image[i0] -= sum(b * c for b, c in zip(beta, column))
+            perm.append(table.index[tuple(image)])
+        el = _element(rs, tuple(perm))
         cache[i] = el
     return el
 
@@ -152,18 +199,36 @@ def simple_reflection(rs: RootSystem, i: int) -> WeylElement:
 def reflection(rs: RootSystem, beta) -> WeylElement:
     """The reflection s_beta for a root beta (of either sign)."""
     beta = tuple(beta)
-    cache = rs._cache.setdefault("reflections", {})
+    cache = rs._cache.get("reflections")
+    if cache is None:
+        cache = rs._cache["reflections"] = _all_reflections(rs)
     el = cache.get(beta)
     if el is None:
-        columns = [
-            tuple(as_int(c) for c in reflect(rs, beta, e))
-            for e in rs.simple_roots
-        ]
-        n = rs.rank
-        matrix = tuple(tuple(columns[j][i] for j in range(n)) for i in range(n))
-        el = _element(rs, matrix)
-        cache[beta] = el
+        raise ValueError(
+            f"invalid reflection: {beta} is not a root of {rs.lie_type}"
+        )
     return el
+
+
+def _all_reflections(rs: RootSystem):
+    """Every reflection, keyed by root of either sign.
+
+    Closes the simple roots under simple reflections, as the positive
+    roots are generated: when beta' = s_i beta, s_beta' = s_i s_beta s_i.
+    Only products of permutations, no rational arithmetic.
+    """
+    table = root_table(rs)
+    simple = [simple_reflection(rs, i) for i in range(1, rs.rank + 1)]
+    found = dict(zip(table.simple, simple))
+    frontier = list(found)
+    while frontier:
+        k = frontier.pop()
+        for s in simple:
+            image = s.perm[k]
+            if image not in found:
+                found[image] = s * found[k] * s
+                frontier.append(image)
+    return {table.roots[k]: el for k, el in found.items()}
 
 
 def element_from_word(rs: RootSystem, word) -> WeylElement:
@@ -215,11 +280,6 @@ def all_reduced_words(u: WeylElement):
         return out
 
     return rec(u)
-
-
-def is_reduced(rs: RootSystem, word) -> bool:
-    word = tuple(word)
-    return element_from_word(rs, word).length == len(word)
 
 
 def covers_above(u: WeylElement):
@@ -334,7 +394,7 @@ def longest_element(rs: RootSystem) -> WeylElement:
 
 def inversion_roots(v: WeylElement):
     """Positive roots beta with v^{-1} beta negative, in lexicographic order."""
-    vinv = v.inverse()
-    return tuple(
-        beta for beta in v.rs.positive_roots if is_negative(vinv.act(beta))
-    )
+    table = root_table(v.rs)
+    npos = table.npos
+    vinv = v.inverse().perm
+    return tuple(table.roots[k] for k in range(npos) if vinv[k] >= npos)

@@ -1,5 +1,6 @@
 """Command-line interface: output formats, agreement verdicts, exit codes."""
 
+import hashlib
 import json
 
 import pytest
@@ -217,6 +218,36 @@ class TestTableAndPlumbing:
         code, _, err = run(capsys, "table", "--type", "A", "--rank", "2")
         assert code == 2
         assert "exceeds" in err
+
+    @pytest.mark.parametrize("raw", ["0", "-5"])
+    def test_group_order_cap_must_be_positive(self, capsys, monkeypatch, raw):
+        monkeypatch.setenv("SCHUBERT_MAX_GROUP_ORDER", raw)
+        code, _, err = run(capsys, "table", "--type", "A", "--rank", "2")
+        assert code == 2
+        assert err == (
+            "error: SCHUBERT_MAX_GROUP_ORDER must be a positive integer, "
+            f"got {raw!r}\n"
+        )
+
+    # SHA-256 of `table --format json`, the byte-level reference for the
+    # values and their serialization.
+    TABLE_DIGESTS = {
+        ("A", 3): "aa929571b70bfefd78daff9bc7b6e46fc09f437c46d27ed1f7cc69c42f3517da",
+        ("B", 3): "a399849f3f8d142d8cc6dfe9c76f686631594f627d4e3defc361ca75200cae4c",
+        ("C", 3): "0f8dedc6442a09c0c06eceb5b5bb668cbb89aece552a8a7fa8bfb7b06b9f477f",
+    }
+
+    @pytest.mark.parametrize("family,rank", sorted(TABLE_DIGESTS))
+    def test_table_json_is_byte_identical(self, capsys, tmp_path, family, rank):
+        target = tmp_path / "table.json"
+        code, _, _ = run(
+            capsys,
+            "table", "--type", family, "--rank", str(rank),
+            "--format", "json", "--out", str(target),
+        )
+        assert code == 0
+        digest = hashlib.sha256(target.read_bytes()).hexdigest()
+        assert digest == self.TABLE_DIGESTS[(family, rank)]
 
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "value.txt"

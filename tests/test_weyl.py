@@ -2,7 +2,7 @@
 
 import pytest
 
-from schubres.rootsys import root_system
+from schubres.rootsys import reflect, root_system
 from schubres.weyl import (
     INFINITY,
     all_reduced_words,
@@ -15,6 +15,7 @@ from schubres.weyl import (
     h_pair,
     identity,
     inverse,
+    inversion_roots,
     length,
     longest_element,
     omega_drop,
@@ -41,6 +42,73 @@ def b2():
 @pytest.fixture(scope="module")
 def c2():
     return root_system("C", 2)
+
+
+def mat_mul(a, b):
+    """Integer matrix product, the oracle for the group product."""
+    n = len(a)
+    return tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
+        for i in range(n)
+    )
+
+
+def mat_apply(m, vec):
+    return tuple(sum(row[k] * vec[k] for k in range(len(vec))) for row in m)
+
+
+def is_negative(vec):
+    return any(vec) and all(c <= 0 for c in vec)
+
+
+GROUPS_RANK_3 = [("A", 3), ("B", 3), ("C", 3)]
+
+
+class TestRepresentation:
+    """Root permutations against the action matrices derived from them."""
+
+    @pytest.mark.parametrize("family,rank", GROUPS_RANK_3)
+    def test_product_matches_matrix_product(self, family, rank):
+        elements = enumerate_elements(root_system(family, rank))
+        for u in elements:
+            for v in elements:
+                assert (u * v).matrix == mat_mul(u.matrix, v.matrix)
+
+    @pytest.mark.parametrize("family,rank", GROUPS_RANK_3)
+    def test_inverse_length_and_action(self, family, rank):
+        rs = root_system(family, rank)
+        e = identity(rs)
+        roots = rs.positive_roots + tuple(
+            tuple(-c for c in beta) for beta in rs.positive_roots
+        )
+        for u in enumerate_elements(rs):
+            assert u.inverse() * u is e
+            assert u.length == sum(
+                is_negative(mat_apply(u.matrix, beta)) for beta in rs.positive_roots
+            )
+            for beta in roots:
+                assert u.act(beta) == mat_apply(u.matrix, beta)
+
+    @pytest.mark.parametrize("family,rank", GROUPS_RANK_3)
+    def test_reflections_match_reflect(self, family, rank):
+        rs = root_system(family, rank)
+        for positive in rs.positive_roots:
+            for beta in (positive, tuple(-c for c in positive)):
+                columns = [reflect(rs, beta, alpha) for alpha in rs.simple_roots]
+                expected = tuple(zip(*columns))
+                assert reflection(rs, beta).matrix == expected
+        for bad in [(0,) * rank, (1, -1) + (0,) * (rank - 2), (3,) + (0,) * (rank - 1)]:
+            with pytest.raises(ValueError, match="is not a root"):
+                reflection(rs, bad)
+
+    def test_inversion_roots_match_matrix_inverse_images(self, a3):
+        for v in enumerate_elements(a3):
+            vinv = v.inverse()
+            assert inversion_roots(v) == tuple(
+                beta
+                for beta in a3.positive_roots
+                if is_negative(mat_apply(vinv.matrix, beta))
+            )
 
 
 class TestWords:
