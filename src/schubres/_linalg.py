@@ -25,9 +25,18 @@ def mat_inv(m):
     return tuple(tuple(aug[i][n + j] for j in range(n)) for i in range(n))
 
 
-def as_int(x):
-    """Exact conversion to int; rejects non-integral rationals."""
+def as_int(x) -> int:
+    """Exact conversion of a rational to int; a non-integral value means
+    an upstream invariant failed."""
     f = Fraction(x)
     if f.denominator != 1:
-        raise ValueError(f"expected an integer value, got {x}")
+        raise ArithmeticError(f"expected an integer value, got {x}")
     return f.numerator
+
+
+def div_exact(vec, d: int):
+    """The integer vector ``vec / d``; raises unless ``d`` divides every
+    coordinate, since a remainder means an upstream invariant failed."""
+    if any(c % d for c in vec):
+        raise ArithmeticError(f"{vec} is not divisible by {d}")
+    return tuple(c // d for c in vec)

@@ -1,10 +1,11 @@
 """Command-line surface: restrict, chains, subwords, verify and table.
 
 Exit statuses: 0 success, 1 verification failure or method disagreement,
-2 usage error.  Element inputs are words of simple-reflection indices
-("1,2,1") by default; in type A, pass ``--elements perm`` to use one-line
-permutations instead.  Disambiguation is always by flag, never by
-guessing at the string shape.
+2 usage error, 3 internal error (an arithmetic invariant or an assertion
+failed inside the library).  Element inputs are words of
+simple-reflection indices ("1,2,1") by default; in type A, pass
+``--elements perm`` to use one-line permutations instead.
+Disambiguation is always by flag, never by guessing at the string shape.
 """
 
 from __future__ import annotations
@@ -185,7 +186,7 @@ def cmd_restrict(args) -> int:
                 raise UsageError(str(exc)) from None
         else:
             values[method] = tau_typea(element_to_perm(u), element_to_perm(v))
-    agree = len({p.to_text() for p in values.values()}) == 1
+    agree = len(set(values.values())) == 1
     if spec.fmt == "json":
         payload = {
             "schema": SCHEMA,
@@ -489,6 +490,11 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (ArithmeticError, AssertionError) as exc:
+        print(
+            f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr
+        )
+        return 3
 
 
 if __name__ == "__main__":

@@ -7,7 +7,10 @@ Two representations are used side by side:
 * :class:`Polynomial` -- a sparse exponent-map polynomial with exact
   rational coefficients, the shape in which restrictions are reported.
 
-No floating point is used anywhere.
+A polynomial stores an integral coefficient as ``int`` and any other as
+``Fraction``, so the usual all-integer case never builds a ``Fraction``;
+the two compare, hash and print alike.  No floating point is used
+anywhere: no ``/`` is taken between two ints.
 """
 
 from __future__ import annotations
@@ -21,6 +24,14 @@ LinearForm = tuple
 
 class CancellationError(ArithmeticError):
     """No factor proportional to the requested linear form."""
+
+
+def _coefficient(c):
+    """``c`` as an int when integral, else as a Fraction."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
 
 def _term_sort_key(exponents):
@@ -43,7 +54,7 @@ class Polynomial:
         if terms:
             items = terms.items() if isinstance(terms, dict) else terms
             for exponents, coeff in items:
-                coeff = Fraction(coeff)
+                coeff = _coefficient(coeff)
                 if not coeff:
                     continue
                 exponents = tuple(exponents)
@@ -68,7 +79,7 @@ class Polynomial:
 
     @classmethod
     def constant(cls, rank, value):
-        return cls(rank, {(0,) * rank: Fraction(value)})
+        return cls(rank, {(0,) * rank: value})
 
     @classmethod
     def one(cls, rank):
@@ -78,13 +89,13 @@ class Polynomial:
     def from_linear(cls, form):
         form = tuple(form)
         rank = len(form)
-        terms = {}
+        p = cls(rank)
         for i, c in enumerate(form):
             if c:
                 e = [0] * rank
                 e[i] = 1
-                terms[tuple(e)] = Fraction(c)
-        return cls(rank, terms)
+                p.terms[tuple(e)] = _coefficient(c)
+        return p
 
     # -- structure
 
@@ -140,7 +151,7 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = Fraction(other)
+            other = _coefficient(other)
             p = Polynomial.zero(self.rank)
             if other:
                 p.terms = {e: c * other for e, c in self.terms.items()}
@@ -320,11 +331,12 @@ def proportionality_ratio(g, d):
     k = next((i for i, c in enumerate(d) if c), None)
     if k is None:
         raise ValueError("zero linear form")
-    if not g[k]:
+    gk, dk = g[k], d[k]
+    if not gk:
         return None
-    c = Fraction(g[k]) / Fraction(d[k])
-    if all(Fraction(gc) == c * Fraction(dc) for gc, dc in zip(g, d)):
-        return c
+    # g = (gk / dk) d, cross-multiplied to stay in integers.
+    if all(gj * dk == gk * dj for gj, dj in zip(g, d)):
+        return Fraction(gk, dk)
     return None
 
 

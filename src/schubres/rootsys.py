@@ -6,6 +6,10 @@ Every vector is a coordinate tuple over the simple-root basis
 form is normalized so that long roots have squared length 2; in type B
 the short simple root alpha_n then has squared length 1.
 
+:class:`WeightTable` holds the same weights scaled to integers and the
+integer coroot pairings <omega_i, beta> of each root, built on first
+use, so that the chain route runs in integer arithmetic.
+
 Simple roots are ordered along the Dynkin chain, with the special bond
 between the last two nodes: in type B the last simple root is short, in
 type C it is long.
@@ -16,9 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
 
-from ._linalg import mat_inv
+from ._linalg import as_int, div_exact, mat_inv
 
 #: A coordinate tuple over the simple-root basis.
 Vector = tuple
@@ -174,6 +178,56 @@ def reflect(rs: RootSystem, beta, vec) -> Vector:
         raise ValueError(f"invalid reflection: {beta} is not a root of {rs.lie_type}")
     c = pairing(rs, vec, beta)
     return normalize_vector(v - c * b for v, b in zip(vec, beta))
+
+
+def weight_scale(rs: RootSystem) -> int:
+    """Least common denominator of the fundamental weights: n + 1 in A_n,
+    2 in B_n and C_n."""
+    return lcm(*(c.denominator for omega in rs.fundamental_weights for c in omega))
+
+
+class WeightTable:
+    """The fundamental weights and coroot pairings of one system, in integers.
+
+    ``omegas[i]`` is ``scale * omega_{i+1}``.  :meth:`pairings` gives
+    (<omega_1, beta>, ..., <omega_n, beta>) for a root beta, memoized per
+    root on first use: since (omega_i, alpha_j) = delta_ij (alpha_i, alpha_i) / 2,
+    <omega_i, beta> = beta_i (alpha_i, alpha_i) / (beta, beta), the i-th
+    coordinate of the coroot of beta on the simple coroots.
+    """
+
+    __slots__ = ("rs", "scale", "omegas", "_lengths", "_pairings")
+
+    def __init__(self, rs: RootSystem):
+        self.rs = rs
+        self.scale = weight_scale(rs)
+        self.omegas = tuple(
+            tuple(as_int(c * self.scale) for c in omega)
+            for omega in rs.fundamental_weights
+        )
+        #: (alpha_i, alpha_i) for each simple root.
+        self._lengths = tuple(as_int(rs.gram[i][i]) for i in range(rs.rank))
+        self._pairings: dict = {}
+
+    def pairings(self, beta) -> tuple:
+        got = self._pairings.get(beta)
+        if got is None:
+            norm = as_int(bilinear(self.rs, beta, beta))
+            got = div_exact(tuple(b * d for b, d in zip(beta, self._lengths)), norm)
+            self._pairings[beta] = got
+        return got
+
+    def __len__(self):
+        """Number of memoized roots; every ``rs._cache`` entry reports its
+        size so."""
+        return len(self._pairings)
+
+
+def weight_table(rs: RootSystem) -> WeightTable:
+    table = rs._cache.get("weight_table")
+    if table is None:
+        table = rs._cache["weight_table"] = WeightTable(rs)
+    return table
 
 
 def h_root(beta) -> int:

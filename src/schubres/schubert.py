@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._linalg import as_int
+from ._linalg import div_exact
 from .poly import (
     CancellationError,
     FactoredPoly,
@@ -27,7 +27,7 @@ from .poly import (
     divide_linear,
     expand,
 )
-from .rootsys import RootSystem, h_root, is_positive, pairing
+from .rootsys import RootSystem, h_root, is_positive, weight_table
 from .weyl import (
     WeylElement,
     bruhat_leq,
@@ -193,32 +193,35 @@ def chain_contribution(gamma: Chain, v: WeylElement) -> FactoredPoly:
 
     Starts from the full inversion product of v, multiplies the scalar by
     the coroot pairing of each edge, and cancels each denominator form
-    against a proportional factor.
+    against a proportional factor.  Pairings and weight differences are
+    integers read from the weight table and the elements' omega images.
     """
     rs = v.rs
     if gamma.end != v:
         raise ValueError("chain does not end at v")
     _validate_saturated(gamma)
+    weights = weight_table(rs)
+    v_images = v.omega_images
     f = lambda_minus(v)
+    numerators = 1
     prev_h = 0
     for k, beta in enumerate(gamma.betas):
         i = h_root(beta)
         if i < prev_h:
             raise ValueError("chain edge roots are not h-monotone")
         prev_h = i
-        omega = rs.fundamental_weights[i - 1]
-        numerator = pairing(rs, omega, beta)
-        if numerator <= 0 or numerator.denominator != 1:
+        numerator = weights.pairings(beta)[i - 1]
+        if numerator <= 0:
             raise CancellationError(
                 f"expected a positive integer pairing, got {numerator}"
             )
-        p = gamma.elements[k]
-        denom = tuple(
-            as_int(a - b) for a, b in zip(p.act(omega), v.act(omega))
+        p_image = gamma.elements[k].omega_images[i - 1]
+        denom = div_exact(
+            tuple(a - b for a, b in zip(p_image, v_images[i - 1])), weights.scale
         )
         f = cancel_factor(f, denom)
-        f = FactoredPoly(f.scalar * numerator, f.factors, rs.rank)
-    return f
+        numerators *= numerator
+    return FactoredPoly(f.scalar * numerators, f.factors, rs.rank)
 
 
 def tau_chain(u: WeylElement, v: WeylElement) -> Polynomial:
@@ -355,23 +358,22 @@ def gt_term_eval(gamma: Chain, v: WeylElement, mu, alpha_values) -> Fraction:
         raise ValueError("mu and alpha_values must have length equal to the rank")
     if any(x <= 0 for x in mu):
         raise ValueError("mu must be strictly positive")
-    weights = rs.fundamental_weights
+    weights = weight_table(rs)
     value = lambda_minus(v).evaluate(alpha)
-    v_images = [v.act(w) for w in weights]
+    v_images = v.omega_images
     for k, beta in enumerate(gamma.betas):
-        numerator = sum(m * pairing(rs, w, beta) for m, w in zip(mu, weights))
-        p = gamma.elements[k]
-        denom = Fraction(0)
-        for m, w, vw in zip(mu, weights, v_images):
-            diff = p.act(w)
-            denom += m * sum(
-                (a - b) * t for a, b, t in zip(diff, vw, alpha)
-            )
-        if denom == 0:
+        numerator = sum(m * c for m, c in zip(mu, weights.pairings(beta)))
+        p_images = gamma.elements[k].omega_images
+        # scale * (p omega_i - v omega_i), paired with alpha and weighted by mu.
+        scaled_denom = sum(
+            m * sum((a - b) * t for a, b, t in zip(pw, vw, alpha))
+            for m, pw, vw in zip(mu, p_images, v_images)
+        )
+        if scaled_denom == 0:
             raise NonGenericPointError(
                 f"denominator of edge {k + 1} vanishes at the chosen point"
             )
-        value *= numerator / denom
+        value *= numerator * weights.scale / scaled_denom
     return value
 
 

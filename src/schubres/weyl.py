@@ -11,6 +11,13 @@ ones.  The action matrix on the simple-root basis (columns are the
 images of the simple roots; all entries are integers) is derived from
 the permutation and cached on first use.
 
+Weights stay in integers too.  The weight table of ``rootsys`` holds
+``scale``, the least common denominator of the fundamental weights, and
+``scale * omega_i`` as integer tuples; ``omega_images`` of an element is
+``scale * w(omega_i)`` for every i, computed once from the integer
+matrix.  ``h_pair`` and ``omega_drop`` compare and subtract these images,
+and the chain route reads its weight differences from them.
+
 Elements are interned per root system, so equal elements are usually the
 same object.  Per-system caches are filled idempotently and are safe
 under the usual CPython concurrency guarantees.
@@ -21,8 +28,9 @@ Words are tuples of 1-based simple-reflection indices.
 from __future__ import annotations
 
 import math
-from ._linalg import as_int
-from .rootsys import RootSystem, Vector, normalize_vector
+
+from ._linalg import div_exact
+from .rootsys import RootSystem, Vector, weight_table
 
 #: Default cap on the group order for exhaustive enumeration.
 DEFAULT_MAX_GROUP_ORDER = 100_000
@@ -70,7 +78,9 @@ class WeylElement:
     cached.
     """
 
-    __slots__ = ("rs", "perm", "_hash", "_length", "_canonical", "_matrix")
+    __slots__ = (
+        "rs", "perm", "_hash", "_length", "_canonical", "_matrix", "_omega_images"
+    )
 
     def __init__(self, rs: RootSystem, perm):
         self.rs = rs
@@ -79,6 +89,7 @@ class WeylElement:
         self._length = None
         self._canonical = None
         self._matrix = None
+        self._omega_images = None
 
     def __eq__(self, other):
         if self is other:
@@ -111,6 +122,18 @@ class WeylElement:
             columns = [table.roots[self.perm[k]] for k in table.simple]
             self._matrix = tuple(zip(*columns))
         return self._matrix
+
+    @property
+    def omega_images(self):
+        """``scale * w(omega_i)`` for i = 1..n, as integer tuples, where
+        ``scale`` is that of the system's weight table."""
+        if self._omega_images is None:
+            matrix = self.matrix
+            self._omega_images = tuple(
+                tuple(sum(a * b for a, b in zip(row, omega)) for row in matrix)
+                for omega in weight_table(self.rs).omegas
+            )
+        return self._omega_images
 
     def act(self, vec) -> Vector:
         """Linear action on a coordinate vector over the simple roots.
@@ -330,8 +353,8 @@ def h_pair(p: WeylElement, q: WeylElement):
     """Smallest i with p omega_i != q omega_i; INFINITY when p == q."""
     if p.rs.lie_type != q.rs.lie_type:
         raise ValueError("cannot compare elements of different root systems")
-    for i, omega in enumerate(p.rs.fundamental_weights):
-        if p.act(omega) != q.act(omega):
+    for i, (a, b) in enumerate(zip(p.omega_images, q.omega_images)):
+        if a != b:
             return i + 1
     return INFINITY
 
@@ -345,9 +368,11 @@ def omega_drop(u: WeylElement, j: int):
     h = h_pair(identity(rs), u)
     if j != h:
         raise ValueError(f"precondition violation: j={j} but h(id, u)={h}")
-    omega = rs.fundamental_weights[j - 1]
-    drop = normalize_vector(a - b for a, b in zip(omega, u.act(omega)))
-    drop = tuple(as_int(c) for c in drop)
+    table = weight_table(rs)
+    drop = div_exact(
+        tuple(a - b for a, b in zip(table.omegas[j - 1], u.omega_images[j - 1])),
+        table.scale,
+    )
     if drop in rs.roots:
         return drop, "root"
     if all(c % 2 == 0 for c in drop) and tuple(c // 2 for c in drop) in rs.roots:

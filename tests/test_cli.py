@@ -5,8 +5,9 @@ import json
 
 import pytest
 
+from schubres import cli, schubert
 from schubres.cli import main
-from schubres.poly import Polynomial
+from schubres.poly import CancellationError, Polynomial
 from schubres.rootsys import root_system
 from schubres.schubert import tau_chain
 from schubres.weyl import element_from_word
@@ -79,6 +80,36 @@ class TestRestrict:
         )
         assert code == 0
         assert out.strip() == "a1^2 + 2*a1*a2 + a1*a3 + a2^2 + a2*a3"
+
+    def test_method_disagreement_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(
+            cli, "tau_billey", lambda u, v, word: Polynomial.one(u.rs.rank)
+        )
+        code, out, _ = run(
+            capsys,
+            "restrict", "--type", "A", "--rank", "2",
+            "--u", "1", "--v", "1,2,1", "--method", "all",
+        )
+        assert code == 1
+        assert out.splitlines() == [
+            "chain: a1 + a2", "billey: 1", "typea: a1 + a2", "verdict: DISAGREE",
+        ]
+
+    def test_internal_error_exits_3(self, capsys, monkeypatch):
+        def broken(gamma, v):
+            raise CancellationError("no factor is proportional")
+
+        monkeypatch.setattr(schubert, "chain_contribution", broken)
+        code, out, err = run(
+            capsys,
+            "restrict", "--type", "B", "--rank", "2", "--u", "2", "--v", "1,2,1",
+        )
+        assert code == 3
+        assert out == ""
+        assert err == (
+            "error: internal error: CancellationError: no factor is proportional\n"
+        )
+        assert "Traceback" not in err
 
     def test_perm_elements_require_type_a(self, capsys):
         code, _, err = run(

@@ -17,6 +17,9 @@ from schubres.poly import (
     expand,
     proportionality_ratio,
 )
+from schubres.rootsys import root_system
+from schubres.schubert import tau_chain
+from schubres.weyl import enumerate_elements
 
 
 def poly(rank, terms):
@@ -96,6 +99,40 @@ class TestProportionality:
         assert proportionality_ratio((1, 2), (2, 4)) == Fraction(1, 2)
         assert proportionality_ratio((1, 0), (1, 1)) is None
         assert proportionality_ratio((0, 1), (1, 1)) is None
+
+
+def old_proportionality_ratio(g, d):
+    """The ratio test as it stood over Fractions, the oracle for the
+    cross-multiplied one."""
+    k = next(i for i, c in enumerate(d) if c)
+    if not g[k]:
+        return None
+    c = Fraction(g[k]) / Fraction(d[k])
+    if all(Fraction(gc) == c * Fraction(dc) for gc, dc in zip(g, d)):
+        return c
+    return None
+
+
+coefficients = st.one_of(
+    st.integers(min_value=-6, max_value=6),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+)
+
+
+class TestProportionalityProperty:
+    @given(
+        g=st.lists(coefficients, min_size=3, max_size=3),
+        d=st.lists(coefficients, min_size=3, max_size=3).filter(any),
+        scale=st.one_of(st.none(), coefficients),
+    )
+    @settings(deadline=None)
+    def test_matches_fraction_definition(self, g, d, scale):
+        if scale is not None:
+            g = [scale * c for c in d]  # proportional by construction
+        got = proportionality_ratio(tuple(g), tuple(d))
+        expected = old_proportionality_ratio(g, d)
+        assert got == expected
+        assert type(got) is type(expected)
 
 
 class TestDivideLinear:
@@ -214,3 +251,41 @@ class TestSerialization:
         assert Polynomial.zero(2).is_homogeneous()
         assert poly(2, {(1, 0): 1, (0, 1): 2}).is_homogeneous()
         assert not poly(2, {(1, 0): 1, (0, 0): 2}).is_homogeneous()
+
+
+def all_coefficients(polys):
+    return [c for p in polys for c in p.terms.values()]
+
+
+class TestIntegerCoefficients:
+    def test_integral_fraction_is_stored_as_int(self):
+        p = Polynomial(2, {(1, 0): Fraction(3)})
+        assert type(p.terms[(1, 0)]) is int and p.terms[(1, 0)] == 3
+        q = Polynomial(2, {(1, 0): Fraction(1, 2)})
+        assert type(q.terms[(1, 0)]) is Fraction
+        assert type(Polynomial.from_linear((Fraction(2), 1)).terms[(1, 0)]) is int
+
+    def test_int_and_fraction_coefficients_agree(self):
+        with_int = Polynomial(2, {(1, 0): 3, (0, 1): Fraction(1, 2)})
+        with_fraction = Polynomial(2, {(1, 0): 3, (0, 1): Fraction(1, 2)})
+        with_fraction.terms[(1, 0)] = Fraction(3)  # bypasses the constructor
+        assert with_int == with_fraction
+        assert hash(with_int) == hash(with_fraction)
+        assert with_int.to_text() == with_fraction.to_text()
+        assert with_int.to_latex() == with_fraction.to_latex()
+        assert with_int.to_json() == with_fraction.to_json()
+        assert json.dumps(with_int.to_json()) == json.dumps(with_fraction.to_json())
+
+    def test_no_float_coefficients(self):
+        rs = root_system("B", 3)  # type B chain contributions carry 1/2
+        elements = enumerate_elements(rs)
+        table = [tau_chain(u, v) for u in elements for v in elements]
+        assert any(
+            type(c) is Fraction for c in all_coefficients(table)
+        ), "B3 has non-integral coefficients"
+        p = poly(2, {(2, 0): 3, (1, 1): 5, (0, 2): 2})  # (3 a1 + 2 a2)(a1 + a2)
+        quotients = [divide_linear(p, (1, 1)), divide_linear(p, (3, 2))]
+        quotients.append(divide_linear(p, (Fraction(3, 2), 1)))
+        scaled = [p * Fraction(1, 3), p * Fraction(4, 2), p * 2]
+        for c in all_coefficients(table + quotients + scaled):
+            assert type(c) in (int, Fraction)

@@ -2,7 +2,15 @@
 
 import pytest
 
-from schubres.rootsys import reflect, root_system
+from schubres import rootsys
+from schubres.rootsys import (
+    LieType,
+    build_root_system,
+    reflect,
+    root_system,
+    weight_table,
+)
+from schubres.schubert import chain_contribution, enumerate_c0
 from schubres.weyl import (
     INFINITY,
     all_reduced_words,
@@ -109,6 +117,55 @@ class TestRepresentation:
                 for beta in a3.positive_roots
                 if is_negative(mat_apply(vinv.matrix, beta))
             )
+
+
+def h_pair_by_fractions(p, q):
+    """The h statistic from its definition, over the rational weights."""
+    for i, omega in enumerate(p.rs.fundamental_weights):
+        if p.act(omega) != q.act(omega):
+            return i + 1
+    return INFINITY
+
+
+class TestWeightImages:
+    """Integer weight images against the rational action they replace."""
+
+    @pytest.mark.parametrize("family,rank", GROUPS_RANK_3)
+    def test_omega_images_match_scaled_action(self, family, rank):
+        rs = root_system(family, rank)
+        scale = weight_table(rs).scale
+        for u in enumerate_elements(rs):
+            for image, omega in zip(u.omega_images, rs.fundamental_weights):
+                assert all(type(c) is int for c in image)
+                assert image == tuple(scale * c for c in u.act(omega))
+
+    @pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3)])
+    def test_h_pair_matches_fraction_definition(self, family, rank):
+        elements = enumerate_elements(root_system(family, rank))
+        for p in elements:
+            for q in elements:
+                assert h_pair(p, q) == h_pair_by_fractions(p, q)
+
+    @staticmethod
+    def _b3_chain(rs):
+        v = element_from_word(rs, (3, 2, 3))
+        return enumerate_c0(identity(rs), v)[0], v
+
+    def test_wrong_scale_at_build_raises(self, monkeypatch):
+        # 1 * omega_3 of B3 is not integral.
+        monkeypatch.setattr(rootsys, "weight_scale", lambda rs: 1)
+        rs = build_root_system(LieType("B", 3))
+        gamma, v = self._b3_chain(rs)
+        with pytest.raises(ArithmeticError, match="expected an integer value"):
+            chain_contribution(gamma, v)
+
+    def test_wrong_scale_after_build_raises(self):
+        rs = build_root_system(LieType("B", 3))
+        gamma, v = self._b3_chain(rs)
+        assert chain_contribution(gamma, v).scalar
+        weight_table(rs).scale = 3
+        with pytest.raises(ArithmeticError, match="not divisible by 3"):
+            chain_contribution(gamma, v)
 
 
 class TestWords:
