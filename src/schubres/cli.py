@@ -106,7 +106,38 @@ def _parse_element(rs, text: str, elements: str) -> WeylElement:
         el = element_from_word(rs, word)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    if el.length != len(word):
+        raise UsageError(f"word {','.join(map(str, word))!r} is not reduced")
     return el
+
+
+def _job(args):
+    """The validated spec of a restrict, chains or subwords command and
+    its elements u and v, in a newly built root system."""
+    spec = JobSpec(
+        lie_type=LieType(args.type, args.rank),
+        u_text=args.u,
+        v_text=args.v,
+        elements=args.elements,
+        method=getattr(args, "method", "chain"),
+        fmt=args.format,
+        word=_parse_word(args.word) if args.word else None,
+        basis=getattr(args, "basis", "alpha"),
+    )
+    rs = build_root_system(spec.lie_type)
+    u = _parse_element(rs, spec.u_text, spec.elements)
+    v = _parse_element(rs, spec.v_text, spec.elements)
+    return spec, u, v
+
+
+def _header(spec: JobSpec, u: WeylElement, v: WeylElement) -> dict:
+    """The leading keys of every JSON payload about one pair."""
+    return {
+        "schema": SCHEMA,
+        "type": str(spec.lie_type),
+        "u": _element_label(u, spec.elements),
+        "v": _element_label(v, spec.elements),
+    }
 
 
 def _element_label(u: WeylElement, elements: str) -> str:
@@ -126,14 +157,6 @@ def _factored_text(f: FactoredPoly, basis: str) -> str:
         else:
             parts.append("(" + Polynomial.from_linear(form).to_text() + ")")
     return "*".join(parts)
-
-
-def _poly_payload(p: Polynomial, fmt: str):
-    if fmt == "json":
-        return p.to_json()
-    if fmt == "latex":
-        return p.to_latex()
-    return p.to_text()
 
 
 def _emit(text: str, out: str | None):
@@ -158,18 +181,7 @@ def _max_order():
 
 
 def cmd_restrict(args) -> int:
-    spec = JobSpec(
-        lie_type=LieType(args.type, args.rank),
-        u_text=args.u,
-        v_text=args.v,
-        elements=args.elements,
-        method=args.method,
-        fmt=args.format,
-        word=_parse_word(args.word) if args.word else None,
-    )
-    rs = build_root_system(spec.lie_type)
-    u = _parse_element(rs, spec.u_text, spec.elements)
-    v = _parse_element(rs, spec.v_text, spec.elements)
+    spec, u, v = _job(args)
     methods = (
         ["chain", "billey"] + (["typea"] if spec.lie_type.family == "A" else [])
         if spec.method == "all"
@@ -189,10 +201,7 @@ def cmd_restrict(args) -> int:
     agree = len(set(values.values())) == 1
     if spec.fmt == "json":
         payload = {
-            "schema": SCHEMA,
-            "type": str(spec.lie_type),
-            "u": _element_label(u, spec.elements),
-            "v": _element_label(v, spec.elements),
+            **_header(spec, u, v),
             "values": {m: p.to_json() for m, p in values.items()},
             "agree": agree,
         }
@@ -212,18 +221,7 @@ def cmd_restrict(args) -> int:
 
 
 def cmd_chains(args) -> int:
-    spec = JobSpec(
-        lie_type=LieType(args.type, args.rank),
-        u_text=args.u,
-        v_text=args.v,
-        elements=args.elements,
-        fmt=args.format,
-        word=_parse_word(args.word) if args.word else None,
-        basis=args.basis,
-    )
-    rs = build_root_system(spec.lie_type)
-    u = _parse_element(rs, spec.u_text, spec.elements)
-    v = _parse_element(rs, spec.v_text, spec.elements)
+    spec, u, v = _job(args)
     chains = enumerate_max_chains(u, v)
     in_c0 = set(enumerate_c0(u, v))
     map_word = spec.word if args.map_to_subwords else None
@@ -246,10 +244,7 @@ def cmd_chains(args) -> int:
         records.append((record, contribution))
     if spec.fmt == "json":
         payload = {
-            "schema": SCHEMA,
-            "type": str(spec.lie_type),
-            "u": _element_label(u, spec.elements),
-            "v": _element_label(v, spec.elements),
+            **_header(spec, u, v),
             "sigma_count": len(chains),
             "c0_count": len(in_c0),
             "chains": [r for r, _ in records],
@@ -284,18 +279,8 @@ def cmd_chains(args) -> int:
 
 
 def cmd_subwords(args) -> int:
-    spec = JobSpec(
-        lie_type=LieType(args.type, args.rank),
-        u_text=args.u,
-        v_text=args.v,
-        elements=args.elements,
-        fmt=args.format,
-        word=_parse_word(args.word) if args.word else None,
-        basis=args.basis,
-    )
-    rs = build_root_system(spec.lie_type)
-    u = _parse_element(rs, spec.u_text, spec.elements)
-    v = _parse_element(rs, spec.v_text, spec.elements)
+    spec, u, v = _job(args)
+    rs = u.rs
     word = spec.word if spec.word is not None else v.canonical_word
     try:
         subwords = enumerate_reduced_subwords(u, word)
@@ -310,10 +295,7 @@ def cmd_subwords(args) -> int:
         records.append((sub, contribution))
     if spec.fmt == "json":
         payload = {
-            "schema": SCHEMA,
-            "type": str(spec.lie_type),
-            "u": _element_label(u, spec.elements),
-            "v": _element_label(v, spec.elements),
+            **_header(spec, u, v),
             "word": list(word),
             "count": len(records),
             "subwords": [
@@ -374,7 +356,7 @@ def cmd_table(args) -> int:
     lie_type = LieType(args.type, args.rank)
     rs = build_root_system(lie_type)
     elements = enumerate_elements(rs, _max_order())
-    labels = [",".join(map(str, el.canonical_word)) or "e" for el in elements]
+    labels = [_element_label(el, "word") for el in elements]
     rows = []
     for u in elements:
         rows.append([tau_chain(u, v) for v in elements])
@@ -484,10 +466,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ArithmeticError, AssertionError) as exc:

@@ -26,11 +26,19 @@ class CancellationError(ArithmeticError):
     """No factor proportional to the requested linear form."""
 
 
+def _rational(x) -> Fraction:
+    """``x`` as a Fraction.  A float is refused: it is a binary fraction,
+    not the decimal it was written as."""
+    if isinstance(x, float):
+        raise TypeError(f"float {x!r} is not exact; pass an int or a Fraction")
+    return Fraction(x)
+
+
 def _coefficient(c):
     """``c`` as an int when integral, else as a Fraction."""
     if type(c) is int:
         return c
-    c = Fraction(c)
+    c = _rational(c)
     return c.numerator if c.denominator == 1 else c
 
 
@@ -182,7 +190,7 @@ class Polynomial:
     # -- evaluation
 
     def evaluate(self, values) -> Fraction:
-        values = tuple(Fraction(v) for v in values)
+        values = tuple(_rational(v) for v in values)
         if len(values) != self.rank:
             raise ValueError("value vector length does not match rank")
         total = Fraction(0)
@@ -290,7 +298,8 @@ class FactoredPoly:
     rank: int
 
     def __post_init__(self):
-        object.__setattr__(self, "scalar", Fraction(self.scalar))
+        if type(self.scalar) is not Fraction:
+            object.__setattr__(self, "scalar", _rational(self.scalar))
         factors = tuple(sorted(tuple(f) for f in self.factors))
         for f in factors:
             if len(f) != self.rank:
@@ -303,7 +312,7 @@ class FactoredPoly:
         return len(self.factors)
 
     def evaluate(self, values) -> Fraction:
-        values = tuple(Fraction(v) for v in values)
+        values = tuple(_rational(v) for v in values)
         total = self.scalar
         for f in self.factors:
             total *= sum(c * v for c, v in zip(f, values))

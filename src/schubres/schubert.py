@@ -5,7 +5,8 @@ The three computation routes:
 * ``tau_chain`` -- sum of contributions of the maximal ascending chains
   whose edge roots have nondecreasing h statistic;
 * ``tau_billey`` -- sum of subword contributions over the reduced
-  subwords of a reduced word for the top element;
+  subwords of a reduced word for the top element, by a dynamic program
+  over the positions of the word;
 * ``tau_gt_eval`` -- numeric evaluation of the moment-map-weighted chain
   sum at a chosen point, used as an independent cross-check.
 
@@ -137,35 +138,11 @@ def lambda_minus(v: WeylElement) -> FactoredPoly:
     return FactoredPoly(Fraction(1), inversion_roots(v), v.rs.rank)
 
 
-def enumerate_max_chains(u: WeylElement, v: WeylElement):
-    """All maximal-length ascending chains from u to v, deterministically.
+def _walk_chains(u: WeylElement, v: WeylElement, monotone: bool):
+    """Maximal ascending chains from u to v, deterministically.
 
-    Returns the single empty chain when u == v and nothing when u is not
-    below v.
-    """
-    _require_same_system(u, v)
-    if u == v:
-        return (Chain((u,), ()),)
-    if not bruhat_leq(u, v):
-        return ()
-    chains = []
-
-    def walk(cur, elems, betas):
-        for beta, w in covers_above(cur):
-            if w == v:
-                chains.append(Chain(elems + (w,), betas + (beta,)))
-            elif w.length < v.length and bruhat_leq(w, v):
-                walk(w, elems + (w,), betas + (beta,))
-
-    walk(u, (u,), ())
-    return tuple(chains)
-
-
-def enumerate_c0(u: WeylElement, v: WeylElement):
-    """The maximal chains whose edge roots have nondecreasing h statistic.
-
-    Generated directly with h-monotone pruning; agrees with filtering
-    ``enumerate_max_chains`` (property-tested).
+    With ``monotone`` the h statistic of the edge roots must not decrease,
+    and branches that break it are pruned as they are generated.
     """
     _require_same_system(u, v)
     if u == v:
@@ -182,10 +159,28 @@ def enumerate_c0(u: WeylElement, v: WeylElement):
             if w == v:
                 chains.append(Chain(elems + (w,), betas + (beta,)))
             elif w.length < v.length and bruhat_leq(w, v):
-                walk(w, elems + (w,), betas + (beta,), h)
+                walk(w, elems + (w,), betas + (beta,), h if monotone else 1)
 
     walk(u, (u,), (), 1)
     return tuple(chains)
+
+
+def enumerate_max_chains(u: WeylElement, v: WeylElement):
+    """All maximal-length ascending chains from u to v, deterministically.
+
+    Returns the single empty chain when u == v and nothing when u is not
+    below v.
+    """
+    return _walk_chains(u, v, monotone=False)
+
+
+def enumerate_c0(u: WeylElement, v: WeylElement):
+    """The maximal chains whose edge roots have nondecreasing h statistic.
+
+    Generated directly with h-monotone pruning; agrees with filtering
+    ``enumerate_max_chains`` (property-tested).
+    """
+    return _walk_chains(u, v, monotone=True)
 
 
 def chain_contribution(gamma: Chain, v: WeylElement) -> FactoredPoly:
@@ -238,26 +233,38 @@ def tau_chain(u: WeylElement, v: WeylElement) -> Polynomial:
     return got
 
 
+def _reduced_element(rs: RootSystem, word) -> WeylElement:
+    """The element of ``word``, which must be a reduced word."""
+    el = element_from_word(rs, word)
+    if el.length != len(word):
+        raise ValueError("word is not reduced")
+    return el
+
+
+def _prefix_roots(rs: RootSystem, word):
+    """The factor each letter of the reduced ``word`` contributes when
+    selected: its simple root moved by the product of the letters before."""
+    _reduced_element(rs, word)
+    roots = []
+    prefix = identity(rs)
+    for letter in word:
+        roots.append(prefix.act(rs.simple_roots[letter - 1]))
+        prefix = prefix * simple_reflection(rs, letter)
+    return roots
+
+
 def subword_contribution(rs: RootSystem, subword: Subword) -> FactoredPoly:
     """Product of prefix-transformed simple roots over the selected letters."""
-    word = subword.word
-    if element_from_word(rs, word).length != len(word):
-        raise ValueError("word is not reduced")
-    factors = []
-    prefix = identity(rs)
-    for letter, keep in zip(word, subword.mask):
-        if keep:
-            factors.append(prefix.act(rs.simple_roots[letter - 1]))
-        prefix = prefix * simple_reflection(rs, letter)
-    return FactoredPoly(Fraction(1), tuple(factors), rs.rank)
+    roots = _prefix_roots(rs, subword.word)
+    factors = tuple(root for root, keep in zip(roots, subword.mask) if keep)
+    return FactoredPoly(Fraction(1), factors, rs.rank)
 
 
 def enumerate_reduced_subwords(u: WeylElement, word):
     """Masks whose selected letters form a reduced word for u."""
     rs = u.rs
     word = tuple(word)
-    if element_from_word(rs, word).length != len(word):
-        raise ValueError("word is not reduced")
+    _reduced_element(rs, word)
     target_len = u.length
     m = len(word)
     found = []
@@ -283,61 +290,59 @@ def enumerate_reduced_subwords(u: WeylElement, word):
     return tuple(sorted(found, key=lambda s: s.mask))
 
 
-def _subword_sums(rs: RootSystem, word):
+def _subword_sums(rs: RootSystem, word, u: WeylElement | None = None):
     """Sums of expanded subword contributions of ``word``, grouped by the
-    element the selected letters evaluate to.  Shared-prefix walk; used by
-    the verification suites to compare against the chain route for every
-    bottom element at once."""
+    element the selected letters evaluate to.
+
+    A forward dynamic program: after each position, every element reached
+    by a reduced selection of the letters so far holds the sum of their
+    contributions, so the work is positions times elements, not 2^m
+    subwords.  A target ``u`` drops the states that cannot end at it (too
+    few letters left, or not a left prefix w of u: l(w^-1 u) = l(u) - l(w))
+    without changing the sum at ``u``.
+    """
     word = tuple(word)
-    if element_from_word(rs, word).length != len(word):
-        raise ValueError("word is not reduced")
-    prefix_roots = []
-    prefix = identity(rs)
-    for letter in word:
-        prefix_roots.append(prefix.act(rs.simple_roots[letter - 1]))
-        prefix = prefix * simple_reflection(rs, letter)
-    m = len(word)
-    sums: dict = {}
-
-    def walk(pos, cur, cur_len, product):
-        if pos == m:
-            acc = sums.get(cur)
-            sums[cur] = product if acc is None else acc + product
-            return
-        walk(pos + 1, cur, cur_len, product)
-        nxt = cur * simple_reflection(rs, word[pos])
-        if nxt.length == cur_len + 1:
-            walk(
-                pos + 1,
-                nxt,
-                cur_len + 1,
-                product * Polynomial.from_linear(prefix_roots[pos]),
-            )
-
-    walk(0, identity(rs), 0, Polynomial.one(rs.rank))
-    return sums
+    if u is not None:
+        target_len = u.length
+        u_inverse = u.inverse()
+    states = {identity(rs): Polynomial.one(rs.rank)}
+    for pos, root in enumerate(_prefix_roots(rs, word)):
+        s = simple_reflection(rs, word[pos])
+        factor = Polynomial.from_linear(root)
+        remaining = len(word) - pos - 1
+        nxt: dict = {}
+        for cur, total in states.items():
+            cur_len = cur.length
+            if u is None or target_len - cur_len <= remaining:
+                acc = nxt.get(cur)
+                nxt[cur] = total if acc is None else acc + total
+            w = cur * s
+            if w.length != cur_len + 1:
+                continue
+            if u is not None and (u_inverse * w).length != target_len - w.length:
+                continue
+            acc = nxt.get(w)
+            product = total * factor
+            nxt[w] = product if acc is None else acc + product
+        states = nxt
+    return states
 
 
 def tau_billey(u: WeylElement, v: WeylElement, word=None) -> Polynomial:
     """Restriction of the class of u at v via the subword formula.
 
-    ``word`` defaults to the canonical reduced word of v; the result is
-    independent of the choice (cross-checked by the verification suites,
-    not assumed).
+    The subword sum is the dynamic program of ``_subword_sums``, targeted
+    at u.  ``word`` defaults to the canonical reduced word of v; the
+    result is independent of the choice (cross-checked by the
+    verification suites, not assumed).
     """
     _require_same_system(u, v)
     if word is None:
         word = v.canonical_word
     word = tuple(word)
-    el = element_from_word(u.rs, word)
-    if el.length != len(word):
-        raise ValueError("word is not reduced")
-    if el != v:
+    if _reduced_element(u.rs, word) != v:
         raise ValueError("word does not evaluate to v")
-    total = Polynomial.zero(u.rs.rank)
-    for subword in enumerate_reduced_subwords(u, word):
-        total = total + expand(subword_contribution(u.rs, subword))
-    return total
+    return _subword_sums(u.rs, word, u).get(u, Polynomial.zero(u.rs.rank))
 
 
 def gt_term_eval(gamma: Chain, v: WeylElement, mu, alpha_values) -> Fraction:
@@ -395,10 +400,7 @@ def f_i_map(gamma: Chain, word) -> Subword:
     """
     word = tuple(word)
     rs = gamma.end.rs
-    el = element_from_word(rs, word)
-    if el.length != len(word):
-        raise ValueError("word is not reduced")
-    if gamma.end != el:
+    if gamma.end != _reduced_element(rs, word):
         raise ValueError("chain does not end at the element of the word")
     _validate_ascending(gamma)
     mask = [1] * len(word)

@@ -136,6 +136,14 @@ class TestRestrict:
         assert code == 2
         assert "error" in err
 
+    def test_non_reduced_element_is_usage_error(self, capsys):
+        code, out, err = run(
+            capsys,
+            "restrict", "--type", "A", "--rank", "2", "--u", "", "--v", "2,1,2,1",
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: word '2,1,2,1' is not reduced\n"
+
 
 class TestChains:
     def test_c2_counts_and_subword_images(self, capsys):
@@ -186,6 +194,14 @@ class TestChains:
         )
         assert code == 2
 
+    def test_non_reduced_element_is_usage_error(self, capsys):
+        code, out, err = run(
+            capsys,
+            "chains", "--type", "B", "--rank", "2", "--u", "1,1", "--v", "1,2,1",
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: word '1,1' is not reduced\n"
+
 
 class TestSubwords:
     def test_a3_masks_and_contributions(self, capsys):
@@ -208,6 +224,14 @@ class TestSubwords:
             "--u", "1", "--v", "1,2,1", "--word", "1,2",
         )
         assert code == 2
+
+    def test_non_reduced_element_is_usage_error(self, capsys):
+        code, out, err = run(
+            capsys,
+            "subwords", "--type", "C", "--rank", "2", "--u", "1", "--v", "1,1",
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: word '1,1' is not reduced\n"
 
 
 class TestVerify:

@@ -289,3 +289,29 @@ class TestIntegerCoefficients:
         scaled = [p * Fraction(1, 3), p * Fraction(4, 2), p * 2]
         for c in all_coefficients(table + quotients + scaled):
             assert type(c) in (int, Fraction)
+
+
+class TestFloatsRejected:
+    def test_polynomial_coefficients(self):
+        with pytest.raises(TypeError):
+            Polynomial(1, {(1,): 0.1})
+        with pytest.raises(TypeError):
+            Polynomial.constant(2, 0.5)
+        with pytest.raises(TypeError):
+            Polynomial.from_linear((1, 0.5))
+
+    def test_factored_scalar(self):
+        with pytest.raises(TypeError):
+            FactoredPoly(0.1, (), 1)
+
+    def test_evaluation_points(self):
+        p = Polynomial.from_linear((1, 1))
+        f = FactoredPoly(1, ((1, 1),), 2)
+        for values in ((0.5, 1), (1, 2.0)):
+            with pytest.raises(TypeError):
+                p.evaluate(values)
+            with pytest.raises(TypeError):
+                evaluate(p, values)
+            with pytest.raises(TypeError):
+                f.evaluate(values)
+        assert p.evaluate((Fraction(1, 2), 1)) == f.evaluate((Fraction(1, 2), 1))

@@ -1,5 +1,6 @@
 """Chain and subword formulas, moment-map evaluation, subword map, GKM."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from schubres.schubert import (
     Chain,
     NonGenericPointError,
     Subword,
+    _subword_sums,
     chain_contribution,
     enumerate_c0,
     enumerate_max_chains,
@@ -24,6 +26,7 @@ from schubres.schubert import (
     tau_gt_eval,
 )
 from schubres.weyl import (
+    all_reduced_words,
     element_from_word,
     enumerate_elements,
     identity,
@@ -334,6 +337,55 @@ class TestTauBilley:
                     tau_billey(u, v, word).to_text() for word in words
                 }
                 assert len(values) == 1
+
+
+def billey_by_subwords(u, word):
+    """The subword sum term by term, one reduced subword at a time: the
+    reference the dynamic program of ``tau_billey`` is checked against."""
+    total = Polynomial.zero(u.rs.rank)
+    for subword in enumerate_reduced_subwords(u, word):
+        total = total + expand(subword_contribution(u.rs, subword))
+    return total
+
+
+class TestSubwordProgram:
+    def check_word(self, elements, v, word):
+        sums = _subword_sums(v.rs, word)
+        for u in elements:
+            expected = billey_by_subwords(u, word)
+            assert tau_billey(u, v, word) == expected, (u, v, word)
+            assert sums.get(u, Polynomial.zero(v.rs.rank)) == expected
+
+    @pytest.mark.parametrize("family", ["A", "B", "C"])
+    def test_every_pair_of_rank_3_with_canonical_word(self, family):
+        rs = root_system(family, 3)
+        elements = enumerate_elements(rs)
+        for v in elements:
+            self.check_word(elements, v, v.canonical_word)
+
+    def test_every_reduced_word_in_a3(self, a3):
+        elements = enumerate_elements(a3)
+        for v in elements:
+            for word in all_reduced_words(v):
+                self.check_word(elements, v, word)
+
+    @pytest.mark.parametrize("family", ["B", "C"])
+    def test_seeded_rank_4_pairs(self, family):
+        rs = root_system(family, 4)
+        elements = enumerate_elements(rs)
+        rng = random.Random(4)
+        for _ in range(50):
+            v = rng.choice(elements)
+            # A subword of a word for v gives an element below v.
+            word = v.canonical_word
+            u = element_from_word(rs, [l for l in word if rng.random() < 0.5])
+            assert tau_billey(u, v) == billey_by_subwords(u, word), (u, v)
+
+    def test_target_outside_the_interval(self, a3):
+        u = element_from_word(a3, (3,))
+        v = element_from_word(a3, (1, 2, 1))
+        assert _subword_sums(a3, v.canonical_word, u) == {}
+        assert tau_billey(u, v) == Polynomial.zero(3)
 
 
 class TestGtEvaluation:
