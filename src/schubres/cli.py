@@ -357,9 +357,10 @@ def cmd_table(args) -> int:
     rs = build_root_system(lie_type)
     elements = enumerate_elements(rs, _max_order())
     labels = [_element_label(el, "word") for el in elements]
-    rows = []
-    for u in elements:
-        rows.append([tau_chain(u, v) for v in elements])
+    # Column by column, so that the chain sum's one-column memo serves
+    # every u of a column; then transposed to rows of u.
+    columns = [[tau_chain(u, v) for u in elements] for v in elements]
+    rows = list(zip(*columns))
     if args.format == "json":
         payload = {
             "schema": SCHEMA,

@@ -376,7 +376,7 @@ def divide_linear(p: Polynomial, d):
     Eliminates the first variable with a nonzero coefficient in d and
     checks that the remainder vanishes.
     """
-    d = tuple(Fraction(c) for c in d)
+    d = tuple(_rational(c) for c in d)
     k = next((i for i, c in enumerate(d) if c), None)
     if k is None:
         raise ValueError("division by the zero linear form")

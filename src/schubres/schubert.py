@@ -3,7 +3,10 @@
 The three computation routes:
 
 * ``tau_chain`` -- sum of contributions of the maximal ascending chains
-  whose edge roots have nondecreasing h statistic;
+  whose edge roots have nondecreasing h statistic, by a memoized dynamic
+  program over (element, h-floor) states for one top element at a time,
+  grouped by the set of cancelled factors of lambda_minus(v) and expanded
+  once per group;
 * ``tau_billey`` -- sum of subword contributions over the reduced
   subwords of a reduced word for the top element, by a dynamic program
   over the positions of the word;
@@ -16,6 +19,7 @@ module wires the cross-checks together.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -24,7 +28,7 @@ from .poly import (
     CancellationError,
     FactoredPoly,
     Polynomial,
-    cancel_factor,
+    _rational,
     divide_linear,
     expand,
 )
@@ -183,52 +187,212 @@ def enumerate_c0(u: WeylElement, v: WeylElement):
     return _walk_chains(u, v, monotone=True)
 
 
+def _factor_index(v: WeylElement):
+    """The sorted factors of lambda_minus(v) and the position of each."""
+    factors = lambda_minus(v).factors
+    return factors, {f: j for j, f in enumerate(factors)}
+
+
+def _edge_term(p: WeylElement, beta, v: WeylElement, index):
+    """What the edge p -> p s_beta of an h-monotone chain ending at v
+    contributes: the position in ``index`` (from :func:`_factor_index`)
+    of the factor of lambda_minus(v) it cancels, and its coroot pairing
+    times the ratio of that factor to its denominator form.
+
+    The denominator is (p omega_i - v omega_i) for i = h(beta), from the
+    integer omega images.  Roots of types A, B and C are primitive
+    vectors, so the denominator divided by the gcd of its coordinates is,
+    up to sign, the one factor it can be proportional to.
+    """
+    weights = weight_table(v.rs)
+    i = h_root(beta)
+    numerator = weights.pairings(beta)[i - 1]
+    if numerator <= 0:
+        raise CancellationError(
+            f"expected a positive integer pairing, got {numerator}"
+        )
+    denom = div_exact(
+        tuple(a - b for a, b in zip(p.omega_images[i - 1], v.omega_images[i - 1])),
+        weights.scale,
+    )
+    g = math.gcd(*denom)
+    if not g:
+        raise CancellationError(f"edge {p!r} -{beta}-> has a zero denominator")
+    sign = 1 if next(c for c in denom if c) > 0 else -1
+    root = tuple(c // (sign * g) for c in denom)
+    idx = index.get(root)
+    if idx is None:
+        raise CancellationError(
+            f"no factor of lambda_minus({v!r}) is proportional to {denom}"
+        )
+    if sign < 0:
+        raise CancellationError(f"factor {root} is a nonpositive multiple of {denom}")
+    return idx, (numerator // g if numerator % g == 0 else Fraction(numerator, g))
+
+
+def _cancelled_twice(factors, idx):
+    return CancellationError(
+        f"factor {factors[idx]} of lambda_minus is cancelled twice"
+    )
+
+
 def chain_contribution(gamma: Chain, v: WeylElement) -> FactoredPoly:
     """The factored contribution of one h-monotone maximal chain to tau_u(v).
 
     Starts from the full inversion product of v, multiplies the scalar by
     the coroot pairing of each edge, and cancels each denominator form
-    against a proportional factor.  Pairings and weight differences are
-    integers read from the weight table and the elements' omega images.
+    against a proportional factor (:func:`_edge_term`).
     """
-    rs = v.rs
     if gamma.end != v:
         raise ValueError("chain does not end at v")
     _validate_saturated(gamma)
-    weights = weight_table(rs)
-    v_images = v.omega_images
-    f = lambda_minus(v)
-    numerators = 1
+    factors, index = _factor_index(v)
+    cancelled = 0
+    scalar = 1
     prev_h = 0
     for k, beta in enumerate(gamma.betas):
         i = h_root(beta)
         if i < prev_h:
             raise ValueError("chain edge roots are not h-monotone")
         prev_h = i
-        numerator = weights.pairings(beta)[i - 1]
-        if numerator <= 0:
-            raise CancellationError(
-                f"expected a positive integer pairing, got {numerator}"
-            )
-        p_image = gamma.elements[k].omega_images[i - 1]
-        denom = div_exact(
-            tuple(a - b for a, b in zip(p_image, v_images[i - 1])), weights.scale
+        idx, term = _edge_term(gamma.elements[k], beta, v, index)
+        if cancelled >> idx & 1:
+            raise _cancelled_twice(factors, idx)
+        cancelled |= 1 << idx
+        scalar *= term
+    rest = [f for j, f in enumerate(factors) if not cancelled >> j & 1]
+    return FactoredPoly(scalar, rest, v.rs.rank)
+
+
+def _check_edge(p: WeylElement, beta, w: WeylElement):
+    """A cover p -> w must be the right reflection by the positive root
+    beta, ascending, and one longer; anything else is an internal fault."""
+    if p * reflection(p.rs, beta) != w:
+        raise AssertionError(f"edge {p!r} -> {w!r} is not a right reflection by {beta}")
+    if not is_positive(beta) or not is_positive(p.act(beta)):
+        raise AssertionError(f"edge {p!r} -{beta}-> is not ascending")
+    if w.length != p.length + 1:
+        raise AssertionError(f"edge {p!r} -> {w!r} does not raise the length by one")
+
+
+#: The sums of the state at v itself: the empty chain, nothing cancelled.
+_AT_TOP = {0: 1}
+
+
+class _ChainColumn:
+    """The chain sum's memo for one top element v.
+
+    ``states[(w, floor)]`` maps each set of cancelled factors (a bitmask
+    over ``factors``, the sorted factors of lambda_minus(v)) to the summed
+    scalar of the h-monotone maximal chains from w to v whose edge roots
+    all have h at least ``floor``; these are all a chain's remaining
+    edges depend on.  ``edges`` holds each checked edge's term, or None
+    until one is needed, ``under`` whether an element is below v, and
+    ``expansions`` the product of the factors outside each mask.
+    """
+
+    __slots__ = ("v", "factors", "index", "states", "edges", "under", "expansions")
+
+    def __init__(self, v: WeylElement):
+        self.v = v
+        self.factors, self.index = _factor_index(v)
+        self.states: dict = {}
+        self.edges: dict = {}
+        self.under: dict = {}
+        full = (1 << len(self.factors)) - 1
+        self.expansions = {full: Polynomial.one(v.rs.rank)}
+
+    def __len__(self):
+        """Number of memoized states, edges and expansions; every
+        ``rs._cache`` entry reports its size so."""
+        return (
+            len(self.states) + len(self.edges) + len(self.under) + len(self.expansions)
         )
-        f = cancel_factor(f, denom)
-        numerators *= numerator
-    return FactoredPoly(f.scalar * numerators, f.factors, rs.rank)
+
+    def sums(self, p: WeylElement, floor: int) -> dict:
+        key = (p, floor)
+        got = self.states.get(key)
+        if got is not None:
+            return got
+        v = self.v
+        edges = self.edges
+        got = {}
+        for beta, w in covers_above(p):
+            h = h_root(beta)
+            if h < floor:
+                continue
+            if not self.below(w):
+                continue
+            edge_key = (p, beta)
+            if edge_key not in edges:
+                _check_edge(p, beta, w)
+                edges[edge_key] = None
+            rest = _AT_TOP if w == v else self.sums(w, h)
+            if not rest:
+                continue
+            term = edges[edge_key]
+            if term is None:
+                term = edges[edge_key] = _edge_term(p, beta, v, self.index)
+            idx, ratio = term
+            bit = 1 << idx
+            for mask, scalar in rest.items():
+                if mask & bit:
+                    raise _cancelled_twice(self.factors, idx)
+                mask |= bit
+                acc = got.get(mask)
+                got[mask] = ratio * scalar if acc is None else acc + ratio * scalar
+        self.states[key] = got
+        return got
+
+    def below(self, w: WeylElement) -> bool:
+        """Whether w <= v, memoized for the column."""
+        got = self.under.get(w)
+        if got is None:
+            got = self.under[w] = w == self.v or bruhat_leq(w, self.v)
+        return got
+
+    def expansion(self, mask: int) -> Polynomial:
+        """The product of the factors outside ``mask``: that of one more
+        cancelled factor, its lowest, times that factor."""
+        got = self.expansions.get(mask)
+        if got is None:
+            j = (~mask & (mask + 1)).bit_length() - 1
+            got = self.expansion(mask | 1 << j) * Polynomial.from_linear(
+                self.factors[j]
+            )
+            self.expansions[mask] = got
+        return got
+
+
+def _chain_column(v: WeylElement) -> _ChainColumn:
+    """The memo for v; it replaces that of any other top element, so
+    ``rs._cache`` holds one column at a time."""
+    column = v.rs._cache.get("chain_column")
+    if column is None or column.v != v:
+        column = v.rs._cache["chain_column"] = _ChainColumn(v)
+    return column
 
 
 def tau_chain(u: WeylElement, v: WeylElement) -> Polynomial:
-    """Restriction of the class of u at v via the chain formula."""
+    """Restriction of the class of u at v via the chain formula.
+
+    The same sum as that of :func:`chain_contribution` over
+    :func:`enumerate_c0`, regrouped: the chains' scalars are summed per
+    set of cancelled factors and each group is expanded once.  Filling
+    many pairs with the same v in a row reuses one memo.
+    """
     _require_same_system(u, v)
     cache = u.rs._cache.setdefault("tau_chain", {})
     key = (u, v)
     got = cache.get(key)
     if got is None:
         got = Polynomial.zero(u.rs.rank)
-        for gamma in enumerate_c0(u, v):
-            got = got + expand(chain_contribution(gamma, v))
+        if bruhat_leq(u, v):
+            column = _chain_column(v)
+            sums = _AT_TOP if u == v else column.sums(u, 1)
+            for mask, scalar in sums.items():
+                term = column.expansion(mask)
+                got = got + (term if scalar == 1 else term * scalar)
         cache[key] = got
     return got
 
@@ -357,8 +521,8 @@ def gt_term_eval(gamma: Chain, v: WeylElement, mu, alpha_values) -> Fraction:
     if gamma.end != v:
         raise ValueError("chain does not end at v")
     _validate_saturated(gamma)
-    mu = tuple(Fraction(x) for x in mu)
-    alpha = tuple(Fraction(x) for x in alpha_values)
+    mu = tuple(_rational(x) for x in mu)
+    alpha = tuple(_rational(x) for x in alpha_values)
     if len(mu) != rs.rank or len(alpha) != rs.rank:
         raise ValueError("mu and alpha_values must have length equal to the rank")
     if any(x <= 0 for x in mu):

@@ -306,26 +306,47 @@ def all_reduced_words(u: WeylElement):
 
 
 def covers_above(u: WeylElement):
-    """All (beta, v = u s_beta) with beta positive and l(v) = l(u) + 1."""
+    """All (beta, v = u s_beta) with beta positive and l(v) = l(u) + 1.
+
+    A root with u beta negative gives u s_beta < u and is skipped by one
+    lookup; for the others l(u s_beta) is counted on the permutations,
+    and only the covers are built.
+    """
     cache = u.rs._cache.setdefault("covers_above", {})
     got = cache.get(u)
     if got is None:
+        rs = u.rs
+        npos = root_table(rs).npos
+        perm = u.perm
         target = u.length + 1
         out = []
-        for beta in u.rs.positive_roots:  # already sorted: deterministic order
-            v = u * reflection(u.rs, beta)
-            if v.length == target:
-                out.append((beta, v))
+        # ``rs.positive_roots`` is sorted, so the order is deterministic,
+        # and beta is root k of the root table.
+        for k, beta in enumerate(rs.positive_roots):
+            if perm[k] >= npos:
+                continue
+            r = reflection(rs, beta)
+            if sum(map(npos.__le__, map(perm.__getitem__, r.perm[:npos]))) == target:
+                out.append((beta, u * r))
         got = tuple(out)
         cache[u] = got
     return got
 
 
 def bruhat_leq(u: WeylElement, v: WeylElement) -> bool:
-    """Strong Bruhat order, by descent recursion; agrees with cover closure."""
+    """Strong Bruhat order, by recursion on right descents; agrees with
+    cover closure.
+
+    For a right descent s of b (b alpha_s negative, one lookup),
+    a <= b iff a' <= b s, where a' is a s if s is a descent of a and a
+    otherwise (the lifting property).
+    """
     if u.rs.lie_type != v.rs.lie_type:
         raise ValueError("cannot compare elements of different root systems")
     cache = u.rs._cache.setdefault("bruhat", {})
+    table = root_table(u.rs)
+    npos = table.npos
+    simple = table.simple
 
     def rec(a, b):
         if a is b or a == b:
@@ -335,13 +356,10 @@ def bruhat_leq(u: WeylElement, v: WeylElement) -> bool:
         key = (a, b)
         got = cache.get(key)
         if got is None:
-            rs = a.rs
-            for i in range(1, rs.rank + 1):
-                s = simple_reflection(rs, i)
-                sb = s * b
-                if sb.length < b.length:
-                    sa = s * a
-                    got = rec(sa if sa.length < a.length else a, sb)
+            for i, k in enumerate(simple, 1):
+                if b.perm[k] >= npos:
+                    s = simple_reflection(a.rs, i)
+                    got = rec(a * s if a.perm[k] >= npos else a, b * s)
                     break
             cache[key] = got
         return got

@@ -96,10 +96,10 @@ class TestRestrict:
         ]
 
     def test_internal_error_exits_3(self, capsys, monkeypatch):
-        def broken(gamma, v):
+        def broken(p, beta, v, index):
             raise CancellationError("no factor is proportional")
 
-        monkeypatch.setattr(schubert, "chain_contribution", broken)
+        monkeypatch.setattr(schubert, "_edge_term", broken)
         code, out, err = run(
             capsys,
             "restrict", "--type", "B", "--rank", "2", "--u", "2", "--v", "1,2,1",
@@ -109,6 +109,32 @@ class TestRestrict:
         assert err == (
             "error: internal error: CancellationError: no factor is proportional\n"
         )
+        assert "Traceback" not in err
+
+    def test_broken_chain_edge_exits_3(self, capsys, monkeypatch):
+        real = schubert.covers_above
+
+        def swapped(u):
+            # The covers of the identity with their roots exchanged: each
+            # edge is a cover, but not the reflection by its root.
+            covers = real(u)
+            if u.length:
+                return covers
+            return tuple(
+                (beta, w) for (beta, _), (_, w) in zip(covers, covers[::-1])
+            )
+
+        monkeypatch.setattr(schubert, "covers_above", swapped)
+        code, out, err = run(
+            capsys,
+            "restrict", "--type", "A", "--rank", "2", "--u", "", "--v", "1,2,1",
+        )
+        assert code == 3
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: internal error: AssertionError: ")
+        assert "not a right reflection" in lines[0]
         assert "Traceback" not in err
 
     def test_perm_elements_require_type_a(self, capsys):
@@ -303,6 +329,37 @@ class TestTableAndPlumbing:
         assert code == 0
         digest = hashlib.sha256(target.read_bytes()).hexdigest()
         assert digest == self.TABLE_DIGESTS[(family, rank)]
+
+    # SHA-256 of `table --format text` and `--format latex`, recorded
+    # when the table was still filled row by row.
+    RENDERED_DIGESTS = {
+        ("A", 3, "text"): (
+            "e17050563718db805d15fc29bae3edfb97f8ae0551a5509d9f64b2cb27b55945"
+        ),
+        ("A", 3, "latex"): (
+            "f87bb1fa4c5cc09f0414b55a77a6c02ed67590f01e15c0154dfdd7c586cf87f4"
+        ),
+        ("B", 2, "text"): (
+            "374586394fb85cc40fa23c2dcf130852c9a229bdf8c7dea08632aded2a40e97a"
+        ),
+        ("B", 2, "latex"): (
+            "6280b522eadc9370815bbf831ccc081ddee79ac2ee818df72c8088b8db084526"
+        ),
+    }
+
+    @pytest.mark.parametrize("family,rank,fmt", sorted(RENDERED_DIGESTS))
+    def test_table_text_and_latex_are_byte_identical(
+        self, capsys, tmp_path, family, rank, fmt
+    ):
+        target = tmp_path / "table.txt"
+        code, _, _ = run(
+            capsys,
+            "table", "--type", family, "--rank", str(rank),
+            "--format", fmt, "--out", str(target),
+        )
+        assert code == 0
+        digest = hashlib.sha256(target.read_bytes()).hexdigest()
+        assert digest == self.RENDERED_DIGESTS[(family, rank, fmt)]
 
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "value.txt"

@@ -292,6 +292,13 @@ class TestIntegerCoefficients:
 
 
 class TestFloatsRejected:
+    def test_divisor(self):
+        p = Polynomial.from_linear((1, 1))
+        with pytest.raises(TypeError):
+            divide_linear(p, (0.1, 0.1))
+        tenth = Fraction(1, 10)
+        assert divide_linear(p, (tenth, tenth)) == Polynomial.constant(2, 10)
+
     def test_polynomial_coefficients(self):
         with pytest.raises(TypeError):
             Polynomial(1, {(1,): 0.1})

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from schubres.poly import FactoredPoly, Polynomial, expand, proportionality_ratio
-from schubres.rootsys import h_root, root_system
+from schubres.rootsys import LieType, build_root_system, h_root, root_system
 from schubres.schubert import (
     Chain,
     NonGenericPointError,
@@ -260,6 +260,63 @@ class TestTauChain:
             assert tau_chain(u, u) == expand(lambda_minus(u))
 
 
+def chain_by_chain(u, v):
+    """The chain sum one h-monotone chain at a time: the reference the
+    dynamic program of ``tau_chain`` is checked against."""
+    total = Polynomial.zero(u.rs.rank)
+    for gamma in enumerate_c0(u, v):
+        total = total + expand(chain_contribution(gamma, v))
+    return total
+
+
+class TestChainProgram:
+    @pytest.mark.parametrize("family", ["A", "B", "C"])
+    def test_every_pair_of_rank_3(self, family):
+        rs = root_system(family, 3)
+        elements = enumerate_elements(rs)
+        for v in elements:
+            for u in elements:
+                assert tau_chain(u, v) == chain_by_chain(u, v), (u, v)
+
+    @pytest.mark.parametrize("family", ["A", "B", "C"])
+    def test_seeded_rank_4_pairs(self, family):
+        rs = root_system(family, 4)
+        elements = enumerate_elements(rs)
+        rng = random.Random(4)
+        outside = 0
+        for _ in range(100):
+            u, v = rng.choice(elements), rng.choice(elements)
+            if rng.random() < 0.5:
+                # A subword of a word for v gives an element below v.
+                word = v.canonical_word
+                u = element_from_word(rs, [l for l in word if rng.random() < 0.5])
+            value = tau_chain(u, v)
+            outside += not value
+            assert value == chain_by_chain(u, v), (u, v)
+        assert outside, "the sample has pairs with u not below v"
+
+    @pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("C", 2)])
+    def test_fill_order_does_not_matter(self, family, rank):
+        # Fresh systems, so neither fill starts from the other's caches;
+        # with u outside, every call replaces the one cached column.
+        by_u = build_root_system(LieType(family, rank))
+        by_v = build_root_system(LieType(family, rank))
+        us = enumerate_elements(by_u)
+        vs = enumerate_elements(by_v)
+        rows = [[tau_chain(u, v) for v in us] for u in us]
+        columns = [[tau_chain(u, v) for u in vs] for v in vs]
+        assert rows == [list(row) for row in zip(*columns)]
+        assert [u.canonical_word for u in us] == [v.canonical_word for v in vs]
+
+    def test_cache_holds_the_last_column(self):
+        rs = build_root_system(LieType("B", 2))
+        elements = enumerate_elements(rs)
+        for v in elements[1:]:
+            for u in elements:
+                tau_chain(u, v)
+            assert rs._cache["chain_column"].v == v
+
+
 class TestSubwords:
     def test_golden_masks(self, a3):
         u = element_from_word(a3, (1, 3))
@@ -430,6 +487,17 @@ class TestGtEvaluation:
         )
         with pytest.raises(NonGenericPointError):
             gt_term_eval(gamma2, v, (1, 1), (1, 0))
+
+    def test_floats_rejected(self, a2):
+        e = identity(a2)
+        w0 = longest_element(a2)
+        gamma = enumerate_max_chains(e, w0)[0]
+        for mu, alpha in (((0.1, 0.3), (1, 1)), ((1, 3), (0.5, 1))):
+            with pytest.raises(TypeError):
+                tau_gt_eval(e, w0, mu, alpha)
+            with pytest.raises(TypeError):
+                gt_term_eval(gamma, w0, mu, alpha)
+        assert tau_gt_eval(e, w0, (Fraction(1, 10), 3), (1, 1)) == 1
 
     def test_mu_must_be_positive(self, a2):
         u = simple_reflection(a2, 1)

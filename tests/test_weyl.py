@@ -293,6 +293,17 @@ class TestCovers:
         for rs in (a2, b2, c2):
             assert covers_above(longest_element(rs)) == ()
 
+    @pytest.mark.parametrize("family", ["A", "B", "C"])
+    def test_match_definition(self, family):
+        rs = root_system(family, 3)
+        for u in enumerate_elements(rs):
+            expected = [
+                (beta, u * reflection(rs, beta))
+                for beta in rs.positive_roots
+                if (u * reflection(rs, beta)).length == u.length + 1
+            ]
+            assert list(covers_above(u)) == expected, u
+
     def test_atoms_of_identity(self, a2):
         assert set(covers_above(identity(a2))) == {
             ((1, 0), simple_reflection(a2, 1)),
@@ -314,7 +325,9 @@ class TestBruhat:
         assert not bruhat_leq(simple_reflection(a2, 1), simple_reflection(a2, 2))
         assert not bruhat_leq(simple_reflection(a2, 2), simple_reflection(a2, 1))
 
-    @pytest.mark.parametrize("family,rank", [("A", 2), ("B", 2), ("C", 2), ("A", 3)])
+    @pytest.mark.parametrize(
+        "family,rank", [("A", 2), ("B", 2), ("C", 2), ("A", 3), ("B", 3), ("C", 3)]
+    )
     def test_agrees_with_cover_closure(self, family, rank):
         rs = root_system(family, rank)
         elements = enumerate_elements(rs)
