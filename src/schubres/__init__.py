@@ -5,9 +5,7 @@ from .poly import (
     FactoredPoly,
     LinearForm,
     Polynomial,
-    cancel_factor,
     divide_linear,
-    evaluate,
     expand,
 )
 from .rootsys import (
@@ -53,15 +51,11 @@ from .weyl import (
     Word,
     all_reduced_words,
     bruhat_leq,
-    canonical_reduced_word,
-    compose,
     covers_above,
     element_from_word,
     enumerate_elements,
     h_pair,
     identity,
-    inverse,
-    length,
     omega_drop,
     reflection,
     simple_reflection,

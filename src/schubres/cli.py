@@ -14,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from . import verify as verify_mod
 from .poly import FactoredPoly, Polynomial, expand
@@ -36,12 +35,7 @@ from .typea import (
     root_to_xdiff,
     tau_typea,
 )
-from .weyl import (
-    DEFAULT_MAX_GROUP_ORDER,
-    WeylElement,
-    element_from_word,
-    enumerate_elements,
-)
+from .weyl import WeylElement, element_from_word, enumerate_elements
 
 SCHEMA = "v1"
 ENV_MAX_ORDER = "SCHUBERT_MAX_GROUP_ORDER"
@@ -49,34 +43,6 @@ ENV_MAX_ORDER = "SCHUBERT_MAX_GROUP_ORDER"
 
 class UsageError(Exception):
     pass
-
-
-@dataclass
-class JobSpec:
-    """Validated input for one computation command."""
-
-    lie_type: LieType
-    u_text: str
-    v_text: str
-    elements: str = "word"  # or "perm"
-    method: str = "chain"
-    fmt: str = "text"
-    word: tuple | None = None
-    basis: str = "alpha"
-
-    def __post_init__(self):
-        if self.elements not in ("word", "perm"):
-            raise UsageError("--elements must be 'word' or 'perm'")
-        if self.elements == "perm" and self.lie_type.family != "A":
-            raise UsageError("--elements perm requires type A")
-        if self.method not in ("chain", "billey", "typea", "all"):
-            raise UsageError(f"unknown method {self.method!r}")
-        if self.method == "typea" and self.lie_type.family != "A":
-            raise UsageError("--method typea requires type A")
-        if self.basis not in ("alpha", "x"):
-            raise UsageError("--basis must be 'alpha' or 'x'")
-        if self.basis == "x" and self.lie_type.family != "A":
-            raise UsageError("--basis x requires type A")
 
 
 def _parse_word(text: str):
@@ -112,31 +78,30 @@ def _parse_element(rs, text: str, elements: str) -> WeylElement:
 
 
 def _job(args):
-    """The validated spec of a restrict, chains or subwords command and
-    its elements u and v, in a newly built root system."""
-    spec = JobSpec(
-        lie_type=LieType(args.type, args.rank),
-        u_text=args.u,
-        v_text=args.v,
-        elements=args.elements,
-        method=getattr(args, "method", "chain"),
-        fmt=args.format,
-        word=_parse_word(args.word) if args.word else None,
-        basis=getattr(args, "basis", "alpha"),
-    )
-    rs = build_root_system(spec.lie_type)
-    u = _parse_element(rs, spec.u_text, spec.elements)
-    v = _parse_element(rs, spec.v_text, spec.elements)
-    return spec, u, v
+    """The parsed ``--word`` (or None) and the elements u and v of a
+    restrict, chains or subwords command, in a newly built root system."""
+    lie_type = LieType(args.type, args.rank)
+    word = _parse_word(args.word) if args.word else None
+    if lie_type.family != "A":
+        if args.elements == "perm":
+            raise UsageError("--elements perm requires type A")
+        if getattr(args, "method", None) == "typea":
+            raise UsageError("--method typea requires type A")
+        if getattr(args, "basis", None) == "x":
+            raise UsageError("--basis x requires type A")
+    rs = build_root_system(lie_type)
+    u = _parse_element(rs, args.u, args.elements)
+    v = _parse_element(rs, args.v, args.elements)
+    return word, u, v
 
 
-def _header(spec: JobSpec, u: WeylElement, v: WeylElement) -> dict:
+def _header(args, u: WeylElement, v: WeylElement) -> dict:
     """The leading keys of every JSON payload about one pair."""
     return {
         "schema": SCHEMA,
-        "type": str(spec.lie_type),
-        "u": _element_label(u, spec.elements),
-        "v": _element_label(v, spec.elements),
+        "type": str(u.rs.lie_type),
+        "u": _element_label(u, args.elements),
+        "v": _element_label(v, args.elements),
     }
 
 
@@ -168,9 +133,11 @@ def _emit(text: str, out: str | None):
 
 
 def _max_order():
+    """The group order cap set in the environment, or None for the
+    library's default."""
     raw = os.environ.get(ENV_MAX_ORDER)
     if raw is None:
-        return DEFAULT_MAX_GROUP_ORDER
+        return None
     try:
         value = int(raw)
     except ValueError:
@@ -181,11 +148,11 @@ def _max_order():
 
 
 def cmd_restrict(args) -> int:
-    spec, u, v = _job(args)
+    word, u, v = _job(args)
     methods = (
-        ["chain", "billey"] + (["typea"] if spec.lie_type.family == "A" else [])
-        if spec.method == "all"
-        else [spec.method]
+        ["chain", "billey"] + (["typea"] if u.rs.lie_type.family == "A" else [])
+        if args.method == "all"
+        else [args.method]
     )
     values: dict[str, Polynomial] = {}
     for method in methods:
@@ -193,15 +160,15 @@ def cmd_restrict(args) -> int:
             values[method] = tau_chain(u, v)
         elif method == "billey":
             try:
-                values[method] = tau_billey(u, v, spec.word)
+                values[method] = tau_billey(u, v, word)
             except ValueError as exc:
                 raise UsageError(str(exc)) from None
         else:
             values[method] = tau_typea(element_to_perm(u), element_to_perm(v))
     agree = len(set(values.values())) == 1
-    if spec.fmt == "json":
+    if args.format == "json":
         payload = {
-            **_header(spec, u, v),
+            **_header(args, u, v),
             "values": {m: p.to_json() for m, p in values.items()},
             "agree": agree,
         }
@@ -209,7 +176,7 @@ def cmd_restrict(args) -> int:
     else:
         lines = []
         for method, p in values.items():
-            rendered = p.to_latex() if spec.fmt == "latex" else p.to_text()
+            rendered = p.to_latex() if args.format == "latex" else p.to_text()
             if len(methods) > 1:
                 lines.append(f"{method}: {rendered}")
             else:
@@ -221,10 +188,10 @@ def cmd_restrict(args) -> int:
 
 
 def cmd_chains(args) -> int:
-    spec, u, v = _job(args)
+    word, u, v = _job(args)
     chains = enumerate_max_chains(u, v)
     in_c0 = set(enumerate_c0(u, v))
-    map_word = spec.word if args.map_to_subwords else None
+    map_word = word if args.map_to_subwords else None
     if map_word is None and args.map_to_subwords:
         map_word = v.canonical_word
     records = []
@@ -242,9 +209,9 @@ def cmd_chains(args) -> int:
         if map_word is not None:
             record["subword"] = list(f_i_map(gamma, map_word).display())
         records.append((record, contribution))
-    if spec.fmt == "json":
+    if args.format == "json":
         payload = {
-            **_header(spec, u, v),
+            **_header(args, u, v),
             "sigma_count": len(chains),
             "c0_count": len(in_c0),
             "chains": [r for r, _ in records],
@@ -253,7 +220,7 @@ def cmd_chains(args) -> int:
     else:
         lines = [
             f"{len(chains)} maximal chain(s) from "
-            f"{_element_label(u, spec.elements)} to {_element_label(v, spec.elements)}"
+            f"{_element_label(u, args.elements)} to {_element_label(v, args.elements)}"
             f" ({len(in_c0)} h-monotone)"
         ]
         for idx, (record, contribution) in enumerate(records, 1):
@@ -262,7 +229,7 @@ def cmd_chains(args) -> int:
             for el_word, beta in zip(record["elements"], record["betas"]):
                 steps.append("[" + ",".join(map(str, el_word)) + "]")
                 beta_text = Polynomial.from_linear(beta).to_text()
-                if spec.basis == "x":
+                if args.basis == "x":
                     a, b = root_to_xdiff(beta)
                     beta_text = f"x{a}-x{b}"
                 steps.append(f"-({beta_text})->")
@@ -270,7 +237,7 @@ def cmd_chains(args) -> int:
             lines.append(f"chain {idx}{flag}: " + " ".join(steps))
             if contribution is not None:
                 lines.append(
-                    f"  contribution: {_factored_text(contribution, spec.basis)}"
+                    f"  contribution: {_factored_text(contribution, args.basis)}"
                 )
             if "subword" in record:
                 lines.append(f"  subword: {record['subword']}")
@@ -279,9 +246,10 @@ def cmd_chains(args) -> int:
 
 
 def cmd_subwords(args) -> int:
-    spec, u, v = _job(args)
+    word, u, v = _job(args)
     rs = u.rs
-    word = spec.word if spec.word is not None else v.canonical_word
+    if word is None:
+        word = v.canonical_word
     try:
         subwords = enumerate_reduced_subwords(u, word)
         target = element_from_word(rs, word)
@@ -293,9 +261,9 @@ def cmd_subwords(args) -> int:
     for sub in subwords:
         contribution = subword_contribution(rs, sub)
         records.append((sub, contribution))
-    if spec.fmt == "json":
+    if args.format == "json":
         payload = {
-            **_header(spec, u, v),
+            **_header(args, u, v),
             "word": list(word),
             "count": len(records),
             "subwords": [
@@ -311,11 +279,11 @@ def cmd_subwords(args) -> int:
     else:
         lines = [
             f"{len(records)} reduced subword(s) of {list(word)} for "
-            f"{_element_label(u, spec.elements)}"
+            f"{_element_label(u, args.elements)}"
         ]
         for sub, contribution in records:
             lines.append(
-                f"{list(sub.display())}  SC = {_factored_text(contribution, spec.basis)}"
+                f"{list(sub.display())}  SC = {_factored_text(contribution, args.basis)}"
             )
         _emit("\n".join(lines), args.out)
     return 0

@@ -8,9 +8,9 @@ Two representations are used side by side:
   rational coefficients, the shape in which restrictions are reported.
 
 A polynomial stores an integral coefficient as ``int`` and any other as
-``Fraction``, so the usual all-integer case never builds a ``Fraction``;
-the two compare, hash and print alike.  No floating point is used
-anywhere: no ``/`` is taken between two ints.
+``Fraction``, also after arithmetic, so the usual all-integer case never
+builds a ``Fraction``; the two compare, hash and print alike.  No
+floating point is used anywhere: no ``/`` is taken between two ints.
 """
 
 from __future__ import annotations
@@ -40,6 +40,21 @@ def _coefficient(c):
         return c
     c = _rational(c)
     return c.numerator if c.denominator == 1 else c
+
+
+def _integral_terms(terms):
+    """``terms`` with each integral Fraction coefficient replaced by an
+    int, in place."""
+    for e, c in terms.items():
+        if type(c) is not int and c.denominator == 1:
+            terms[e] = c.numerator
+    return terms
+
+
+def _latex_number(c):
+    if c.denominator != 1:
+        return f"\\frac{{{c.numerator}}}{{{c.denominator}}}"
+    return str(c.numerator)
 
 
 def _term_sort_key(exponents):
@@ -139,10 +154,12 @@ class Polynomial:
                 out[e] = c
             else:
                 acc += c
-                if acc:
+                if not acc:
+                    del out[e]
+                elif type(acc) is int or acc.denominator != 1:
                     out[e] = acc
                 else:
-                    del out[e]
+                    out[e] = acc.numerator
         p = Polynomial.zero(self.rank)
         p.terms = out
         return p
@@ -162,7 +179,9 @@ class Polynomial:
             other = _coefficient(other)
             p = Polynomial.zero(self.rank)
             if other:
-                p.terms = {e: c * other for e, c in self.terms.items()}
+                p.terms = _integral_terms(
+                    {e: c * other for e, c in self.terms.items()}
+                )
             return p
         if not isinstance(other, Polynomial):
             return NotImplemented
@@ -182,7 +201,7 @@ class Polynomial:
                     else:
                         del out[e]
         p = Polynomial.zero(self.rank)
-        p.terms = out
+        p.terms = _integral_terms(out)
         return p
 
     __rmul__ = __mul__
@@ -207,56 +226,40 @@ class Polynomial:
     def _sorted_terms(self):
         return sorted(self.terms.items(), key=lambda item: _term_sort_key(item[0]))
 
-    def to_text(self, var="a"):
-        """Canonical text form, e.g. ``a1^2 + 2*a1*a2 + a2^2``."""
+    def _render(self, power, number, joiner):
+        """The terms in canonical order with their signs: ``power(i, k)``
+        renders the factor a_i^k, ``number`` a positive coefficient, and
+        ``joiner`` goes between the factors of a term."""
         if not self.terms:
             return "0"
         pieces = []
         for e, c in self._sorted_terms():
-            mono = "*".join(
-                f"{var}{i + 1}" + (f"^{k}" if k > 1 else "")
-                for i, k in enumerate(e)
-                if k
-            )
+            mono = joiner.join(power(i + 1, k) for i, k in enumerate(e) if k)
             mag = abs(c)
-            if mono and mag == 1:
+            if not mono:
+                body = number(mag)
+            elif mag == 1:
                 body = mono
-            elif mono:
-                body = f"{mag}*{mono}"
             else:
-                body = str(mag)
+                body = number(mag) + joiner + mono
             if not pieces:
                 pieces.append(body if c > 0 else f"-{body}")
             else:
                 pieces.append(("+ " if c > 0 else "- ") + body)
         return " ".join(pieces)
 
+    def to_text(self, var="a"):
+        """Canonical text form, e.g. ``a1^2 + 2*a1*a2 + a2^2``."""
+        return self._render(
+            lambda i, k: f"{var}{i}" + (f"^{k}" if k > 1 else ""), str, "*"
+        )
+
     def to_latex(self):
-        if not self.terms:
-            return "0"
-        pieces = []
-        for e, c in self._sorted_terms():
-            mono = "".join(
-                f"\\alpha_{{{i + 1}}}" + (f"^{{{k}}}" if k > 1 else "")
-                for i, k in enumerate(e)
-                if k
-            )
-            mag = abs(c)
-            if mag.denominator != 1:
-                coeff = f"\\frac{{{mag.numerator}}}{{{mag.denominator}}}"
-            else:
-                coeff = str(mag.numerator)
-            if mono and mag == 1:
-                body = mono
-            elif mono:
-                body = coeff + mono
-            else:
-                body = coeff
-            if not pieces:
-                pieces.append(body if c > 0 else f"-{body}")
-            else:
-                pieces.append(("+ " if c > 0 else "- ") + body)
-        return " ".join(pieces)
+        return self._render(
+            lambda i, k: f"\\alpha_{{{i}}}" + (f"^{{{k}}}" if k > 1 else ""),
+            _latex_number,
+            "",
+        )
 
     def to_json(self):
         """List of ``{exponents, numerator, denominator}`` records."""
@@ -308,9 +311,6 @@ class FactoredPoly:
                 raise ValueError("zero linear form cannot be a factor")
         object.__setattr__(self, "factors", factors)
 
-    def degree(self):
-        return len(self.factors)
-
     def evaluate(self, values) -> Fraction:
         values = tuple(_rational(v) for v in values)
         total = self.scalar
@@ -333,41 +333,6 @@ def expand(f: FactoredPoly) -> Polynomial:
     for form in f.factors:
         out = out * Polynomial.from_linear(form)
     return out
-
-
-def proportionality_ratio(g, d):
-    """The rational c with g = c * d, or None when not proportional."""
-    k = next((i for i, c in enumerate(d) if c), None)
-    if k is None:
-        raise ValueError("zero linear form")
-    gk, dk = g[k], d[k]
-    if not gk:
-        return None
-    # g = (gk / dk) d, cross-multiplied to stay in integers.
-    if all(gj * dk == gk * dj for gj, dj in zip(g, d)):
-        return Fraction(gk, dk)
-    return None
-
-
-def cancel_factor(f: FactoredPoly, d) -> FactoredPoly:
-    """Divide out the linear form ``d`` against one proportional factor.
-
-    Removes the first factor g = c * d (in sorted order) and multiplies
-    the scalar by c.  A nonpositive ratio indicates a logic error
-    upstream and raises rather than silently flipping signs.
-    """
-    d = tuple(d)
-    for idx, g in enumerate(f.factors):
-        c = proportionality_ratio(g, d)
-        if c is None:
-            continue
-        if c <= 0:
-            raise CancellationError(
-                f"factor {g} is a nonpositive multiple of {d}"
-            )
-        rest = f.factors[:idx] + f.factors[idx + 1 :]
-        return FactoredPoly(f.scalar * c, rest, f.rank)
-    raise CancellationError(f"no factor of {f!r} is proportional to {d}")
 
 
 def divide_linear(p: Polynomial, d):
@@ -411,8 +376,3 @@ def divide_linear(p: Polynomial, d):
     if remainder:
         return None
     return Polynomial(p.rank, quotient)
-
-
-def evaluate(p: Polynomial, alpha_values) -> Fraction:
-    """Exact substitution of rational values for the variables."""
-    return p.evaluate(alpha_values)

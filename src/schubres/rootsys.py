@@ -142,15 +142,6 @@ def root_system(family: str, rank: int) -> RootSystem:
     return build_root_system(LieType(family, rank))
 
 
-def normalize_vector(vec) -> Vector:
-    """Canonical coordinates: exact ints where integral, Fractions otherwise."""
-    out = []
-    for c in vec:
-        f = Fraction(c)
-        out.append(f.numerator if f.denominator == 1 else f)
-    return tuple(out)
-
-
 def bilinear(rs: RootSystem, x, y) -> Fraction:
     """The invariant form (x, y) in the chosen normalization."""
     g = rs.gram
@@ -177,7 +168,11 @@ def reflect(rs: RootSystem, beta, vec) -> Vector:
     if beta not in rs.roots:
         raise ValueError(f"invalid reflection: {beta} is not a root of {rs.lie_type}")
     c = pairing(rs, vec, beta)
-    return normalize_vector(v - c * b for v, b in zip(vec, beta))
+    out = []
+    for v, b in zip(vec, beta):
+        f = Fraction(v - c * b)
+        out.append(f.numerator if f.denominator == 1 else f)
+    return tuple(out)
 
 
 def weight_scale(rs: RootSystem) -> int:

@@ -30,7 +30,6 @@ from .poly import (
     Polynomial,
     _rational,
     divide_linear,
-    expand,
 )
 from .rootsys import RootSystem, h_root, is_positive, weight_table
 from .weyl import (
@@ -62,10 +61,6 @@ class Chain:
         object.__setattr__(self, "betas", tuple(tuple(b) for b in self.betas))
         if len(self.elements) != len(self.betas) + 1:
             raise ValueError("a chain needs exactly one more element than edges")
-
-    @property
-    def start(self):
-        return self.elements[0]
 
     @property
     def end(self):
@@ -382,18 +377,13 @@ def tau_chain(u: WeylElement, v: WeylElement) -> Polynomial:
     many pairs with the same v in a row reuses one memo.
     """
     _require_same_system(u, v)
-    cache = u.rs._cache.setdefault("tau_chain", {})
-    key = (u, v)
-    got = cache.get(key)
-    if got is None:
-        got = Polynomial.zero(u.rs.rank)
-        if bruhat_leq(u, v):
-            column = _chain_column(v)
-            sums = _AT_TOP if u == v else column.sums(u, 1)
-            for mask, scalar in sums.items():
-                term = column.expansion(mask)
-                got = got + (term if scalar == 1 else term * scalar)
-        cache[key] = got
+    got = Polynomial.zero(u.rs.rank)
+    if bruhat_leq(u, v):
+        column = _chain_column(v)
+        sums = _AT_TOP if u == v else column.sums(u, 1)
+        for mask, scalar in sums.items():
+            term = column.expansion(mask)
+            got = got + (term if scalar == 1 else term * scalar)
     return got
 
 

@@ -262,26 +262,6 @@ def element_from_word(rs: RootSystem, word) -> WeylElement:
     return el
 
 
-def compose(u: WeylElement, v: WeylElement) -> WeylElement:
-    return u * v
-
-
-def inverse(u: WeylElement) -> WeylElement:
-    return u.inverse()
-
-
-def length(u: WeylElement) -> int:
-    return u.length
-
-
-def act(u: WeylElement, vec) -> Vector:
-    return u.act(vec)
-
-
-def canonical_reduced_word(u: WeylElement) -> Word:
-    return u.canonical_word
-
-
 def all_reduced_words(u: WeylElement):
     """Every reduced word for ``u``, sorted; memoized per root system."""
     cache = u.rs._cache.setdefault("reduced_words", {})
@@ -404,15 +384,20 @@ def omega_drop(u: WeylElement, j: int):
 def enumerate_elements(rs: RootSystem, max_order: int | None = None):
     """All group elements, sorted by length then canonical word.
 
-    Refuses to enumerate when the group order exceeds the cap.
+    Refuses when the group order exceeds the cap.  The default cap is
+    checked only before a system is first enumerated, so a larger cap
+    passed once, as the command line does, holds for later calls that
+    pass none; an explicit cap is always checked.
     """
+    got = rs._cache.get("all_elements")
+    if got is not None and max_order is None:
+        return got
     bound = DEFAULT_MAX_GROUP_ORDER if max_order is None else max_order
     order = rs.lie_type.group_order
     if order > bound:
         raise ValueError(
             f"group order {order} of {rs.lie_type} exceeds the enumeration cap {bound}"
         )
-    got = rs._cache.get("all_elements")
     if got is None:
         layer = [identity(rs)]
         seen = {identity(rs)}

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from schubres import cli, schubert
+from schubres import cli, schubert, weyl
 from schubres.cli import main
 from schubres.poly import CancellationError, Polynomial
 from schubres.rootsys import root_system
@@ -260,6 +260,80 @@ class TestSubwords:
         assert err == "error: word '1,1' is not reduced\n"
 
 
+class TestTypeAOnlyFlags:
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (
+                ("restrict", "--type", "B", "--rank", "2", "--u", "12", "--v", "21",
+                 "--elements", "perm"),
+                "--elements perm requires type A",
+            ),
+            (
+                ("restrict", "--type", "C", "--rank", "2", "--u", "1", "--v", "1,2",
+                 "--method", "typea"),
+                "--method typea requires type A",
+            ),
+            (
+                ("chains", "--type", "B", "--rank", "2", "--u", "1", "--v", "1,2,1",
+                 "--basis", "x"),
+                "--basis x requires type A",
+            ),
+            (
+                ("subwords", "--type", "C", "--rank", "2", "--u", "1", "--v", "1",
+                 "--basis", "x"),
+                "--basis x requires type A",
+            ),
+        ],
+        ids=["elements-perm", "method-typea", "chains-basis-x", "subwords-basis-x"],
+    )
+    def test_exact_message(self, capsys, argv, message):
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            # The type label is checked first, then the --word parse, then
+            # the flags in the order --elements, --method, --basis.
+            (
+                ("restrict", "--type", "B", "--rank", "1", "--elements", "perm",
+                 "--method", "typea", "--word", "x"),
+                "degenerate family: B1 is not supported",
+            ),
+            (
+                ("restrict", "--type", "B", "--rank", "2", "--elements", "perm",
+                 "--method", "typea", "--word", "x"),
+                "cannot parse word 'x': invalid literal for int() with base 10: 'x'",
+            ),
+            (
+                ("restrict", "--type", "B", "--rank", "2", "--elements", "perm",
+                 "--method", "typea"),
+                "--elements perm requires type A",
+            ),
+            (
+                ("chains", "--type", "C", "--rank", "2", "--elements", "perm",
+                 "--basis", "x"),
+                "--elements perm requires type A",
+            ),
+            (
+                ("subwords", "--type", "C", "--rank", "2", "--basis", "x",
+                 "--word", "3"),
+                "--basis x requires type A",
+            ),
+        ],
+        ids=[
+            "type-label-first",
+            "then-word-parse",
+            "then-elements-before-method",
+            "then-elements-before-basis",
+            "flags-before-word-evaluation",
+        ],
+    )
+    def test_check_order(self, capsys, argv, message):
+        argv = argv + ("--u", "1", "--v", "1")
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
 class TestVerify:
     def test_oracle_suite_passes(self, capsys):
         code, out, _ = run(
@@ -299,6 +373,28 @@ class TestTableAndPlumbing:
         code, _, err = run(capsys, "table", "--type", "A", "--rank", "2")
         assert code == 2
         assert "exceeds" in err
+
+    @pytest.mark.parametrize(
+        "suite", ["gkm", "characterization", "oracle", "lemmas", "positivity"]
+    )
+    def test_group_order_cap_above_default_reaches_suites(
+        self, capsys, monkeypatch, suite
+    ):
+        # A cap raised through the environment holds for the suite's own
+        # enumeration of the group too, not only for the command's.
+        monkeypatch.setattr(weyl, "DEFAULT_MAX_GROUP_ORDER", 10)
+        monkeypatch.setenv("SCHUBERT_MAX_GROUP_ORDER", "100")
+        code, out, _ = run(
+            capsys, "verify", "--suite", suite, "--type", "A", "--rank", "3"
+        )
+        assert code == 0
+        assert json.loads(out)["failures"] == []
+
+    def test_group_order_cap_below_the_order_stops_a_suite(self, capsys, monkeypatch):
+        monkeypatch.setenv("SCHUBERT_MAX_GROUP_ORDER", "23")
+        assert run(
+            capsys, "verify", "--suite", "gkm", "--type", "A", "--rank", "3"
+        ) == (2, "", "error: group order 24 of A3 exceeds the enumeration cap 23\n")
 
     @pytest.mark.parametrize("raw", ["0", "-5"])
     def test_group_order_cap_must_be_positive(self, capsys, monkeypatch, raw):

@@ -1,4 +1,4 @@
-"""Exact polynomial arithmetic: expansion, cancellation, division."""
+"""Exact polynomial arithmetic: expansion, division, evaluation, output."""
 
 import json
 from fractions import Fraction
@@ -8,17 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schubres.poly import (
-    CancellationError,
     FactoredPoly,
     Polynomial,
-    cancel_factor,
     divide_linear,
-    evaluate,
     expand,
-    proportionality_ratio,
 )
 from schubres.rootsys import root_system
-from schubres.schubert import tau_chain
+from schubres.schubert import chain_contribution, enumerate_c0, tau_chain
 from schubres.weyl import enumerate_elements
 
 
@@ -61,78 +57,6 @@ class TestExpand:
     def test_zero_factor_rejected(self):
         with pytest.raises(ValueError):
             FactoredPoly(1, ((0, 0),), 2)
-
-
-class TestCancelFactor:
-    def test_exact_factor(self):
-        f = FactoredPoly(1, ((1, 0), (0, 1), (1, 1)), 2)
-        out = cancel_factor(f, (1, 1))
-        assert out == FactoredPoly(1, ((1, 0), (0, 1)), 2)
-
-    def test_doubled_form_gives_half_scalar(self):
-        f = FactoredPoly(1, ((1, 0), (1, 1), (1, 2)), 2)
-        out = cancel_factor(f, (2, 2))
-        assert out.scalar == Fraction(1, 2)
-        assert out.factors == ((1, 0), (1, 2))
-
-    def test_no_proportional_factor(self):
-        f = FactoredPoly(1, ((1, 0),), 2)
-        with pytest.raises(CancellationError):
-            cancel_factor(f, (0, 1))
-
-    def test_negative_ratio_rejected(self):
-        f = FactoredPoly(1, ((1, 0),), 2)
-        with pytest.raises(CancellationError):
-            cancel_factor(f, (-1, 0))
-
-    def test_agrees_with_polynomial_division(self):
-        f = FactoredPoly(Fraction(3, 2), ((1, 0), (1, 1), (1, 2)), 2)
-        d = (2, 2)
-        cancelled = cancel_factor(f, d)
-        quotient = divide_linear(expand(f), d)
-        assert quotient == expand(cancelled)
-
-
-class TestProportionality:
-    def test_ratio(self):
-        assert proportionality_ratio((2, 4), (1, 2)) == 2
-        assert proportionality_ratio((1, 2), (2, 4)) == Fraction(1, 2)
-        assert proportionality_ratio((1, 0), (1, 1)) is None
-        assert proportionality_ratio((0, 1), (1, 1)) is None
-
-
-def old_proportionality_ratio(g, d):
-    """The ratio test as it stood over Fractions, the oracle for the
-    cross-multiplied one."""
-    k = next(i for i, c in enumerate(d) if c)
-    if not g[k]:
-        return None
-    c = Fraction(g[k]) / Fraction(d[k])
-    if all(Fraction(gc) == c * Fraction(dc) for gc, dc in zip(g, d)):
-        return c
-    return None
-
-
-coefficients = st.one_of(
-    st.integers(min_value=-6, max_value=6),
-    st.fractions(min_value=-3, max_value=3, max_denominator=4),
-)
-
-
-class TestProportionalityProperty:
-    @given(
-        g=st.lists(coefficients, min_size=3, max_size=3),
-        d=st.lists(coefficients, min_size=3, max_size=3).filter(any),
-        scale=st.one_of(st.none(), coefficients),
-    )
-    @settings(deadline=None)
-    def test_matches_fraction_definition(self, g, d, scale):
-        if scale is not None:
-            g = [scale * c for c in d]  # proportional by construction
-        got = proportionality_ratio(tuple(g), tuple(d))
-        expected = old_proportionality_ratio(g, d)
-        assert got == expected
-        assert type(got) is type(expected)
 
 
 class TestDivideLinear:
@@ -213,14 +137,14 @@ class TestProperties:
 
 class TestEvaluate:
     def test_constant(self):
-        assert evaluate(Polynomial.one(2), (7, 9)) == 1
+        assert Polynomial.one(2).evaluate((7, 9)) == 1
 
     def test_linear(self):
-        assert evaluate(Polynomial.from_linear((1, 1)), (2, 3)) == 5
+        assert Polynomial.from_linear((1, 1)).evaluate((2, 3)) == 5
 
     def test_product_at_ones(self):
         p = expand(FactoredPoly(1, ((1, 1, 0), (1, 1, 1)), 3))
-        assert evaluate(p, (1, 1, 1)) == 6
+        assert p.evaluate((1, 1, 1)) == 6
 
 
 class TestSerialization:
@@ -265,6 +189,20 @@ class TestIntegerCoefficients:
         assert type(q.terms[(1, 0)]) is Fraction
         assert type(Polynomial.from_linear((Fraction(2), 1)).terms[(1, 0)]) is int
 
+    def test_arithmetic_stores_integral_results_as_int(self):
+        half = Polynomial(1, {(1,): Fraction(1, 2)})
+        three_halves = Polynomial(1, {(1,): Fraction(3, 2), (0,): Fraction(1, 2)})
+        results = [
+            half + half,  # a1
+            half * 2,  # a1
+            half * Polynomial(1, {(1,): 2}),  # a1^2
+            three_halves * Polynomial(1, {(1,): 2, (0,): -2}),  # 3 a1^2 - 2 a1 - 1
+        ]
+        for p in results:
+            assert all(type(c) is int for c in p.terms.values()), p
+        assert results[3] == Polynomial(1, {(2,): 3, (1,): -2, (0,): -1})
+        assert type((half * 3).terms[(1,)]) is Fraction
+
     def test_int_and_fraction_coefficients_agree(self):
         with_int = Polynomial(2, {(1, 0): 3, (0, 1): Fraction(1, 2)})
         with_fraction = Polynomial(2, {(1, 0): 3, (0, 1): Fraction(1, 2)})
@@ -277,17 +215,29 @@ class TestIntegerCoefficients:
         assert json.dumps(with_int.to_json()) == json.dumps(with_fraction.to_json())
 
     def test_no_float_coefficients(self):
-        rs = root_system("B", 3)  # type B chain contributions carry 1/2
+        rs = root_system("B", 3)
         elements = enumerate_elements(rs)
         table = [tau_chain(u, v) for u in elements for v in elements]
+        # Restrictions have integer coefficients, stored as int also when
+        # summed from chain contributions that carry 1/2.
+        assert not any(
+            type(c) is Fraction and c.denominator == 1
+            for c in all_coefficients(table)
+        )
+        contributions = [
+            expand(chain_contribution(gamma, v))
+            for u in elements
+            for v in elements
+            for gamma in enumerate_c0(u, v)
+        ]
         assert any(
-            type(c) is Fraction for c in all_coefficients(table)
-        ), "B3 has non-integral coefficients"
+            type(c) is Fraction for c in all_coefficients(contributions)
+        ), "B3 chain contributions have non-integral coefficients"
         p = poly(2, {(2, 0): 3, (1, 1): 5, (0, 2): 2})  # (3 a1 + 2 a2)(a1 + a2)
         quotients = [divide_linear(p, (1, 1)), divide_linear(p, (3, 2))]
         quotients.append(divide_linear(p, (Fraction(3, 2), 1)))
         scaled = [p * Fraction(1, 3), p * Fraction(4, 2), p * 2]
-        for c in all_coefficients(table + quotients + scaled):
+        for c in all_coefficients(table + contributions + quotients + scaled):
             assert type(c) in (int, Fraction)
 
 
@@ -317,8 +267,6 @@ class TestFloatsRejected:
         for values in ((0.5, 1), (1, 2.0)):
             with pytest.raises(TypeError):
                 p.evaluate(values)
-            with pytest.raises(TypeError):
-                evaluate(p, values)
             with pytest.raises(TypeError):
                 f.evaluate(values)
         assert p.evaluate((Fraction(1, 2), 1)) == f.evaluate((Fraction(1, 2), 1))

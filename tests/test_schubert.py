@@ -5,12 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from schubres.poly import FactoredPoly, Polynomial, expand, proportionality_ratio
+from schubres import schubert
+from schubres.poly import CancellationError, FactoredPoly, Polynomial, expand
 from schubres.rootsys import LieType, build_root_system, h_root, root_system
 from schubres.schubert import (
     Chain,
     NonGenericPointError,
     Subword,
+    _edge_term,
+    _factor_index,
     _subword_sums,
     chain_contribution,
     enumerate_c0,
@@ -227,9 +230,12 @@ class TestChainContribution:
                             )
                         for x in range(len(denoms)):
                             for y in range(x + 1, len(denoms)):
-                                assert (
-                                    proportionality_ratio(denoms[x], denoms[y])
-                                    is None
+                                # Not proportional: some 2x2 minor is nonzero.
+                                dx, dy = denoms[x], denoms[y]
+                                assert any(
+                                    dx[i] * dy[j] != dx[j] * dy[i]
+                                    for i in range(rs.rank)
+                                    for j in range(i + 1, rs.rank)
                                 )
 
 
@@ -308,6 +314,28 @@ class TestChainProgram:
         assert rows == [list(row) for row in zip(*columns)]
         assert [u.canonical_word for u in us] == [v.canonical_word for v in vs]
 
+    def test_edge_term_guards(self, a3, monkeypatch):
+        u = element_from_word(a3, (1, 3))
+        v = element_from_word(a3, (2, 1, 3, 2, 3))
+        gamma = enumerate_c0(u, v)[0]
+        p, beta = gamma.elements[0], gamma.betas[0]
+        _, index = _factor_index(v)
+        assert _edge_term(p, beta, v, index)[1] == 1
+        with pytest.raises(CancellationError, match="no factor .* is proportional"):
+            _edge_term(p, beta, v, {})
+        # With p and v exchanged the denominator is the factor's negative.
+        with pytest.raises(CancellationError, match="nonpositive multiple"):
+            _edge_term(v, beta, p, index)
+        real = schubert._factor_index
+
+        def collapsed(top):
+            factors, _ = real(top)
+            return factors, {f: 0 for f in factors}
+
+        monkeypatch.setattr(schubert, "_factor_index", collapsed)
+        with pytest.raises(CancellationError, match="cancelled twice"):
+            chain_contribution(gamma, v)
+
     def test_cache_holds_the_last_column(self):
         rs = build_root_system(LieType("B", 2))
         elements = enumerate_elements(rs)
@@ -315,6 +343,8 @@ class TestChainProgram:
             for u in elements:
                 tau_chain(u, v)
             assert rs._cache["chain_column"].v == v
+        # The column is the only chain memo: no table of results per pair.
+        assert "tau_chain" not in rs._cache
 
 
 class TestSubwords:
