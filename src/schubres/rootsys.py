@@ -235,4 +235,4 @@ def h_root(beta) -> int:
 
 def is_positive(vec) -> bool:
     """Nonzero and in the nonnegative cone over the simple roots."""
-    return any(vec) and all(c >= 0 for c in vec)
+    return any(vec) and min(vec) >= 0

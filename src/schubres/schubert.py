@@ -10,8 +10,9 @@ The three computation routes:
 * ``tau_billey`` -- sum of subword contributions over the reduced
   subwords of a reduced word for the top element, by a dynamic program
   over the positions of the word;
-* ``tau_gt_eval`` -- numeric evaluation of the moment-map-weighted chain
-  sum at a chosen point, used as an independent cross-check.
+* ``tau_gt_eval`` -- numeric evaluation of the moment-map-weighted sum
+  over all maximal chains at a chosen point, by a path sum over the
+  Bruhat interval in integers, used as an independent cross-check.
 
 All of them produce exact rational data and must agree; the ``verify``
 module wires the cross-checks together.
@@ -19,9 +20,11 @@ module wires the cross-checks together.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from ._linalg import div_exact
 from .poly import (
@@ -444,41 +447,59 @@ def enumerate_reduced_subwords(u: WeylElement, word):
     return tuple(sorted(found, key=lambda s: s.mask))
 
 
+def _subword_step(
+    states, s: WeylElement, factor: Polynomial, target=None, remaining=0
+):
+    """One position of the subword dynamic program: the states after a
+    letter with simple reflection ``s`` and factor ``factor``, from the
+    states before it.
+
+    Each state either skips the letter or, when that lengthens it, selects
+    it and takes the factor.  ``target``, a pair (u^-1, l(u)), drops the
+    states that cannot end at u with ``remaining`` letters left after this
+    one (too few letters left, or not a left prefix w of u:
+    l(w^-1 u) = l(u) - l(w)) without changing the sum at u.
+    """
+    if target is not None:
+        u_inverse, target_len = target
+    nxt: dict = {}
+    for cur, total in states.items():
+        cur_len = cur.length
+        if target is None or target_len - cur_len <= remaining:
+            acc = nxt.get(cur)
+            nxt[cur] = total if acc is None else acc + total
+        w = cur * s
+        if w.length != cur_len + 1:
+            continue
+        if target is not None and (u_inverse * w).length != target_len - w.length:
+            continue
+        acc = nxt.get(w)
+        product = total * factor
+        nxt[w] = product if acc is None else acc + product
+    return nxt
+
+
 def _subword_sums(rs: RootSystem, word, u: WeylElement | None = None):
     """Sums of expanded subword contributions of ``word``, grouped by the
     element the selected letters evaluate to.
 
-    A forward dynamic program: after each position, every element reached
-    by a reduced selection of the letters so far holds the sum of their
-    contributions, so the work is positions times elements, not 2^m
-    subwords.  A target ``u`` drops the states that cannot end at it (too
-    few letters left, or not a left prefix w of u: l(w^-1 u) = l(u) - l(w))
-    without changing the sum at ``u``.
+    A forward dynamic program of :func:`_subword_step`: after each
+    position, every element reached by a reduced selection of the letters
+    so far holds the sum of their contributions, so the work is positions
+    times elements, not 2^m subwords.  A target ``u`` keeps only the
+    states that can still end at it.
     """
     word = tuple(word)
-    if u is not None:
-        target_len = u.length
-        u_inverse = u.inverse()
+    target = None if u is None else (u.inverse(), u.length)
     states = {identity(rs): Polynomial.one(rs.rank)}
     for pos, root in enumerate(_prefix_roots(rs, word)):
-        s = simple_reflection(rs, word[pos])
-        factor = Polynomial.from_linear(root)
-        remaining = len(word) - pos - 1
-        nxt: dict = {}
-        for cur, total in states.items():
-            cur_len = cur.length
-            if u is None or target_len - cur_len <= remaining:
-                acc = nxt.get(cur)
-                nxt[cur] = total if acc is None else acc + total
-            w = cur * s
-            if w.length != cur_len + 1:
-                continue
-            if u is not None and (u_inverse * w).length != target_len - w.length:
-                continue
-            acc = nxt.get(w)
-            product = total * factor
-            nxt[w] = product if acc is None else acc + product
-        states = nxt
+        states = _subword_step(
+            states,
+            simple_reflection(rs, word[pos]),
+            Polynomial.from_linear(root),
+            target,
+            len(word) - pos - 1,
+        )
     return states
 
 
@@ -499,50 +520,138 @@ def tau_billey(u: WeylElement, v: WeylElement, word=None) -> Polynomial:
     return _subword_sums(u.rs, word, u).get(u, Polynomial.zero(u.rs.rank))
 
 
+def _cleared(values):
+    """Exact rationals (ints or Fractions; a float is refused) as ints
+    over a common denominator: (ints, denominator)."""
+    values = tuple(x if type(x) in (int, Fraction) else _rational(x) for x in values)
+    scale = math.lcm(*(x.denominator for x in values))
+    return tuple(x.numerator * (scale // x.denominator) for x in values), scale
+
+
+class _MomentPoint:
+    """The integer edge kernel of the moment-map chain sum at one point,
+    for chains ending at v.
+
+    ``mu`` gives the strictly positive fundamental-weight coordinates of
+    the point and ``alpha_values`` the simple-root variable values; both
+    are cleared of denominators.  An edge ratio is homogeneous of degree 0
+    in mu, so mu is scaled freely.  A chain sum from u is homogeneous of
+    degree l(u) in alpha, so :meth:`value` divides the sum at the scaled
+    alpha by ``alpha_scale ** l(u)``.
+    """
+
+    __slots__ = ("v", "mu", "alpha", "alpha_scale", "weights", "products", "v_part")
+
+    def __init__(self, v: WeylElement, mu, alpha_values):
+        rank = v.rs.rank
+        mu = _cleared(mu)[0]
+        self.alpha, self.alpha_scale = _cleared(alpha_values)
+        if len(mu) != rank or len(self.alpha) != rank:
+            raise ValueError("mu and alpha_values must have length equal to the rank")
+        if any(x <= 0 for x in mu):
+            raise ValueError("mu must be strictly positive")
+        self.v = v
+        self.mu = mu
+        self.weights = weight_table(v.rs)
+        #: mu_i alpha_j, in the order of the flattened omega images.
+        self.products = tuple(m * t for m in self.mu for t in self.alpha)
+        self.v_part = self._paired(v)
+
+    def _paired(self, p: WeylElement) -> int:
+        """sum_i mu_i <scale * p omega_i, alpha>."""
+        images = itertools.chain.from_iterable(p.omega_images)
+        return sum(map(mul, self.products, images))
+
+    def numerator(self, beta) -> int:
+        """scale * <mu, beta^vee>, the numerator of the edge ratio of beta."""
+        pairings = self.weights.pairings(beta)
+        return self.weights.scale * sum(map(mul, self.mu, pairings))
+
+    def denominator(self, p: WeylElement) -> int:
+        """scale * <mu, (p omega - v omega)(alpha)>, the denominator of every
+        edge leaving p; a zero raises :class:`NonGenericPointError`."""
+        got = self._paired(p) - self.v_part
+        if got == 0:
+            raise NonGenericPointError(
+                f"denominator of the edges leaving {p!r} vanishes at the chosen point"
+            )
+        return got
+
+    def value(self, numerator: int, denominator: int, length: int) -> Fraction:
+        """lambda_minus(v)(alpha) times numerator / denominator, for a sum
+        of chains from an element of length ``length``."""
+        top = math.prod(
+            sum(map(mul, root, self.alpha)) for root in inversion_roots(self.v)
+        )
+        return Fraction(top * numerator, denominator * self.alpha_scale**length)
+
+
 def gt_term_eval(gamma: Chain, v: WeylElement, mu, alpha_values) -> Fraction:
-    """Numeric contribution of one maximal chain at a moment-map point.
+    """Numeric contribution of one maximal chain at a moment-map point:
+    lambda_minus(v)(alpha) times, for each edge p -s_beta->, the ratio
+    <mu, beta^vee> / <mu, (p omega - v omega)(alpha)>.
 
     ``mu`` gives the strictly positive fundamental-weight coordinates of
     the point; ``alpha_values`` are the simple-root variable values.  A
     vanishing denominator raises :class:`NonGenericPointError` so the
     caller can resample.
     """
-    rs = v.rs
     if gamma.end != v:
         raise ValueError("chain does not end at v")
     _validate_saturated(gamma)
-    mu = tuple(_rational(x) for x in mu)
-    alpha = tuple(_rational(x) for x in alpha_values)
-    if len(mu) != rs.rank or len(alpha) != rs.rank:
-        raise ValueError("mu and alpha_values must have length equal to the rank")
-    if any(x <= 0 for x in mu):
-        raise ValueError("mu must be strictly positive")
-    weights = weight_table(rs)
-    value = lambda_minus(v).evaluate(alpha)
-    v_images = v.omega_images
-    for k, beta in enumerate(gamma.betas):
-        numerator = sum(m * c for m, c in zip(mu, weights.pairings(beta)))
-        p_images = gamma.elements[k].omega_images
-        # scale * (p omega_i - v omega_i), paired with alpha and weighted by mu.
-        scaled_denom = sum(
-            m * sum((a - b) * t for a, b, t in zip(pw, vw, alpha))
-            for m, pw, vw in zip(mu, p_images, v_images)
-        )
-        if scaled_denom == 0:
-            raise NonGenericPointError(
-                f"denominator of edge {k + 1} vanishes at the chosen point"
-            )
-        value *= numerator * weights.scale / scaled_denom
-    return value
+    point = _MomentPoint(v, mu, alpha_values)
+    numerator = denominator = 1
+    for p, beta in zip(gamma.elements, gamma.betas):
+        numerator *= point.numerator(beta)
+        denominator *= point.denominator(p)
+    return point.value(numerator, denominator, gamma.elements[0].length)
 
 
 def tau_gt_eval(u: WeylElement, v: WeylElement, mu, alpha_values) -> Fraction:
-    """Numeric restriction via the full moment-map chain sum."""
+    """Numeric restriction via the moment-map chain sum: the sum of
+    :func:`gt_term_eval` over every maximal chain from u to v, as a path
+    sum over the Bruhat interval [u, v].
+
+    The edge ratio's denominator depends only on the edge's lower end p,
+    so the sum over the maximal chains from p to v is the sum, over the
+    covers p -s_beta-> w below v, of <mu, beta^vee> times the sum from w,
+    divided by <mu, (p omega - v omega)(alpha)>.  Each element's sum is
+    computed once, as a reduced pair of integers, and each edge is checked
+    once.  The interval is graded, so every element of [u, v) lies on a
+    maximal chain, and a vanishing denominator raises
+    :class:`NonGenericPointError` at exactly the points where some chain's
+    term does.
+    """
     _require_same_system(u, v)
-    total = Fraction(0)
-    for gamma in enumerate_max_chains(u, v):
-        total += gt_term_eval(gamma, v, mu, alpha_values)
-    return total
+    point = _MomentPoint(v, mu, alpha_values)
+    if not bruhat_leq(u, v):
+        return Fraction(0)
+    sums = {v: (1, 1)}
+
+    def total(p):
+        got = sums.get(p)
+        if got is not None:
+            return got
+        numerator, denominator = 0, 1
+        for beta, w in covers_above(p):
+            if not bruhat_leq(w, v):
+                continue
+            _check_edge(p, beta, w)
+            w_numerator, w_denominator = total(w)
+            term = point.numerator(beta) * w_numerator
+            if w_denominator == denominator:
+                numerator += term
+            else:
+                g = math.gcd(denominator, w_denominator)
+                numerator = numerator * (w_denominator // g)
+                numerator += term * (denominator // g)
+                denominator = denominator // g * w_denominator
+        denominator *= point.denominator(p)
+        g = math.gcd(numerator, denominator)
+        got = sums[p] = (numerator // g, denominator // g)
+        return got
+
+    return point.value(*total(u), u.length)
 
 
 def f_i_map(gamma: Chain, word) -> Subword:

@@ -16,7 +16,7 @@ from .poly import Polynomial, expand
 from .rootsys import RootSystem, h_root, is_positive, root_system
 from .schubert import (
     NonGenericPointError,
-    _subword_sums,
+    _subword_step,
     chain_contribution,
     enumerate_c0,
     enumerate_max_chains,
@@ -24,11 +24,11 @@ from .schubert import (
     gt_term_eval,
     lambda_minus,
     tau_chain,
+    tau_gt_eval,
 )
 from .typea import element_to_perm, tau_typea, verify_equivalence
 from .weyl import (
     INFINITY,
-    all_reduced_words,
     bruhat_leq,
     enumerate_elements,
     h_pair,
@@ -76,15 +76,41 @@ def bruhat_pairs(rs: RootSystem):
     ]
 
 
-def _classes(elements):
-    """Every restriction as ``{u: {v: tau_chain(u, v)}}``, filled with v in
-    the outer loop so that the chain sum's one-column memo serves each
+def _classes(elements, pairs=None):
+    """Restrictions as ``{u: {v: tau_chain(u, v)}}``: of every pair, or of
+    ``pairs`` only.  Filled with v in the outer loop, in the order of
+    ``elements``, so that the chain sum's one-column memo serves each
     column."""
+    if pairs is None:
+        pairs = [(u, v) for v in elements for u in elements]
+    else:
+        position = {v: k for k, v in enumerate(elements)}
+        pairs = sorted(pairs, key=lambda pair: position[pair[1]])
     table = {u: {} for u in elements}
-    for v in elements:
-        for u in elements:
-            table[u][v] = tau_chain(u, v)
+    for u, v in pairs:
+        table[u][v] = tau_chain(u, v)
     return table
+
+
+def _reduced_word_trie(rs: RootSystem):
+    """Every reduced word of the group, depth first in lexicographic
+    order, as (word, element, subword states).
+
+    The states are those of ``_subword_sums(rs, word)``; the states of a
+    word w i are one :func:`_subword_step` from those of w, so each is
+    computed once for all the words that share it as a prefix.
+    """
+    e = identity(rs)
+    stack = [((), e, {e: Polynomial.one(rs.rank)})]
+    while stack:
+        word, v, states = stack.pop()
+        yield word, v, states
+        for i in range(rs.rank, 0, -1):
+            s = simple_reflection(rs, i)
+            w = v * s
+            if w.length == v.length + 1:
+                factor = Polynomial.from_linear(v.act(rs.simple_roots[i - 1]))
+                stack.append((word + (i,), w, _subword_step(states, s, factor)))
 
 
 def suite_oracle(rs: RootSystem) -> SuiteResult:
@@ -95,28 +121,25 @@ def suite_oracle(rs: RootSystem) -> SuiteResult:
     """
     result = SuiteResult(f"oracle[{rs.lie_type}]")
     elements = enumerate_elements(rs)
+    table = _classes(elements, bruhat_pairs(rs))
     zero = Polynomial.zero(rs.rank)
-    for v in elements:
-        chain_values = {
-            u: tau_chain(u, v) for u in elements if bruhat_leq(u, v)
-        }
-        for word in all_reduced_words(v):
-            sums = _subword_sums(rs, word)
-            for u in elements:
-                expected = chain_values.get(u, zero)
-                got = sums.get(u, zero)
-                result.check(
-                    got == expected,
-                    lambda: f"tau mismatch at u={u!r}, v={v!r}, word={word}: "
-                    f"billey {got!r} vs chain {expected!r}",
-                )
-        if rs.lie_type.family == "A":
+    for word, v, sums in _reduced_word_trie(rs):
+        for u in elements:
+            expected = table[u].get(v, zero)
+            got = sums.get(u, zero)
+            result.check(
+                got == expected,
+                lambda: f"tau mismatch at u={u!r}, v={v!r}, word={word}: "
+                f"billey {got!r} vs chain {expected!r}",
+            )
+    if rs.lie_type.family == "A":
+        for v in elements:
             pv = element_to_perm(v)
             for u in elements:
                 if not bruhat_leq(u, v):
                     continue
                 result.check(
-                    tau_typea(element_to_perm(u), pv) == chain_values[u],
+                    tau_typea(element_to_perm(u), pv) == table[u][v],
                     lambda: f"typea mismatch at u={u!r}, v={v!r}",
                 )
     return result
@@ -243,18 +266,15 @@ def _random_mu(rng, rank):
     return tuple(Fraction(rng.randint(1, 1000)) for _ in range(rank))
 
 
-def gt_eval_resampling(u, v, chains, rng, max_attempts=100):
-    """Evaluate the chain sum at a random point, resampling off the
+def gt_eval_resampling(u, v, rng, max_attempts=100):
+    """Evaluate the moment-map sum at a random point, resampling off the
     vanishing locus; returns (alpha, mu, value)."""
     rank = u.rs.rank
     for _ in range(max_attempts):
         alpha = _random_alpha(rng, rank)
         mu = _random_mu(rng, rank)
         try:
-            total = Fraction(0)
-            for gamma in chains:
-                total += gt_term_eval(gamma, v, mu, alpha)
-            return alpha, mu, total
+            return alpha, mu, tau_gt_eval(u, v, mu, alpha)
         except NonGenericPointError:
             continue
     raise NonGenericPointError(
@@ -275,11 +295,11 @@ def suite_gt(
     pairs = bruhat_pairs(rs)
     if pair_sample is not None and pair_sample < len(pairs):
         pairs = rng.sample(pairs, pair_sample)
+    table = _classes(enumerate_elements(rs), pairs)
     for u, v in pairs:
-        chains = enumerate_max_chains(u, v)
-        value_poly = tau_chain(u, v)
+        value_poly = table[u][v]
         for _ in range(samples):
-            alpha, _, total = gt_eval_resampling(u, v, chains, rng)
+            alpha, _, total = gt_eval_resampling(u, v, rng)
             result.check(
                 total == value_poly.evaluate(alpha),
                 lambda: f"moment-map sum disagrees at u={u!r}, v={v!r}, alpha={alpha}",

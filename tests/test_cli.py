@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from schubres import cli, schubert, weyl
+from schubres import cli, schubert, verify, weyl
 from schubres.cli import main
 from schubres.poly import CancellationError, Polynomial
 from schubres.rootsys import root_system
@@ -136,6 +136,32 @@ class TestRestrict:
         assert lines[0].startswith("error: internal error: AssertionError: ")
         assert "not a right reflection" in lines[0]
         assert "Traceback" not in err
+
+    def test_broken_edge_in_the_moment_map_sum_exits_3(self, capsys, monkeypatch):
+        real = schubert.covers_above
+
+        def swapped(u):
+            covers = real(u)
+            if u.length:
+                return covers
+            return tuple(
+                (beta, w) for (beta, _), (_, w) in zip(covers, covers[::-1])
+            )
+
+        # The chain route is stubbed out, so the broken edge is met by the
+        # moment-map path sum alone.
+        monkeypatch.setattr(verify, "tau_chain", lambda u, v: Polynomial.zero(2))
+        monkeypatch.setattr(schubert, "covers_above", swapped)
+        code, out, err = run(
+            capsys,
+            "verify", "--suite", "gt", "--type", "A", "--rank", "2", "--samples", "1",
+        )
+        assert code == 3
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: internal error: AssertionError: ")
+        assert "not a right reflection" in lines[0]
 
     def test_perm_elements_require_type_a(self, capsys):
         code, _, err = run(

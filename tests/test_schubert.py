@@ -537,6 +537,94 @@ class TestGtEvaluation:
             gt_term_eval(gamma, v, (1, 0), (1, 1))
 
 
+def gt_by_chains(u, v, mu, alpha):
+    """The moment-map sum one maximal chain at a time: the reference the
+    path sum of ``tau_gt_eval`` is checked against.  None when some
+    chain's term has a vanishing denominator."""
+    total = Fraction(0)
+    try:
+        for gamma in enumerate_max_chains(u, v):
+            total += gt_term_eval(gamma, v, mu, alpha)
+    except NonGenericPointError:
+        return None
+    return total
+
+
+def gt_by_program(u, v, mu, alpha):
+    """``tau_gt_eval``, or None where it finds a vanishing denominator."""
+    try:
+        return tau_gt_eval(u, v, mu, alpha)
+    except NonGenericPointError:
+        return None
+
+
+def seeded_points(rank, count, seed):
+    rng = random.Random(seed)
+    return [
+        (
+            tuple(rng.randint(1, 1000) for _ in range(rank)),
+            tuple(rng.randint(-10**6, 10**6) for _ in range(rank)),
+        )
+        for _ in range(count)
+    ]
+
+
+class TestGtProgram:
+    # Every pair of A3 at three seeded int points and a Fraction point;
+    # every pair of B3 and of C3 at one point each, since their 51630
+    # maximal chains make the reference cost seconds per point.
+    @pytest.mark.parametrize(
+        "family,points",
+        [
+            (
+                "A",
+                seeded_points(3, 3, 6)
+                + [((Fraction(1, 10), 3, Fraction(7, 2)), (5, Fraction(-2, 3), 11))],
+            ),
+            ("B", seeded_points(3, 1, 7)),
+            ("C", [((Fraction(1, 10), 3, 2), (Fraction(3, 4), 7, Fraction(-5, 6)))]),
+        ],
+    )
+    def test_every_pair_of_rank_3(self, family, points):
+        rs = root_system(family, 3)
+        elements = enumerate_elements(rs)
+        for mu, alpha in points:
+            for v in elements:
+                for u in elements:
+                    expected = gt_by_chains(u, v, mu, alpha)
+                    assert expected == tau_chain(u, v).evaluate(alpha), (u, v)
+                    assert tau_gt_eval(u, v, mu, alpha) == expected, (u, v, mu, alpha)
+
+    def test_a2_non_generic_point(self, a2):
+        u = simple_reflection(a2, 1)
+        v = element_from_word(a2, (1, 2, 1))
+        assert gt_by_chains(u, v, (1, 1), (1, 0)) is None
+        with pytest.raises(NonGenericPointError):
+            tau_gt_eval(u, v, (1, 1), (1, 0))
+
+    @pytest.mark.parametrize("family,rank", [("A", 2), ("B", 2), ("C", 2), ("A", 3)])
+    def test_non_generic_exactly_when_a_chain_term_is(self, family, rank):
+        # Small alpha values put many points on the vanishing locus of
+        # some denominator; the path sum must raise at exactly those.
+        rs = root_system(family, rank)
+        pairs = [
+            (u, v)
+            for u in enumerate_elements(rs)
+            for v in enumerate_elements(rs)
+            if u != v
+        ]
+        rng = random.Random(rank)
+        raised = 0
+        for _ in range(300):
+            u, v = rng.choice(pairs)
+            mu = tuple(rng.randint(1, 3) for _ in range(rank))
+            alpha = tuple(rng.randint(-2, 2) for _ in range(rank))
+            expected = gt_by_chains(u, v, mu, alpha)
+            assert gt_by_program(u, v, mu, alpha) == expected, (u, v, mu, alpha)
+            raised += expected is None
+        assert 0 < raised < 300
+
+
 class TestFIMap:
     def test_c2_images(self, c2):
         u = simple_reflection(c2, 1)

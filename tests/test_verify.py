@@ -1,10 +1,18 @@
 """Suite bookkeeping: case counts and failure messages."""
 
+import pytest
+
 from schubres import verify
 from schubres.poly import Polynomial
 from schubres.rootsys import root_system
+from schubres.schubert import NonGenericPointError, _subword_sums, tau_chain
 from schubres.verify import SuiteResult, suite_oracle
-from schubres.weyl import simple_reflection
+from schubres.weyl import (
+    all_reduced_words,
+    element_from_word,
+    enumerate_elements,
+    simple_reflection,
+)
 
 
 def test_message_is_built_only_on_failure():
@@ -39,3 +47,74 @@ def test_mutated_value_gives_exact_messages(monkeypatch):
         "billey Polynomial(a1) vs chain Polynomial(1 + a1)",
         "typea mismatch at u=<A1 1>, v=<A1 1>",
     ]
+
+
+def test_mutated_subword_step_gives_exact_messages(monkeypatch):
+    # Doubling every selected letter's factor breaks the subword route at
+    # each word that selects a letter.
+    rs = root_system("A", 1)
+    real = verify._subword_step
+
+    def mutated(states, s, factor):
+        return real(states, s, factor * 2)
+
+    monkeypatch.setattr(verify, "_subword_step", mutated)
+    result = suite_oracle(rs)
+    assert result.cases == 7
+    assert result.failures == [
+        "tau mismatch at u=<A1 1>, v=<A1 1>, word=(1,): "
+        "billey Polynomial(2*a1) vs chain Polynomial(a1)",
+    ]
+
+
+@pytest.mark.parametrize("family", ["A", "B", "C"])
+def test_trie_visits_each_reduced_word_once(family):
+    rs = root_system(family, 3)
+    elements = enumerate_elements(rs)
+    visited = list(verify._reduced_word_trie(rs))
+    words = [word for word, _, _ in visited]
+    assert len(words) == sum(len(all_reduced_words(v)) for v in elements)
+    assert set(words) == {w for v in elements for w in all_reduced_words(v)}
+    assert words == sorted(words)
+    for word, v, states in visited:
+        assert element_from_word(rs, word) == v
+        assert states == _subword_sums(rs, word), word
+
+
+@pytest.mark.parametrize("family,cases", [("A", 1797), ("B", 10032), ("C", 10032)])
+def test_oracle_case_counts(family, cases):
+    result = suite_oracle(root_system(family, 3))
+    assert result.failures == []
+    assert result.cases == cases
+
+
+class ScriptedRng:
+    """Stands in for ``random.Random``: ``randint`` returns the next
+    scripted value, whatever the range."""
+
+    def __init__(self, values):
+        self.values = iter(values)
+
+    def randint(self, low, high):
+        return next(self.values)
+
+
+def test_resampling_passes_a_non_generic_point():
+    rs = root_system("A", 2)
+    u = simple_reflection(rs, 1)
+    v = element_from_word(rs, (1, 2, 1))
+    # alpha = (1, 0), mu = (1, 1) makes a denominator vanish; the second
+    # draw is generic.
+    rng = ScriptedRng([1, 0, 1, 1, 5, 7, 2, 3])
+    alpha, mu, value = verify.gt_eval_resampling(u, v, rng)
+    assert (alpha, mu) == ((5, 7), (2, 3))
+    assert value == tau_chain(u, v).evaluate(alpha) == 12
+
+
+def test_resampling_gives_up_after_max_attempts():
+    rs = root_system("A", 2)
+    u = simple_reflection(rs, 1)
+    v = element_from_word(rs, (1, 2, 1))
+    rng = ScriptedRng([1, 0, 1, 1] * 3)
+    with pytest.raises(NonGenericPointError, match="no generic point found in 3"):
+        verify.gt_eval_resampling(u, v, rng, max_attempts=3)
