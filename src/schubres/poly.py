@@ -4,8 +4,18 @@ Two representations are used side by side:
 
 * :class:`FactoredPoly` -- a rational scalar times a multiset of linear
   forms, the shape in which chain and subword contributions arise;
-* :class:`Polynomial` -- a sparse exponent-map polynomial with exact
-  rational coefficients, the shape in which restrictions are reported.
+* :class:`Polynomial` -- a sparse polynomial with exact rational
+  coefficients, the shape in which restrictions are reported.
+
+A polynomial maps each monomial, packed into one int by :func:`pack`, to
+its coefficient.  The key's bytes, most significant first, are the total
+degree and then the exponents of variables 1 to rank, so the key of a
+product of monomials is the sum of their keys, and the canonical term
+order (total degree ascending, then the exponent vector descending) is
+read off the key.  The degree of a monomial is at most ``MAX_DEGREE`` =
+255, against at most |Phi+| = 36 at rank 6, so no field ever carries
+into the next; a polynomial or product past it raises ``OverflowError``.
+Exponent tuples are unpacked only for output, evaluation and division.
 
 A polynomial stores an integral coefficient as ``int`` and any other as
 ``Fraction``, also after arithmetic, so the usual all-integer case never
@@ -15,15 +25,46 @@ floating point is used anywhere: no ``/`` is taken between two ints.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 #: A linear form sum_i c_i alpha_i as a coordinate tuple.
 LinearForm = tuple
 
+#: Bits of one field of a packed monomial: a byte, so that
+#: ``int.to_bytes`` unpacks a key.
+FIELD_BITS = 8
+#: Largest total degree of a monomial, so that every exponent fits its
+#: field; also the mask of one field.
+MAX_DEGREE = (1 << FIELD_BITS) - 1
+
 
 class CancellationError(ArithmeticError):
     """No factor proportional to the requested linear form."""
+
+
+def pack(exponents) -> int:
+    """The packed key of the monomial with these exponents: the bytes of
+    its degree and its exponents, read as one big-endian int.
+
+    >>> pack((1, 0)) > pack((0, 1)) > pack((0, 0))
+    True
+    >>> unpack(pack((2, 0)) + pack((1, 3)), 2)
+    (3, 3)
+    """
+    exponents = tuple(exponents)
+    if min(exponents, default=0) < 0:
+        raise ValueError(f"negative exponent in {exponents}")
+    degree = sum(exponents)
+    if degree > MAX_DEGREE:
+        raise OverflowError(f"degree {degree} exceeds the bound {MAX_DEGREE}")
+    return int.from_bytes(bytes((degree,) + exponents), "big")
+
+
+def unpack(key: int, rank: int) -> tuple:
+    """The exponent tuple of a packed key."""
+    return tuple(key.to_bytes(rank + 1, "big")[1:])
 
 
 def _rational(x) -> Fraction:
@@ -42,6 +83,14 @@ def _coefficient(c):
     return c.numerator if c.denominator == 1 else c
 
 
+def _cleared(values):
+    """Exact rationals (ints or Fractions; a float is refused) as ints
+    over a common denominator: (ints, denominator)."""
+    values = tuple(x if type(x) in (int, Fraction) else _rational(x) for x in values)
+    scale = math.lcm(*(x.denominator for x in values))
+    return tuple(x.numerator * (scale // x.denominator) for x in values), scale
+
+
 def _integral_terms(terms):
     """``terms`` with each integral Fraction coefficient replaced by an
     int, in place."""
@@ -51,18 +100,26 @@ def _integral_terms(terms):
     return terms
 
 
+def _quotient(a, b):
+    """a / b for exact a and b != 0, as an int when integral."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    q = Fraction(a) / b
+    return q.numerator if q.denominator == 1 else q
+
+
 def _latex_number(c):
     if c.denominator != 1:
         return f"\\frac{{{c.numerator}}}{{{c.denominator}}}"
     return str(c.numerator)
 
 
-def _term_sort_key(exponents):
-    return (sum(exponents), tuple(-e for e in exponents))
-
-
 class Polynomial:
     """Sparse multivariate polynomial with exact rational coefficients.
+
+    ``terms`` maps the packed key of each monomial (see :func:`pack`) to
+    its nonzero coefficient.
 
     >>> p = Polynomial(2, {(1, 0): 1, (0, 1): 1})
     >>> (p * p).to_text()
@@ -83,15 +140,16 @@ class Polynomial:
                 exponents = tuple(exponents)
                 if len(exponents) != rank:
                     raise ValueError("exponent vector length does not match rank")
-                acc = clean.get(exponents)
+                key = pack(exponents)
+                acc = clean.get(key)
                 if acc is None:
-                    clean[exponents] = coeff
+                    clean[key] = coeff
                 else:
                     acc += coeff
                     if acc:
-                        clean[exponents] = acc
+                        clean[key] = acc
                     else:
-                        del clean[exponents]
+                        del clean[key]
         self.terms = clean
 
     # -- constructors
@@ -113,11 +171,11 @@ class Polynomial:
         form = tuple(form)
         rank = len(form)
         p = cls(rank)
+        degree_one = 1 << FIELD_BITS * rank
         for i, c in enumerate(form):
             if c:
-                e = [0] * rank
-                e[i] = 1
-                p.terms[tuple(e)] = _coefficient(c)
+                key = degree_one | 1 << FIELD_BITS * (rank - 1 - i)
+                p.terms[key] = _coefficient(c)
         return p
 
     # -- structure
@@ -134,11 +192,15 @@ class Polynomial:
         return hash((self.rank, frozenset(self.terms.items())))
 
     def degree(self):
-        """Total degree; -1 for the zero polynomial."""
-        return max((sum(e) for e in self.terms), default=-1)
+        """Total degree; -1 for the zero polynomial.  The degree is the
+        key's top byte, so the largest key has it."""
+        if not self.terms:
+            return -1
+        return max(self.terms) >> FIELD_BITS * self.rank
 
     def is_homogeneous(self):
-        return len({sum(e) for e in self.terms}) <= 1
+        shift = FIELD_BITS * self.rank
+        return len({key >> shift for key in self.terms}) <= 1
 
     # -- ring operations
 
@@ -187,11 +249,21 @@ class Polynomial:
             return NotImplemented
         if self.rank != other.rank:
             raise ValueError("rank mismatch")
+        p = Polynomial.zero(self.rank)
+        if not self.terms or not other.terms:
+            return p
+        # A product whose degree fits cannot carry from one exponent field
+        # into the next.
+        degree = self.degree() + other.degree()
+        if degree > MAX_DEGREE:
+            raise OverflowError(f"degree {degree} exceeds the bound {MAX_DEGREE}")
         out = {}
+        get = out.get
+        items = other.terms.items()
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                acc = out.get(e)
+            for e2, c2 in items:
+                e = e1 + e2
+                acc = get(e)
                 if acc is None:
                     out[e] = c1 * c2
                 else:
@@ -200,7 +272,6 @@ class Polynomial:
                         out[e] = acc
                     else:
                         del out[e]
-        p = Polynomial.zero(self.rank)
         p.terms = _integral_terms(out)
         return p
 
@@ -209,22 +280,36 @@ class Polynomial:
     # -- evaluation
 
     def evaluate(self, values) -> Fraction:
-        values = tuple(_rational(v) for v in values)
+        """The value at ``values`` of the simple-root variables, summed in
+        integers over the values' common denominator."""
+        values, scale = _cleared(values)
         if len(values) != self.rank:
             raise ValueError("value vector length does not match rank")
-        total = Fraction(0)
-        for e, c in self.terms.items():
-            term = c
-            for v, k in zip(values, e):
+        if not self.terms:
+            return Fraction(0)
+        # A term of degree d is scale^d times too large at the cleared
+        # values: lift it by scale^(top - d) and divide once by scale^top.
+        shift = FIELD_BITS * self.rank
+        top = self.degree()
+        lifts = [scale ** (top - d) for d in range(top + 1)]
+        denominator = math.lcm(*(c.denominator for c in self.terms.values()))
+        total = 0
+        for key, c in self.terms.items():
+            term = lifts[key >> shift]
+            for v, k in zip(values, unpack(key, self.rank)):
                 if k:
                     term *= v**k
-            total += term
-        return total
+            total += term * c.numerator * (denominator // c.denominator)
+        return Fraction(total, denominator * scale**top)
 
     # -- serialization
 
     def _sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda item: _term_sort_key(item[0]))
+        """The terms by total degree, then by exponent vector descending:
+        the key of degree d and exponent fields r sorts as d * 2^s - r."""
+        shift = FIELD_BITS * self.rank
+        keys = sorted(self.terms, key=lambda k: ((k >> shift) << (shift + 1)) - k)
+        return [(unpack(k, self.rank), self.terms[k]) for k in keys]
 
     def _render(self, power, number, joiner):
         """The terms in canonical order with their signs: ``power(i, k)``
@@ -341,38 +426,44 @@ def divide_linear(p: Polynomial, d):
     Eliminates the first variable with a nonzero coefficient in d and
     checks that the remainder vanishes.
     """
-    d = tuple(_rational(c) for c in d)
+    d = tuple(_coefficient(c) for c in d)
     k = next((i for i, c in enumerate(d) if c), None)
     if k is None:
         raise ValueError("division by the zero linear form")
     ck = d[k]
+    rank = p.rank
+    degree_one = 1 << FIELD_BITS * rank
+    field = FIELD_BITS * (rank - 1 - k)
+    # A key minus ``down`` has one factor alpha_k less; plus an ``up``, it
+    # has one factor alpha_j more.
+    down = degree_one | 1 << field
+    ups = [
+        (degree_one | 1 << FIELD_BITS * (rank - 1 - j), dj)
+        for j, dj in enumerate(d)
+        if dj and j != k
+    ]
     quotient = {}
     remainder = dict(p.terms)
     while True:
-        level = max((e[k] for e in remainder if e[k] > 0), default=0)
+        level = max(((e >> field) & MAX_DEGREE for e in remainder), default=0)
         if level == 0:
             break
-        for e in [e for e in remainder if e[k] == level]:
-            c = remainder.pop(e)
-            me = list(e)
-            me[k] -= 1
-            me = tuple(me)
-            mc = c / ck
-            acc = quotient.get(me)
-            quotient[me] = mc if acc is None else acc + mc
-            # remainder -= mc * alpha^me * d; the j == k part cancels the
+        for e in [e for e in remainder if (e >> field) & MAX_DEGREE == level]:
+            # Each popped key is distinct and never comes back, so each
+            # quotient key is set once.
+            me = e - down
+            mc = quotient[me] = _quotient(remainder.pop(e), ck)
+            # remainder -= mc * alpha^me * d; the alpha_k part cancels the
             # popped term exactly, so it is skipped.
-            for j, dj in enumerate(d):
-                if not dj or j == k:
-                    continue
-                key = list(me)
-                key[j] += 1
-                key = tuple(key)
-                acc = remainder.get(key, Fraction(0)) - mc * dj
+            for up, dj in ups:
+                key = me + up
+                acc = remainder.get(key, 0) - mc * dj
                 if acc:
                     remainder[key] = acc
-                elif key in remainder:
-                    del remainder[key]
+                else:
+                    remainder.pop(key, None)
     if remainder:
         return None
-    return Polynomial(p.rank, quotient)
+    q = Polynomial.zero(rank)
+    q.terms = quotient
+    return q

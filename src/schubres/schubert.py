@@ -31,7 +31,7 @@ from .poly import (
     CancellationError,
     FactoredPoly,
     Polynomial,
-    _rational,
+    _cleared,
     divide_linear,
 )
 from .rootsys import RootSystem, h_root, is_positive, weight_table
@@ -518,14 +518,6 @@ def tau_billey(u: WeylElement, v: WeylElement, word=None) -> Polynomial:
     if _reduced_element(u.rs, word) != v:
         raise ValueError("word does not evaluate to v")
     return _subword_sums(u.rs, word, u).get(u, Polynomial.zero(u.rs.rank))
-
-
-def _cleared(values):
-    """Exact rationals (ints or Fractions; a float is refused) as ints
-    over a common denominator: (ints, denominator)."""
-    values = tuple(x if type(x) in (int, Fraction) else _rational(x) for x in values)
-    scale = math.lcm(*(x.denominator for x in values))
-    return tuple(x.numerator * (scale // x.denominator) for x in values), scale
 
 
 class _MomentPoint:

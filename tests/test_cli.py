@@ -483,6 +483,108 @@ class TestTableAndPlumbing:
         digest = hashlib.sha256(target.read_bytes()).hexdigest()
         assert digest == self.RENDERED_DIGESTS[(family, rank, fmt)]
 
+    # SHA-256 of `restrict --method all` in every format, on rank-4 and
+    # rank-5 pairs of A, B and C (A4 s1s2s3s4, s4s3s2s1 is not a Bruhat
+    # pair), and of `chains` and `subwords` JSON on one B3 pair: the term
+    # order and the number formats of single values.
+    A4_W0 = "1,2,1,3,2,1,4,3,2,1"
+    A5_W0 = "1,2,1,3,2,1,4,3,2,1,5,4,3,2,1"
+    B4_W0 = "1,2,1,3,2,1,4,3,2,1,4,3,2,4,3,4"
+    RESTRICT_DIGESTS = {
+        ("A", 4, "2,1", A4_W0, "json"): (
+            "4ec3d3fcb631bee076cda8afdb13a23de2c8154b021c401fb59ae24dbebc07d1"
+        ),
+        ("A", 4, "2,1", A4_W0, "latex"): (
+            "d45360a2df09cab3ef6b04f1b4bde74c881091358581e5b1cdb93c9df486d409"
+        ),
+        ("A", 4, "2,1", A4_W0, "text"): (
+            "d61dc70f4c174a8ff0a90be5bb455c4ce1a2c85e646877e52d5041ddf5033927"
+        ),
+        ("A", 4, "1,2,3,4", "4,3,2,1", "json"): (
+            "f3e29c602226061a0f91f68abd081efa959f375b12b1faaba2ae0eaed7beaee1"
+        ),
+        ("A", 4, "1,2,3,4", "4,3,2,1", "latex"): (
+            "a54f864c4df91c4b2b104edd36942d34e506f4684ffe3dc6f1a1ff0d28eb39cf"
+        ),
+        ("A", 4, "1,2,3,4", "4,3,2,1", "text"): (
+            "a54f864c4df91c4b2b104edd36942d34e506f4684ffe3dc6f1a1ff0d28eb39cf"
+        ),
+        ("A", 5, "2,4,3", A5_W0, "json"): (
+            "0266ccd73a08e729464b76168d047e4fb540667801fe3acdd91276b4058429a9"
+        ),
+        ("A", 5, "2,4,3", A5_W0, "latex"): (
+            "ea93d09622eb6a37e0cd664eeec2b56d47abdebb2494db6c09174b42ec60cd8e"
+        ),
+        ("A", 5, "2,4,3", A5_W0, "text"): (
+            "3f3879a57efe288d8955688c3540aed61b114d7bc9dd20b185c81688333da68c"
+        ),
+        ("B", 4, "4,3,2", B4_W0, "json"): (
+            "c9d1c7741212294c4a64fb8828c9f4457de49f19da11ebaedbb8dbcb316903e6"
+        ),
+        ("B", 4, "4,3,2", B4_W0, "latex"): (
+            "f16c6fb05b4592d8de87f8dcafd2d51a14096c6abd5019556569dc58ee7bfe4d"
+        ),
+        ("B", 4, "4,3,2", B4_W0, "text"): (
+            "552f09bf1e383c88670ee0f6dcaef8433881b5fb77d14832e4ea827e015cc35b"
+        ),
+        ("B", 5, "1,5", "1,2,3,4,5,4,3,2,1", "json"): (
+            "09a8998957f3eeb5abdf553ff8e391c33c6d8ebadfdabd437e87436946dca63c"
+        ),
+        ("B", 5, "1,5", "1,2,3,4,5,4,3,2,1", "latex"): (
+            "28b63efd235bfa85c6a21e734985ba0914f0e83b1d8442f6afacb87d8d6e58d1"
+        ),
+        ("B", 5, "1,5", "1,2,3,4,5,4,3,2,1", "text"): (
+            "d47bf42cd4e17c1c563cb8d93fe313a7e63ef8309387ac982b85223cadc10b77"
+        ),
+        ("C", 4, "1,2", "4,3,4,2,1,2", "json"): (
+            "fab20b6941c842078cc4bf61a7dcc7cde319a2e0b7c138cfe5d4c930795820ee"
+        ),
+        ("C", 4, "1,2", "4,3,4,2,1,2", "latex"): (
+            "fe7529366b3d664c4fc0fe3e8ebabfa81ccede9c70e50e0df70941d131ef94d3"
+        ),
+        ("C", 4, "1,2", "4,3,4,2,1,2", "text"): (
+            "edf91cf0899778af203d20ef4ee888c400e0f38c2973e3cae50404c21c3988c1"
+        ),
+        ("C", 5, "2,5", "1,2,3,4,5,4,3,2,1,2,3,4,5", "json"): (
+            "fd328051f1d2dc8309bc2bee198892d07e03a499362403b34476cdfe2e77dcab"
+        ),
+        ("C", 5, "2,5", "1,2,3,4,5,4,3,2,1,2,3,4,5", "latex"): (
+            "8769d1a2ad51c13d637e02b8ad9b78ccf8428effa55053750336c3a13ab9f555"
+        ),
+        ("C", 5, "2,5", "1,2,3,4,5,4,3,2,1,2,3,4,5", "text"): (
+            "a7352174cc05d40dd653c774d046cd6454d91a2e6afa99385b3a9ddafb0fa85b"
+        ),
+    }
+
+    @pytest.mark.parametrize("family,rank,u,v,fmt", sorted(RESTRICT_DIGESTS))
+    def test_restrict_all_methods_are_byte_identical(
+        self, capsys, family, rank, u, v, fmt
+    ):
+        code, out, _ = run(
+            capsys,
+            "restrict", "--type", family, "--rank", str(rank), "--u", u,
+            "--v", v, "--method", "all", "--format", fmt,
+        )
+        assert code == 0
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == self.RESTRICT_DIGESTS[(family, rank, u, v, fmt)]
+
+    LISTING_DIGESTS = {
+        "chains": "64bad548114fa6e18237a9b7b5c0025e4e1ed9266a4cf890641d6cf64ce5cc27",
+        "subwords": "b9411e8512cf73e821c130afdb7b04a1e5d94cfab1c12e9f548d1f6b6079d6ce",
+    }
+
+    @pytest.mark.parametrize("command", sorted(LISTING_DIGESTS))
+    def test_chains_and_subwords_json_are_byte_identical(self, capsys, command):
+        code, out, _ = run(
+            capsys,
+            command, "--type", "B", "--rank", "3", "--u", "2",
+            "--v", "1,2,3,2,1", "--format", "json",
+        )
+        assert code == 0
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == self.LISTING_DIGESTS[command]
+
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "value.txt"
         code, out, _ = run(

@@ -8,10 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schubres.poly import (
+    MAX_DEGREE,
     FactoredPoly,
     Polynomial,
     divide_linear,
     expand,
+    pack,
+    unpack,
 )
 from schubres.rootsys import root_system
 from schubres.schubert import chain_contribution, enumerate_c0, tau_chain
@@ -184,10 +187,10 @@ def all_coefficients(polys):
 class TestIntegerCoefficients:
     def test_integral_fraction_is_stored_as_int(self):
         p = Polynomial(2, {(1, 0): Fraction(3)})
-        assert type(p.terms[(1, 0)]) is int and p.terms[(1, 0)] == 3
+        assert type(p.terms[pack((1, 0))]) is int and p.terms[pack((1, 0))] == 3
         q = Polynomial(2, {(1, 0): Fraction(1, 2)})
-        assert type(q.terms[(1, 0)]) is Fraction
-        assert type(Polynomial.from_linear((Fraction(2), 1)).terms[(1, 0)]) is int
+        assert type(q.terms[pack((1, 0))]) is Fraction
+        assert type(Polynomial.from_linear((Fraction(2), 1)).terms[pack((1, 0))]) is int
 
     def test_arithmetic_stores_integral_results_as_int(self):
         half = Polynomial(1, {(1,): Fraction(1, 2)})
@@ -201,12 +204,12 @@ class TestIntegerCoefficients:
         for p in results:
             assert all(type(c) is int for c in p.terms.values()), p
         assert results[3] == Polynomial(1, {(2,): 3, (1,): -2, (0,): -1})
-        assert type((half * 3).terms[(1,)]) is Fraction
+        assert type((half * 3).terms[pack((1,))]) is Fraction
 
     def test_int_and_fraction_coefficients_agree(self):
         with_int = Polynomial(2, {(1, 0): 3, (0, 1): Fraction(1, 2)})
         with_fraction = Polynomial(2, {(1, 0): 3, (0, 1): Fraction(1, 2)})
-        with_fraction.terms[(1, 0)] = Fraction(3)  # bypasses the constructor
+        with_fraction.terms[pack((1, 0))] = Fraction(3)  # bypasses the constructor
         assert with_int == with_fraction
         assert hash(with_int) == hash(with_fraction)
         assert with_int.to_text() == with_fraction.to_text()
@@ -239,6 +242,205 @@ class TestIntegerCoefficients:
         scaled = [p * Fraction(1, 3), p * Fraction(4, 2), p * 2]
         for c in all_coefficients(table + contributions + quotients + scaled):
             assert type(c) in (int, Fraction)
+
+
+# The exponent-tuple arithmetic that the packed keys replaced, kept as the
+# reference: a polynomial is a dict from exponent tuples to nonzero
+# coefficients, integral ones stored as int.
+
+
+def _term_sort_key(exponents):
+    return (sum(exponents), tuple(-e for e in exponents))
+
+
+def _normal(c):
+    return c.numerator if type(c) is Fraction and c.denominator == 1 else c
+
+
+def ref_accumulate(out, e, c):
+    acc = out.get(e, 0) + c
+    if acc:
+        out[e] = _normal(acc)
+    else:
+        out.pop(e, None)
+
+
+def ref_add(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        ref_accumulate(out, e, c)
+    return out
+
+
+def ref_neg(a):
+    return {e: -c for e, c in a.items()}
+
+
+def ref_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            ref_accumulate(out, tuple(x + y for x, y in zip(e1, e2)), c1 * c2)
+    return out
+
+
+def ref_scale(a, s):
+    return {e: _normal(c * s) for e, c in a.items()} if s else {}
+
+
+def ref_divide(a, d):
+    d = tuple(Fraction(c) for c in d)
+    k = next(i for i, c in enumerate(d) if c)
+    quotient = {}
+    remainder = dict(a)
+    while True:
+        level = max((e[k] for e in remainder if e[k] > 0), default=0)
+        if level == 0:
+            break
+        for e in [e for e in remainder if e[k] == level]:
+            mc = remainder.pop(e) / d[k]
+            me = e[:k] + (e[k] - 1,) + e[k + 1 :]
+            ref_accumulate(quotient, me, mc)
+            for j, dj in enumerate(d):
+                if dj and j != k:
+                    key = me[:j] + (me[j] + 1,) + me[j + 1 :]
+                    ref_accumulate(remainder, key, -mc * dj)
+    return None if remainder else quotient
+
+
+def ref_evaluate(a, values):
+    total = Fraction(0)
+    for e, c in a.items():
+        term = Fraction(c)
+        for v, k in zip(values, e):
+            term *= Fraction(v) ** k
+        total += term
+    return total
+
+
+def ref_json(a):
+    return [
+        {"exponents": list(e), "numerator": c.numerator, "denominator": c.denominator}
+        for e, c in sorted(a.items(), key=lambda item: _term_sort_key(item[0]))
+    ]
+
+
+def as_tuples(p):
+    """The terms of a Polynomial keyed by exponent tuples."""
+    return {unpack(key, p.rank): c for key, c in p.terms.items()}
+
+
+def same(p, ref):
+    """p has the reference's terms, with the same int/Fraction types."""
+    got = as_tuples(p)
+    return got == ref and all(type(got[e]) is type(c) for e, c in ref.items())
+
+
+exact = st.one_of(
+    st.integers(min_value=-6, max_value=6),
+    st.builds(
+        Fraction,
+        st.integers(min_value=-6, max_value=6),
+        st.integers(min_value=1, max_value=4),
+    ),
+)
+
+
+@st.composite
+def tuple_polys(draw, rank):
+    """A reference polynomial of the rank; few small exponents, so sums
+    and products often cancel."""
+    ref = {}
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        e = tuple(draw(st.integers(min_value=0, max_value=2)) for _ in range(rank))
+        ref_accumulate(ref, e, draw(exact))
+    return ref
+
+
+@st.composite
+def poly_pairs(draw):
+    rank = draw(st.integers(min_value=1, max_value=6))
+    a = draw(tuple_polys(rank))
+    b = draw(tuple_polys(rank))
+    if draw(st.booleans()):
+        # b shares terms with -a, so a + b cancels them
+        b = ref_add(b, ref_neg(a))
+    return rank, a, b
+
+
+@st.composite
+def forms(draw, rank):
+    d = [draw(exact) for _ in range(rank)]
+    if not any(d):
+        d[draw(st.integers(min_value=0, max_value=rank - 1))] = 1
+    return tuple(d)
+
+
+class TestPackedAgainstTuples:
+    @given(pair=poly_pairs())
+    @settings(deadline=None)
+    def test_ring_operations(self, pair):
+        rank, a, b = pair
+        p, q = Polynomial(rank, a), Polynomial(rank, b)
+        assert same(p, a) and same(q, b)
+        assert same(p + q, ref_add(a, b))
+        assert same(p - q, ref_add(a, ref_neg(b)))
+        assert same(-p, ref_neg(a))
+        assert same(p * q, ref_mul(a, b))
+        assert same(p * q + p * -q, {})
+        total = Polynomial(rank, ref_add(a, b))
+        assert p + q == total and hash(p + q) == hash(total)
+
+    @given(pair=poly_pairs(), s=exact)
+    @settings(deadline=None)
+    def test_scalar_product(self, pair, s):
+        rank, a, _ = pair
+        assert same(Polynomial(rank, a) * s, ref_scale(a, s))
+        assert same(s * Polynomial(rank, a), ref_scale(a, s))
+
+    @given(data=st.data())
+    @settings(deadline=None)
+    def test_divide_linear(self, data):
+        rank, a, _ = data.draw(poly_pairs())
+        d = data.draw(forms(rank))
+        linear = {
+            tuple(int(i == j) for j in range(rank)): _normal(Fraction(c))
+            for i, c in enumerate(d)
+            if c
+        }
+        product = ref_mul(a, linear)
+        assert same(divide_linear(Polynomial(rank, product), d), a)
+        expected = ref_divide(a, d)
+        got = divide_linear(Polynomial(rank, a), d)
+        assert got is None if expected is None else same(got, expected)
+
+    @given(data=st.data())
+    @settings(deadline=None)
+    def test_evaluate(self, data):
+        rank, a, _ = data.draw(poly_pairs())
+        values = data.draw(st.lists(exact, min_size=rank, max_size=rank))
+        got = Polynomial(rank, a).evaluate(values)
+        assert type(got) is Fraction and got == ref_evaluate(a, values)
+
+    @given(pair=poly_pairs())
+    @settings(deadline=None)
+    def test_json_order(self, pair):
+        rank, a, b = pair
+        product = Polynomial(rank, a) * Polynomial(rank, b)
+        assert Polynomial(rank, a).to_json() == ref_json(a)
+        assert product.to_json() == ref_json(ref_mul(a, b))
+
+    def test_product_past_the_degree_bound_raises(self):
+        x2 = Polynomial.from_linear((0, 1))
+        top = Polynomial(2, {(0, MAX_DEGREE - 1): 1}) * x2
+        assert top.to_json() == ref_json({(0, MAX_DEGREE): 1})
+        # One more factor of a2 would carry the a2 field into the a1 field.
+        with pytest.raises(OverflowError):
+            top * x2
+        with pytest.raises(OverflowError):
+            x2 * top
+        with pytest.raises(OverflowError):
+            Polynomial(2, {(1, MAX_DEGREE): 1})
 
 
 class TestFloatsRejected:
