@@ -126,10 +126,24 @@ def _factored_text(f: FactoredPoly, basis: str) -> str:
 
 def _emit(text: str, out: str | None):
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise UsageError(f"cannot write {out!r}: {exc.strerror}") from None
     else:
         print(text)
+
+
+def _positive_int(text: str) -> int:
+    """An argparse type for counts: a suite given 0 samples checks nothing."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
 
 
 def _max_order():
@@ -417,8 +431,8 @@ def build_parser():
         default=None,
         help="defaults to 4 in type A and 3 in types B/C",
     )
-    p.add_argument("--samples", type=int, default=20)
-    p.add_argument("--pairs", type=int, default=None)
+    p.add_argument("--samples", type=_positive_int, default=20)
+    p.add_argument("--pairs", type=_positive_int, default=None)
     p.add_argument("--seed", type=int, default=verify_mod.DEFAULT_SEED)
     p.add_argument("--out")
     p.set_defaults(func=cmd_verify)

@@ -333,10 +333,10 @@ class Polynomial:
                 pieces.append(("+ " if c > 0 else "- ") + body)
         return " ".join(pieces)
 
-    def to_text(self, var="a"):
+    def to_text(self):
         """Canonical text form, e.g. ``a1^2 + 2*a1*a2 + a2^2``."""
         return self._render(
-            lambda i, k: f"{var}{i}" + (f"^{k}" if k > 1 else ""), str, "*"
+            lambda i, k: f"a{i}" + (f"^{k}" if k > 1 else ""), str, "*"
         )
 
     def to_latex(self):

@@ -130,14 +130,6 @@ def root_to_xdiff(beta):
     return a + 1, b + 2
 
 
-def transposition_edges(gamma: Chain):
-    """The position-pair labels (i, j) of the edges of a type-A chain."""
-    labels = []
-    for beta in gamma.betas:
-        labels.append(root_to_xdiff(beta))
-    return tuple(labels)
-
-
 def chain_deleted_pairs(gamma: Chain):
     """The inversion value pairs removed by the edges of an h-monotone chain."""
     perms = [element_to_perm(el) for el in gamma.elements]

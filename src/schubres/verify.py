@@ -40,6 +40,11 @@ from .weyl import (
 
 DEFAULT_SEED = 20260810
 
+#: The degeneration parameter of the ``limits`` suite and its relative
+#: tolerance.
+LIMIT_T = Fraction(1, 2**12)
+LIMIT_TOLERANCE = Fraction(1, 1000)
+
 
 @dataclass
 class SuiteResult:
@@ -313,15 +318,11 @@ def limit_schedule(rank: int, t: Fraction):
     return tuple(t ** (3**i) for i in range(rank))
 
 
-def suite_limits(
-    rs: RootSystem,
-    t: Fraction = Fraction(1, 2**12),
-    tolerance: Fraction = Fraction(1, 1000),
-) -> SuiteResult:
-    """Along the degeneration schedule, non-monotone chains vanish and
-    monotone chains approach their exact contribution."""
+def suite_limits(rs: RootSystem) -> SuiteResult:
+    """Along the degeneration schedule at ``LIMIT_T``, non-monotone chains
+    vanish and monotone chains approach their exact contribution."""
     result = SuiteResult(f"limits[{rs.lie_type}]")
-    mu = limit_schedule(rs.rank, t)
+    mu = limit_schedule(rs.rank, LIMIT_T)
     alpha = (Fraction(1),) * rs.rank
     for u, v in bruhat_pairs(rs):
         surviving = set(enumerate_c0(u, v))
@@ -330,13 +331,13 @@ def suite_limits(
             if gamma in surviving:
                 target = chain_contribution(gamma, v).evaluate(alpha)
                 result.check(
-                    abs(value - target) <= tolerance * abs(target),
+                    abs(value - target) <= LIMIT_TOLERANCE * abs(target),
                     lambda: f"surviving chain off target at u={u!r}, v={v!r}: "
                     f"{value} vs {target}",
                 )
             else:
                 result.check(
-                    abs(value) <= tolerance,
+                    abs(value) <= LIMIT_TOLERANCE,
                     lambda: f"vanishing chain too large at u={u!r}, v={v!r}: {value}",
                 )
     return result

@@ -42,13 +42,18 @@ Word = tuple
 
 
 class RootTable:
-    """The indexed root set of one root system.
+    """The indexed root set of one root system and its group table.
 
     ``roots[k]`` for ``k < npos`` are the positive roots in
     ``rs.positive_roots`` order; ``roots[k + npos]`` is ``-roots[k]``.
+    ``identity``, ``simple_reflections`` (s_1, ..., s_n) and
+    ``reflections`` (root of either sign to s_beta) are built with it.
     """
 
-    __slots__ = ("roots", "index", "npos", "simple")
+    __slots__ = (
+        "roots", "index", "npos", "simple", "identity", "simple_reflections",
+        "reflections",
+    )
 
     def __init__(self, rs: RootSystem):
         positive = rs.positive_roots
@@ -57,6 +62,29 @@ class RootTable:
         self.index = {beta: k for k, beta in enumerate(self.roots)}
         #: Index of alpha_j for j = 1..n, in order.
         self.simple = tuple(self.index[alpha] for alpha in rs.simple_roots)
+        self.identity = _element(rs, tuple(range(len(self.roots))))
+        # s_i(beta) = beta - <beta, alpha_i^vee> alpha_i, in integers.
+        simple = []
+        for i0, column in enumerate(zip(*rs.cartan)):
+            perm = []
+            for beta in self.roots:
+                image = list(beta)
+                image[i0] -= sum(b * c for b, c in zip(beta, column))
+                perm.append(self.index[tuple(image)])
+            simple.append(_element(rs, tuple(perm)))
+        self.simple_reflections = tuple(simple)
+        # Close the simple roots under simple reflections, as the positive
+        # roots are generated: when beta' = s_i beta, s_beta' = s_i s_beta s_i.
+        found = dict(zip(self.simple, simple))
+        frontier = list(found)
+        while frontier:
+            k = frontier.pop()
+            for s in simple:
+                image = s.perm[k]
+                if image not in found:
+                    found[image] = s * found[k] * s
+                    frontier.append(image)
+        self.reflections = {self.roots[k]: el for k, el in found.items()}
 
     def __len__(self):
         """Number of roots; every ``rs._cache`` entry reports its size so."""
@@ -74,13 +102,10 @@ class WeylElement:
     """A Weyl group element; immutable, hashable, interned per system.
 
     ``perm`` is the permutation of root indices (see :class:`RootTable`)
-    that identifies the element; ``matrix`` is derived from it and
-    cached.
+    that identifies the element; ``matrix`` is derived from it.
     """
 
-    __slots__ = (
-        "rs", "perm", "_hash", "_length", "_canonical", "_matrix", "_omega_images"
-    )
+    __slots__ = ("rs", "perm", "_hash", "_length", "_canonical", "_omega_images")
 
     def __init__(self, rs: RootSystem, perm):
         self.rs = rs
@@ -88,7 +113,6 @@ class WeylElement:
         self._hash = hash(perm)
         self._length = None
         self._canonical = None
-        self._matrix = None
         self._omega_images = None
 
     def __eq__(self, other):
@@ -117,11 +141,8 @@ class WeylElement:
     @property
     def matrix(self):
         """Action matrix on the simple-root basis, as a tuple of rows."""
-        if self._matrix is None:
-            table = root_table(self.rs)
-            columns = [table.roots[self.perm[k]] for k in table.simple]
-            self._matrix = tuple(zip(*columns))
-        return self._matrix
+        table = root_table(self.rs)
+        return tuple(zip(*(table.roots[self.perm[k]] for k in table.simple)))
 
     @property
     def omega_images(self):
@@ -196,62 +217,24 @@ def _element(rs: RootSystem, perm) -> WeylElement:
 
 
 def identity(rs: RootSystem) -> WeylElement:
-    return _element(rs, tuple(range(len(root_table(rs)))))
+    return root_table(rs).identity
 
 
 def simple_reflection(rs: RootSystem, i: int) -> WeylElement:
     if not 1 <= i <= rs.rank:
         raise ValueError(f"invalid word: letter {i} out of range 1..{rs.rank}")
-    cache = rs._cache.setdefault("simple_reflections", {})
-    el = cache.get(i)
-    if el is None:
-        # s_i(beta) = beta - <beta, alpha_i^vee> alpha_i, in integers.
-        table = root_table(rs)
-        i0 = i - 1
-        column = [row[i0] for row in rs.cartan]
-        perm = []
-        for beta in table.roots:
-            image = list(beta)
-            image[i0] -= sum(b * c for b, c in zip(beta, column))
-            perm.append(table.index[tuple(image)])
-        el = _element(rs, tuple(perm))
-        cache[i] = el
-    return el
+    return root_table(rs).simple_reflections[i - 1]
 
 
 def reflection(rs: RootSystem, beta) -> WeylElement:
     """The reflection s_beta for a root beta (of either sign)."""
     beta = tuple(beta)
-    cache = rs._cache.get("reflections")
-    if cache is None:
-        cache = rs._cache["reflections"] = _all_reflections(rs)
-    el = cache.get(beta)
+    el = root_table(rs).reflections.get(beta)
     if el is None:
         raise ValueError(
             f"invalid reflection: {beta} is not a root of {rs.lie_type}"
         )
     return el
-
-
-def _all_reflections(rs: RootSystem):
-    """Every reflection, keyed by root of either sign.
-
-    Closes the simple roots under simple reflections, as the positive
-    roots are generated: when beta' = s_i beta, s_beta' = s_i s_beta s_i.
-    Only products of permutations, no rational arithmetic.
-    """
-    table = root_table(rs)
-    simple = [simple_reflection(rs, i) for i in range(1, rs.rank + 1)]
-    found = dict(zip(table.simple, simple))
-    frontier = list(found)
-    while frontier:
-        k = frontier.pop()
-        for s in simple:
-            image = s.perm[k]
-            if image not in found:
-                found[image] = s * found[k] * s
-                frontier.append(image)
-    return {table.roots[k]: el for k, el in found.items()}
 
 
 def element_from_word(rs: RootSystem, word) -> WeylElement:

@@ -383,6 +383,29 @@ class TestVerify:
         assert code == 2
         assert "unknown suite" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--suite", "gt", "--type", "A", "--rank", "2", "--samples", "0"],
+            ["--suite", "gt", "--type", "A", "--rank", "2", "--samples", "-3"],
+            ["--suite", "gt", "--type", "A", "--rank", "2", "--pairs", "0"],
+            ["--suite", "gt", "--type", "A", "--rank", "2", "--pairs", "-1"],
+            ["--suite", "equivalence-typeA", "--rank", "2", "--pairs", "0"],
+            ["--suite", "equivalence-typeA", "--rank", "2", "--pairs", "-1"],
+        ],
+    )
+    def test_non_positive_counts_are_usage_errors(self, capsys, argv):
+        # A run of zero cases would report success having checked nothing.
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", *argv])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        flag, raw = argv[-2:]
+        assert captured.err.endswith(
+            f"error: argument {flag}: must be a positive integer, got {raw!r}\n"
+        )
+
 
 class TestTableAndPlumbing:
     def test_table_json(self, capsys):
@@ -595,3 +618,24 @@ class TestTableAndPlumbing:
         assert code == 0
         assert out == ""
         assert target.read_text().strip() == "a1 + a2"
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["restrict", "--type", "A", "--rank", "2", "--u", "1", "--v", "1,2,1"],
+            ["table", "--type", "A", "--rank", "2"],
+            ["verify", "--suite", "gkm", "--type", "A", "--rank", "2"],
+        ],
+    )
+    @pytest.mark.parametrize(
+        "where, reason",
+        [("missing", "No such file or directory"), ("directory", "Is a directory")],
+    )
+    def test_unwritable_output_is_usage_error(
+        self, capsys, tmp_path, command, where, reason
+    ):
+        path = tmp_path / "absent" / "out.txt" if where == "missing" else tmp_path
+        target = str(path)
+        assert run(capsys, *command, "--out", target) == (
+            2, "", f"error: cannot write {target!r}: {reason}\n"
+        )

@@ -680,6 +680,50 @@ class TestFIMap:
             f_i_map(gamma, (1, 2, 1))
 
 
+def invalid_chain(rs, case):
+    """A chain of C2 that no per-chain route may accept, the element v it
+    is passed with, a reduced word for its end, and the expected error."""
+    u = simple_reflection(rs, 1)
+    w0 = element_from_word(rs, (1, 2, 1, 2))
+    if case == "wrong root":
+        gamma = enumerate_max_chains(u, w0)[0]
+        wrong = next(b for b in rs.positive_roots if b != gamma.betas[1])
+        betas = gamma.betas[:1] + (wrong,) + gamma.betas[2:]
+        return Chain(gamma.elements, betas), w0, (1, 2, 1, 2), "right reflection"
+    if case == "descending edge":
+        # s1 s2 -> s1 is right multiplication by s_alpha2, one step down.
+        top = element_from_word(rs, (1, 2))
+        return Chain((top, u), ((0, 1),)), u, (1,), "not ascending"
+    if case == "length jump":
+        # The ascending step of test_non_maximal_chain_leaves_extra_letters.
+        return Chain((u, w0), ((1, 1),)), w0, (1, 2, 1, 2), "maximal length"
+    assert case == "not ending at v"
+    v = element_from_word(rs, (1, 2, 1))
+    return enumerate_max_chains(u, v)[0], w0, (1, 2, 1, 2), "does not end at v"
+
+
+class TestInvalidChains:
+    CASES = ["wrong root", "descending edge", "length jump", "not ending at v"]
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_chain_contribution_rejects(self, c2, case):
+        gamma, v, _, message = invalid_chain(c2, case)
+        with pytest.raises(ValueError, match=message):
+            chain_contribution(gamma, v)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_gt_term_eval_rejects(self, c2, case):
+        gamma, v, _, message = invalid_chain(c2, case)
+        with pytest.raises(ValueError, match=message):
+            gt_term_eval(gamma, v, (1, 2), (1, 1))
+
+    @pytest.mark.parametrize("case", CASES[:2])
+    def test_f_i_map_rejects(self, c2, case):
+        gamma, _, word, message = invalid_chain(c2, case)
+        with pytest.raises(ValueError, match=message):
+            f_i_map(gamma, word)
+
+
 class TestGkm:
     def test_constant_class_passes(self, a2):
         values = {u: Polynomial.one(2) for u in enumerate_elements(a2)}

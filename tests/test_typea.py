@@ -18,7 +18,6 @@ from schubres.typea import (
     perm_to_element,
     root_to_xdiff,
     tau_typea,
-    transposition_edges,
     typea_system,
     verify_equivalence,
     xdiff_to_alpha,
@@ -174,7 +173,6 @@ class TestTauTypeA:
         v = perm_to_element(rs, (3, 4, 2, 1))
         for gamma in enumerate_c0(u, v):
             assert element_to_perm(gamma.elements[1]) == (3, 1, 4, 2)
-            assert transposition_edges(gamma)[0] == (1, 4)
             assert chain_deleted_pairs(gamma)[0] == (2, 3)
 
     def test_matches_chain_formula_on_s4(self):

@@ -105,6 +105,21 @@ class TestRepresentation:
             with pytest.raises(ValueError, match="is not a root"):
                 reflection(rs, bad)
 
+    @pytest.mark.parametrize("family,rank", GROUPS_RANK_3)
+    def test_group_table_is_built_with_the_root_table(self, family, rank):
+        rs = build_root_system(LieType(family, rank))
+        e = identity(rs)
+        assert set(rs._cache) == {"root_table", "elements"}
+        for i, alpha in enumerate(rs.simple_roots, 1):
+            s = simple_reflection(rs, i)
+            assert s * s is e
+            assert reflection(rs, alpha) is s
+        negatives = tuple(tuple(-c for c in b) for b in rs.positive_roots)
+        by_sign = [reflection(rs, b) for b in rs.positive_roots + negatives]
+        assert by_sign[: len(negatives)] == by_sign[len(negatives):]
+        assert len(set(by_sign)) == len(negatives)
+        assert set(rs._cache) == {"root_table", "elements"}
+
     def test_inversion_roots_match_matrix_inverse_images(self, a3):
         for v in enumerate_elements(a3):
             vinv = v.inverse()
