@@ -28,10 +28,9 @@ def mat_inv(m):
 def as_int(x) -> int:
     """Exact conversion of a rational to int; a non-integral value means
     an upstream invariant failed."""
-    f = Fraction(x)
-    if f.denominator != 1:
+    if x.denominator != 1:
         raise ArithmeticError(f"expected an integer value, got {x}")
-    return f.numerator
+    return x.numerator
 
 
 def div_exact(vec, d: int):

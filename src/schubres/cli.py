@@ -1,8 +1,8 @@
 """Command-line surface: restrict, chains, subwords, verify and table.
 
 Exit statuses: 0 success, 1 verification failure or method disagreement,
-2 usage error, 3 internal error (an arithmetic invariant or an assertion
-failed inside the library).  Element inputs are words of
+2 usage error, 3 internal error (an arithmetic invariant, an assertion
+or a precondition failed inside the library).  Element inputs are words of
 simple-reflection indices ("1,2,1") by default; in type A, pass
 ``--elements perm`` to use one-line permutations instead.
 Disambiguation is always by flag, never by guessing at the string shape.
@@ -17,7 +17,7 @@ import sys
 
 from . import verify as verify_mod
 from .poly import FactoredPoly, Polynomial, expand
-from .rootsys import LieType, build_root_system
+from .rootsys import LieType, build_root_system, root_system
 from .schubert import (
     chain_contribution,
     enumerate_c0,
@@ -77,10 +77,17 @@ def _parse_element(rs, text: str, elements: str) -> WeylElement:
     return el
 
 
+def _lie_type(family: str, rank: int) -> LieType:
+    try:
+        return LieType(family, rank)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
 def _job(args):
     """The parsed ``--word`` (or None) and the elements u and v of a
     restrict, chains or subwords command, in a newly built root system."""
-    lie_type = LieType(args.type, args.rank)
+    lie_type = _lie_type(args.type, args.rank)
     word = _parse_word(args.word) if args.word else None
     if lie_type.family != "A":
         if args.elements == "perm":
@@ -161,6 +168,15 @@ def _max_order():
     return value
 
 
+def _elements(rs):
+    """Every element of ``rs``, refused over the group order cap."""
+    max_order = _max_order()
+    try:
+        return enumerate_elements(rs, max_order)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
 def cmd_restrict(args) -> int:
     word, u, v = _job(args)
     methods = (
@@ -221,7 +237,10 @@ def cmd_chains(args) -> int:
             contribution = chain_contribution(gamma, v)
             record["contribution"] = expand(contribution).to_json()
         if map_word is not None:
-            record["subword"] = list(f_i_map(gamma, map_word).display())
+            try:
+                record["subword"] = list(f_i_map(gamma, map_word).display())
+            except ValueError as exc:
+                raise UsageError(str(exc)) from None
         records.append((record, contribution))
     if args.format == "json":
         payload = {
@@ -307,6 +326,10 @@ def _suite_runner(args):
     name = args.suite
     if name == "equivalence-typeA":
         rank = args.rank if args.rank is not None else 3
+        # The suite runs on the shared system; enumerating it here applies
+        # the cap to the suite's own enumeration.
+        _lie_type("A", rank)
+        _elements(root_system("A", rank))
         return verify_mod.suite_equivalence_typea(
             rank + 1, pair_sample=args.pairs, seed=args.seed
         )
@@ -321,8 +344,8 @@ def _suite_runner(args):
         raise UsageError("--type is required for this suite")
     # Desk-scale defaults: rank 4 in type A, rank 3 in types B and C.
     rank = args.rank if args.rank is not None else (4 if args.type == "A" else 3)
-    rs = build_root_system(LieType(args.type, rank))
-    enumerate_elements(rs, _max_order())
+    rs = build_root_system(_lie_type(args.type, rank))
+    _elements(rs)
     if name == "gt":
         return runner(rs, samples=args.samples, seed=args.seed, pair_sample=args.pairs)
     return runner(rs)
@@ -335,9 +358,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_table(args) -> int:
-    lie_type = LieType(args.type, args.rank)
+    lie_type = _lie_type(args.type, args.rank)
     rs = build_root_system(lie_type)
-    elements = enumerate_elements(rs, _max_order())
+    elements = _elements(rs)
     labels = [_element_label(el, "word") for el in elements]
     # Column by column, so that the chain sum's one-column memo serves
     # every u of a column; then transposed to rows of u.
@@ -372,7 +395,7 @@ def cmd_table(args) -> int:
     return 0
 
 
-def _add_common_element_args(parser, need_uv=True):
+def _add_common_element_args(parser, need_uv=True, formats=("text", "json", "latex")):
     parser.add_argument("--type", required=True, choices=["A", "B", "C"])
     parser.add_argument("--rank", required=True, type=int)
     if need_uv:
@@ -385,7 +408,7 @@ def _add_common_element_args(parser, need_uv=True):
             help="how --u/--v are written: a word of simple-reflection "
             "indices (default) or, in type A, a one-line permutation",
         )
-    parser.add_argument("--format", choices=["text", "json", "latex"], default="text")
+    parser.add_argument("--format", choices=formats, default="text")
     parser.add_argument("--out", help="write output to a file instead of stdout")
 
 
@@ -406,7 +429,7 @@ def build_parser():
     p.set_defaults(func=cmd_restrict)
 
     p = sub.add_parser("chains", help="list maximal ascending chains")
-    _add_common_element_args(p)
+    _add_common_element_args(p, formats=("text", "json"))
     p.add_argument("--basis", choices=["alpha", "x"], default="alpha")
     p.add_argument(
         "--map-to-subwords",
@@ -417,7 +440,7 @@ def build_parser():
     p.set_defaults(func=cmd_chains)
 
     p = sub.add_parser("subwords", help="list reduced subwords and contributions")
-    _add_common_element_args(p)
+    _add_common_element_args(p, formats=("text", "json"))
     p.add_argument("--basis", choices=["alpha", "x"], default="alpha")
     p.add_argument("--word", help="reduced word for v (default: canonical)")
     p.set_defaults(func=cmd_subwords)
@@ -449,10 +472,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, ValueError) as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ArithmeticError, AssertionError) as exc:
+    except (ArithmeticError, AssertionError, ValueError) as exc:
         print(
             f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr
         )

@@ -6,8 +6,8 @@ Every vector is a coordinate tuple over the simple-root basis
 form is normalized so that long roots have squared length 2; in type B
 the short simple root alpha_n then has squared length 1.
 
-:class:`WeightTable` holds the same weights scaled to integers and the
-integer coroot pairings <omega_i, beta> of each root, built on first
+A root system also holds the same weights scaled to integers and the
+integer coroot pairings <omega_i, beta> of each root, memoized on first
 use, so that the chain route runs in integer arithmetic.
 
 Simple roots are ordered along the Dynkin chain, with the special bond
@@ -94,10 +94,15 @@ def _generate_positive_roots(cart):
 class RootSystem:
     """Simple roots, positive roots, Gram matrix and fundamental weights.
 
+    ``scale`` is the least common denominator of the fundamental weights
+    (:func:`weight_scale`) and ``omegas[i]`` is ``scale * omega_{i+1}`` as
+    an integer tuple.
+
     Instances are immutable after construction and safe to share between
     threads.  The ``_cache`` dict is used by the group layer for
-    memoization keyed by element; entries are only ever filled
-    idempotently, so concurrent readers at worst duplicate work.
+    memoization keyed by element, and :meth:`pairings` memoizes per root;
+    entries are only ever filled idempotently, so concurrent readers at
+    worst duplicate work.
     """
 
     def __init__(self, lie_type: LieType):
@@ -125,7 +130,29 @@ class RootSystem:
         )
         # omega_i is the i-th row of the inverse Cartan matrix.
         self.fundamental_weights = mat_inv(self.cartan)
+        self.scale = weight_scale(self)
+        self.omegas = tuple(
+            tuple(as_int(c * self.scale) for c in omega)
+            for omega in self.fundamental_weights
+        )
+        self._pairings: dict = {}
         self._cache: dict = {}
+
+    def pairings(self, beta) -> tuple:
+        """(<omega_1, beta>, ..., <omega_n, beta>) for a root beta, in integers.
+
+        Since (omega_i, alpha_j) = delta_ij (alpha_i, alpha_i) / 2,
+        <omega_i, beta> = beta_i (alpha_i, alpha_i) / (beta, beta), the i-th
+        coordinate of the coroot of beta on the simple coroots.
+        """
+        got = self._pairings.get(beta)
+        if got is None:
+            norm = as_int(bilinear(self, beta, beta))
+            got = div_exact(
+                tuple(b * as_int(self.gram[i][i]) for i, b in enumerate(beta)), norm
+            )
+            self._pairings[beta] = got
+        return got
 
     def __repr__(self):
         return f"RootSystem({self.lie_type})"
@@ -179,50 +206,6 @@ def weight_scale(rs: RootSystem) -> int:
     """Least common denominator of the fundamental weights: n + 1 in A_n,
     2 in B_n and C_n."""
     return lcm(*(c.denominator for omega in rs.fundamental_weights for c in omega))
-
-
-class WeightTable:
-    """The fundamental weights and coroot pairings of one system, in integers.
-
-    ``omegas[i]`` is ``scale * omega_{i+1}``.  :meth:`pairings` gives
-    (<omega_1, beta>, ..., <omega_n, beta>) for a root beta, memoized per
-    root on first use: since (omega_i, alpha_j) = delta_ij (alpha_i, alpha_i) / 2,
-    <omega_i, beta> = beta_i (alpha_i, alpha_i) / (beta, beta), the i-th
-    coordinate of the coroot of beta on the simple coroots.
-    """
-
-    __slots__ = ("rs", "scale", "omegas", "_lengths", "_pairings")
-
-    def __init__(self, rs: RootSystem):
-        self.rs = rs
-        self.scale = weight_scale(rs)
-        self.omegas = tuple(
-            tuple(as_int(c * self.scale) for c in omega)
-            for omega in rs.fundamental_weights
-        )
-        #: (alpha_i, alpha_i) for each simple root.
-        self._lengths = tuple(as_int(rs.gram[i][i]) for i in range(rs.rank))
-        self._pairings: dict = {}
-
-    def pairings(self, beta) -> tuple:
-        got = self._pairings.get(beta)
-        if got is None:
-            norm = as_int(bilinear(self.rs, beta, beta))
-            got = div_exact(tuple(b * d for b, d in zip(beta, self._lengths)), norm)
-            self._pairings[beta] = got
-        return got
-
-    def __len__(self):
-        """Number of memoized roots; every ``rs._cache`` entry reports its
-        size so."""
-        return len(self._pairings)
-
-
-def weight_table(rs: RootSystem) -> WeightTable:
-    table = rs._cache.get("weight_table")
-    if table is None:
-        table = rs._cache["weight_table"] = WeightTable(rs)
-    return table
 
 
 def h_root(beta) -> int:

@@ -34,7 +34,7 @@ from .poly import (
     _cleared,
     divide_linear,
 )
-from .rootsys import RootSystem, h_root, is_positive, weight_table
+from .rootsys import RootSystem, h_root, is_positive
 from .weyl import (
     WeylElement,
     bruhat_leq,
@@ -202,16 +202,16 @@ def _edge_term(p: WeylElement, beta, v: WeylElement, index):
     vectors, so the denominator divided by the gcd of its coordinates is,
     up to sign, the one factor it can be proportional to.
     """
-    weights = weight_table(v.rs)
+    rs = v.rs
     i = h_root(beta)
-    numerator = weights.pairings(beta)[i - 1]
+    numerator = rs.pairings(beta)[i - 1]
     if numerator <= 0:
         raise CancellationError(
             f"expected a positive integer pairing, got {numerator}"
         )
     denom = div_exact(
         tuple(a - b for a, b in zip(p.omega_images[i - 1], v.omega_images[i - 1])),
-        weights.scale,
+        rs.scale,
     )
     g = math.gcd(*denom)
     if not g:
@@ -532,7 +532,7 @@ class _MomentPoint:
     alpha by ``alpha_scale ** l(u)``.
     """
 
-    __slots__ = ("v", "mu", "alpha", "alpha_scale", "weights", "products", "v_part")
+    __slots__ = ("v", "mu", "alpha", "alpha_scale", "products", "v_part")
 
     def __init__(self, v: WeylElement, mu, alpha_values):
         rank = v.rs.rank
@@ -544,7 +544,6 @@ class _MomentPoint:
             raise ValueError("mu must be strictly positive")
         self.v = v
         self.mu = mu
-        self.weights = weight_table(v.rs)
         #: mu_i alpha_j, in the order of the flattened omega images.
         self.products = tuple(m * t for m in self.mu for t in self.alpha)
         self.v_part = self._paired(v)
@@ -556,8 +555,8 @@ class _MomentPoint:
 
     def numerator(self, beta) -> int:
         """scale * <mu, beta^vee>, the numerator of the edge ratio of beta."""
-        pairings = self.weights.pairings(beta)
-        return self.weights.scale * sum(map(mul, self.mu, pairings))
+        rs = self.v.rs
+        return rs.scale * sum(map(mul, self.mu, rs.pairings(beta)))
 
     def denominator(self, p: WeylElement) -> int:
         """scale * <mu, (p omega - v omega)(alpha)>, the denominator of every

@@ -58,23 +58,6 @@ def typea_system(n: int) -> RootSystem:
     return root_system("A", n - 1)
 
 
-def reduced_word_of_perm(p: Permutation):
-    """A reduced word obtained by repeatedly removing right descents."""
-    _check_permutation(p)
-    cur = list(p)
-    rev = []
-    n = len(cur)
-    while True:
-        for i in range(n - 1):
-            if cur[i] > cur[i + 1]:
-                cur[i], cur[i + 1] = cur[i + 1], cur[i]
-                rev.append(i + 1)
-                break
-        else:
-            break
-    return tuple(reversed(rev))
-
-
 def perm_to_element(rs: RootSystem, p: Permutation) -> WeylElement:
     """Codec: one-line permutation to the group element acting on roots."""
     _check_permutation(p)
@@ -82,7 +65,7 @@ def perm_to_element(rs: RootSystem, p: Permutation) -> WeylElement:
         raise ValueError(
             f"size mismatch: permutation of {len(p)} values needs type A rank {len(p) - 1}"
         )
-    return element_from_word(rs, reduced_word_of_perm(p))
+    return element_from_word(rs, canonical_word_iv(p))
 
 
 def element_to_perm(u: WeylElement) -> Permutation:

@@ -353,11 +353,14 @@ def suite_equivalence_typea(
     rs = root_system("A", n - 1)
     elements = enumerate_elements(rs)
     perms = [element_to_perm(el) for el in elements]
-    pairs = [(pu, pv) for pu in perms for pv in perms]
-    if pair_sample is not None and pair_sample < len(pairs):
-        rng = random.Random(seed)
-        pairs = rng.sample(pairs, pair_sample)
-    for pu, pv in pairs:
+    # Pair k is (perms[k // N], perms[k % N]); sampling the indices draws
+    # the same pairs as sampling the list of all N^2 pairs would.
+    indices = range(len(perms) ** 2)
+    if pair_sample is not None and pair_sample < len(indices):
+        indices = random.Random(seed).sample(indices, pair_sample)
+    for k in indices:
+        a, b = divmod(k, len(perms))
+        pu, pv = perms[a], perms[b]
         report = verify_equivalence(pu, pv)
         result.check(
             report.ok,

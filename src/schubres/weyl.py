@@ -9,10 +9,10 @@ the product is one tuple lookup per root, the inverse is the inverse
 permutation and the length counts positive indices sent to negative
 ones.  The action matrix on the simple-root basis (columns are the
 images of the simple roots; all entries are integers) is derived from
-the permutation and cached on first use.
+the permutation on each access.
 
-Weights stay in integers too.  The weight table of ``rootsys`` holds
-``scale``, the least common denominator of the fundamental weights, and
+Weights stay in integers too.  The root system holds ``scale``, the
+least common denominator of the fundamental weights, and ``omegas``,
 ``scale * omega_i`` as integer tuples; ``omega_images`` of an element is
 ``scale * w(omega_i)`` for every i, computed once from the integer
 matrix.  ``h_pair`` and ``omega_drop`` compare and subtract these images,
@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 
 from ._linalg import div_exact
-from .rootsys import RootSystem, Vector, weight_table
+from .rootsys import RootSystem, Vector
 
 #: Default cap on the group order for exhaustive enumeration.
 DEFAULT_MAX_GROUP_ORDER = 100_000
@@ -147,12 +147,12 @@ class WeylElement:
     @property
     def omega_images(self):
         """``scale * w(omega_i)`` for i = 1..n, as integer tuples, where
-        ``scale`` is that of the system's weight table."""
+        ``scale`` is that of the root system."""
         if self._omega_images is None:
             matrix = self.matrix
             self._omega_images = tuple(
                 tuple(sum(a * b for a, b in zip(row, omega)) for row in matrix)
-                for omega in weight_table(self.rs).omegas
+                for omega in self.rs.omegas
             )
         return self._omega_images
 
@@ -349,10 +349,9 @@ def omega_drop(u: WeylElement, j: int):
     h = h_pair(identity(rs), u)
     if j != h:
         raise ValueError(f"precondition violation: j={j} but h(id, u)={h}")
-    table = weight_table(rs)
     drop = div_exact(
-        tuple(a - b for a, b in zip(table.omegas[j - 1], u.omega_images[j - 1])),
-        table.scale,
+        tuple(a - b for a, b in zip(rs.omegas[j - 1], u.omega_images[j - 1])),
+        rs.scale,
     )
     if drop in rs.roots:
         return drop, "root"

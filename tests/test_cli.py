@@ -255,6 +255,19 @@ class TestChains:
         assert err == "error: word '1,1' is not reduced\n"
 
 
+    def test_latex_is_refused(self, capsys):
+        # The listing has no LaTeX rendering, so the choice is not offered.
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "chains", "--type", "A", "--rank", "2", "--u", "1", "--v", "1,2,1",
+                "--format", "latex",
+            ])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: argument --format: invalid choice: 'latex'" in captured.err
+
+
 class TestSubwords:
     def test_a3_masks_and_contributions(self, capsys):
         code, out, _ = run(
@@ -284,6 +297,19 @@ class TestSubwords:
         )
         assert (code, out) == (2, "")
         assert err == "error: word '1,1' is not reduced\n"
+
+
+    def test_latex_is_refused(self, capsys):
+        # The listing has no LaTeX rendering, so the choice is not offered.
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "subwords", "--type", "A", "--rank", "2", "--u", "1", "--v", "1,2,1",
+                "--format", "latex",
+            ])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: argument --format: invalid choice: 'latex'" in captured.err
 
 
 class TestTypeAOnlyFlags:
@@ -405,6 +431,92 @@ class TestVerify:
         assert captured.err.endswith(
             f"error: argument {flag}: must be a positive integer, got {raw!r}\n"
         )
+
+
+class TestErrorStatus:
+    """A ``ValueError`` the library raises on user input is a usage error
+    with the library's message; any other ``ValueError`` is internal."""
+
+    A2_CHAIN = ("chains", "--type", "A", "--rank", "2", "--u", "1", "--v", "1,2,1")
+    CAP_A2 = "group order 6 of A2 exceeds the enumeration cap 5"
+
+    @pytest.mark.parametrize(
+        "argv,cap,message",
+        [
+            (
+                ("restrict", "--type", "A", "--rank", "0", "--u", "1", "--v", "1"),
+                None,
+                "rank must be at least 1",
+            ),
+            (
+                ("subwords", "--type", "B", "--rank", "1", "--u", "1", "--v", "1"),
+                None,
+                "degenerate family: B1 is not supported",
+            ),
+            (
+                ("verify", "--suite", "gkm", "--type", "C", "--rank", "1"),
+                None,
+                "degenerate family: C1 is not supported",
+            ),
+            (
+                ("table", "--type", "A", "--rank", "0"),
+                None,
+                "rank must be at least 1",
+            ),
+            (("verify", "--suite", "oracle", "--type", "A", "--rank", "2"), "5", CAP_A2),
+            (("table", "--type", "A", "--rank", "2"), "5", CAP_A2),
+            (
+                ("verify", "--suite", "equivalence-typeA", "--rank", "0"),
+                None,
+                "rank must be at least 1",
+            ),
+            (("verify", "--suite", "equivalence-typeA", "--rank", "2"), "5", CAP_A2),
+            (
+                A2_CHAIN + ("--map-to-subwords", "--word", "1,1"),
+                None,
+                "word is not reduced",
+            ),
+            (
+                A2_CHAIN + ("--map-to-subwords", "--word", "1,2"),
+                None,
+                "chain does not end at the element of the word",
+            ),
+            (
+                A2_CHAIN + ("--map-to-subwords", "--word", "1,2,9"),
+                None,
+                "invalid word: letter 9 out of range 1..2",
+            ),
+        ],
+        ids=[
+            "restrict-rank-0",
+            "subwords-b1",
+            "verify-c1",
+            "table-rank-0",
+            "verify-cap",
+            "table-cap",
+            "equivalence-rank-0",
+            "equivalence-cap",
+            "map-word-not-reduced",
+            "map-word-not-v",
+            "map-word-bad-letter",
+        ],
+    )
+    def test_user_input_is_usage_error(self, capsys, monkeypatch, argv, cap, message):
+        if cap is None:
+            monkeypatch.delenv("SCHUBERT_MAX_GROUP_ORDER", raising=False)
+        else:
+            monkeypatch.setenv("SCHUBERT_MAX_GROUP_ORDER", cap)
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+    def test_internal_value_error_exits_3(self, capsys, monkeypatch):
+        def broken(p, beta, v, index):
+            raise ValueError("edge out of step")
+
+        monkeypatch.setattr(schubert, "_edge_term", broken)
+        assert run(
+            capsys,
+            "restrict", "--type", "B", "--rank", "2", "--u", "2", "--v", "1,2,1",
+        ) == (3, "", "error: internal error: ValueError: edge out of step\n")
 
 
 class TestTableAndPlumbing:

@@ -12,7 +12,6 @@ from schubres.rootsys import (
     pairing,
     reflect,
     root_system,
-    weight_table,
 )
 
 ALL_SMALL = [("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("C", 2), ("C", 3)]
@@ -209,28 +208,28 @@ class TestWeightTable:
     )
     def test_pairings_match_pairing(self, family, rank):
         rs = build_root_system(LieType(family, rank))
-        table = weight_table(rs)
         for beta in rs.roots:
-            got = table.pairings(beta)
+            got = rs.pairings(beta)
             assert all(type(c) is int for c in got)
             assert got == tuple(
                 pairing(rs, omega, beta) for omega in rs.fundamental_weights
             )
-        assert len(table) == len(rs.roots)
+        assert len(rs._pairings) == len(rs.roots)
 
     @pytest.mark.parametrize("family,rank", ALL_SMALL)
     def test_scaled_weights_are_integral(self, family, rank):
         rs = root_system(family, rank)
-        table = weight_table(rs)
-        assert table.scale == (rank + 1 if family == "A" else 2)
-        for omega, scaled in zip(rs.fundamental_weights, table.omegas):
+        assert rs.scale == (rank + 1 if family == "A" else 2)
+        for omega, scaled in zip(rs.fundamental_weights, rs.omegas):
             assert all(type(c) is int for c in scaled)
-            assert scaled == tuple(table.scale * c for c in omega)
+            assert scaled == tuple(rs.scale * c for c in omega)
 
-    def test_built_lazily(self):
+    def test_pairings_memoized_per_root(self):
         rs = build_root_system(LieType("B", 3))
-        assert "weight_table" not in rs._cache
-        table = weight_table(rs)
-        assert len(table) == 0
-        table.pairings((0, 1, 1))
-        assert len(table) == 1
+        assert rs._pairings == {}
+        rs.pairings((0, 1, 1))
+        assert len(rs._pairings) == 1
+        rs.pairings((0, 1, 1))
+        assert len(rs._pairings) == 1
+        rs.pairings((1, 1, 0))
+        assert len(rs._pairings) == 2

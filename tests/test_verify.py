@@ -1,11 +1,14 @@
 """Suite bookkeeping: case counts and failure messages."""
 
+import random
+
 import pytest
 
 from schubres import verify
 from schubres.poly import Polynomial
 from schubres.rootsys import root_system
 from schubres.schubert import NonGenericPointError, _subword_sums, tau_chain
+from schubres.typea import element_to_perm
 from schubres.verify import SuiteResult, suite_oracle
 from schubres.weyl import (
     all_reduced_words,
@@ -86,6 +89,26 @@ def test_oracle_case_counts(family, cases):
     result = suite_oracle(root_system(family, 3))
     assert result.failures == []
     assert result.cases == cases
+
+
+@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("seed", [0, 7, 2024])
+def test_equivalence_sample_draws_the_pairs_of_the_full_list(monkeypatch, n, seed):
+    # Sampling pair indices must draw what sampling the list of all N^2
+    # pairs drew, so a seed keeps naming the same cases.
+    seen = []
+    real = verify.verify_equivalence
+
+    def recording(pu, pv):
+        seen.append((pu, pv))
+        return real(pu, pv)
+
+    monkeypatch.setattr(verify, "verify_equivalence", recording)
+    result = verify.suite_equivalence_typea(n, pair_sample=10, seed=seed)
+    perms = [element_to_perm(el) for el in enumerate_elements(root_system("A", n - 1))]
+    pairs = [(pu, pv) for pu in perms for pv in perms]
+    assert seen == random.Random(seed).sample(pairs, 10)
+    assert (result.cases, result.failures) == (10, [])
 
 
 class ScriptedRng:
