@@ -19,6 +19,8 @@ from . import verify as verify_mod
 from .poly import FactoredPoly, Polynomial, expand
 from .rootsys import LieType, build_root_system, root_system
 from .schubert import (
+    _reduced_element,
+    _tau_table,
     chain_contribution,
     enumerate_c0,
     enumerate_max_chains,
@@ -84,9 +86,14 @@ def _lie_type(family: str, rank: int) -> LieType:
         raise UsageError(str(exc)) from None
 
 
-def _job(args):
-    """The parsed ``--word`` (or None) and the elements u and v of a
-    restrict, chains or subwords command, in a newly built root system."""
+def _job(args, mismatch: str):
+    """The reduced word for v and the elements u and v of a restrict,
+    chains or subwords command, in a newly built root system.
+
+    A ``--word`` is checked whether or not the command goes on to use it:
+    its letters in range, reduced, and evaluating to v (else the usage
+    error ``mismatch``).  Without one, the word is v's canonical word.
+    """
     lie_type = _lie_type(args.type, args.rank)
     word = _parse_word(args.word) if args.word else None
     if lie_type.family != "A":
@@ -99,6 +106,14 @@ def _job(args):
     rs = build_root_system(lie_type)
     u = _parse_element(rs, args.u, args.elements)
     v = _parse_element(rs, args.v, args.elements)
+    if word is None:
+        return v.canonical_word, u, v
+    try:
+        target = _reduced_element(rs, word)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    if target != v:
+        raise UsageError(mismatch)
     return word, u, v
 
 
@@ -178,7 +193,7 @@ def _elements(rs):
 
 
 def cmd_restrict(args) -> int:
-    word, u, v = _job(args)
+    word, u, v = _job(args, "word does not evaluate to v")
     methods = (
         ["chain", "billey"] + (["typea"] if u.rs.lie_type.family == "A" else [])
         if args.method == "all"
@@ -189,10 +204,7 @@ def cmd_restrict(args) -> int:
         if method == "chain":
             values[method] = tau_chain(u, v)
         elif method == "billey":
-            try:
-                values[method] = tau_billey(u, v, word)
-            except ValueError as exc:
-                raise UsageError(str(exc)) from None
+            values[method] = tau_billey(u, v, word)
         else:
             values[method] = tau_typea(element_to_perm(u), element_to_perm(v))
     agree = len(set(values.values())) == 1
@@ -218,12 +230,9 @@ def cmd_restrict(args) -> int:
 
 
 def cmd_chains(args) -> int:
-    word, u, v = _job(args)
+    word, u, v = _job(args, "chain does not end at the element of the word")
     chains = enumerate_max_chains(u, v)
     in_c0 = set(enumerate_c0(u, v))
-    map_word = word if args.map_to_subwords else None
-    if map_word is None and args.map_to_subwords:
-        map_word = v.canonical_word
     records = []
     for gamma in chains:
         record = {
@@ -236,11 +245,8 @@ def cmd_chains(args) -> int:
         if gamma in in_c0:
             contribution = chain_contribution(gamma, v)
             record["contribution"] = expand(contribution).to_json()
-        if map_word is not None:
-            try:
-                record["subword"] = list(f_i_map(gamma, map_word).display())
-            except ValueError as exc:
-                raise UsageError(str(exc)) from None
+        if args.map_to_subwords:
+            record["subword"] = list(f_i_map(gamma, word).display())
         records.append((record, contribution))
     if args.format == "json":
         payload = {
@@ -279,19 +285,10 @@ def cmd_chains(args) -> int:
 
 
 def cmd_subwords(args) -> int:
-    word, u, v = _job(args)
+    word, u, v = _job(args, "--word does not evaluate to v")
     rs = u.rs
-    if word is None:
-        word = v.canonical_word
-    try:
-        subwords = enumerate_reduced_subwords(u, word)
-        target = element_from_word(rs, word)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    if target != v:
-        raise UsageError("--word does not evaluate to v")
     records = []
-    for sub in subwords:
+    for sub in enumerate_reduced_subwords(u, word):
         contribution = subword_contribution(rs, sub)
         records.append((sub, contribution))
     if args.format == "json":
@@ -362,10 +359,7 @@ def cmd_table(args) -> int:
     rs = build_root_system(lie_type)
     elements = _elements(rs)
     labels = [_element_label(el, "word") for el in elements]
-    # Column by column, so that the chain sum's one-column memo serves
-    # every u of a column; then transposed to rows of u.
-    columns = [[tau_chain(u, v) for u in elements] for v in elements]
-    rows = list(zip(*columns))
+    rows = [row.values() for row in _tau_table(elements).values()]
     if args.format == "json":
         payload = {
             "schema": SCHEMA,

@@ -4,9 +4,8 @@ The three computation routes:
 
 * ``tau_chain`` -- sum of contributions of the maximal ascending chains
   whose edge roots have nondecreasing h statistic, by a memoized dynamic
-  program over (element, h-floor) states for one top element at a time,
-  grouped by the set of cancelled factors of lambda_minus(v) and expanded
-  once per group;
+  program over (element, h-floor) states, grouped by the set of
+  cancelled factors of lambda_minus(v) and expanded once per group;
 * ``tau_billey`` -- sum of subword contributions over the reduced
   subwords of a reduced word for the top element, by a dynamic program
   over the positions of the word;
@@ -16,6 +15,13 @@ The three computation routes:
 
 All of them produce exact rational data and must agree; the ``verify``
 module wires the cross-checks together.
+
+Every walk up to a top element v -- the chain sum, both chain
+enumerators and the moment-map path sum -- reads one column per v
+(:class:`_ChainColumn`): it decides once whether an element lies below
+v and checks each cover of the interval once, whichever walk meets it
+first.  Tables are filled one v at a time (:func:`_tau_table`), so the
+one column kept per root system serves a whole column of the table.
 """
 
 from __future__ import annotations
@@ -118,15 +124,22 @@ def _require_same_system(u: WeylElement, v: WeylElement):
         raise ValueError("elements belong to different root systems")
 
 
+def _edge_fault(p: WeylElement, beta, w: WeylElement):
+    """What is wrong with the edge p -beta-> w, or None: it must be the
+    right reflection by the positive root beta, and ascending."""
+    if p * reflection(p.rs, beta) != w:
+        return f"edge {p!r} -> {w!r} is not a right reflection by {beta}"
+    if not is_positive(beta) or not is_positive(p.act(beta)):
+        return f"edge {p!r} -{beta}-> is not ascending"
+    return None
+
+
 def _validate_ascending(gamma: Chain):
     """Each step must be u_k = u_{k-1} s_{beta_k} with the length increasing."""
-    for k, beta in enumerate(gamma.betas):
-        a = gamma.elements[k]
-        b = gamma.elements[k + 1]
-        if a * reflection(a.rs, beta) != b:
-            raise ValueError(f"edge {k + 1} is not a right reflection by {beta}")
-        if not is_positive(beta) or not is_positive(a.act(beta)):
-            raise ValueError(f"edge {k + 1} is not ascending")
+    for a, beta, b in zip(gamma.elements, gamma.betas, gamma.elements[1:]):
+        fault = _edge_fault(a, beta, b)
+        if fault is not None:
+            raise ValueError(fault)
 
 
 def _validate_saturated(gamma: Chain):
@@ -151,16 +164,17 @@ def _walk_chains(u: WeylElement, v: WeylElement, monotone: bool):
         return (Chain((u,), ()),)
     if not bruhat_leq(u, v):
         return ()
+    column = _chain_column(v)
     chains = []
 
     def walk(cur, elems, betas, floor):
         for beta, w in covers_above(cur):
             h = h_root(beta)
-            if h < floor:
+            if h < floor or not column.edge(cur, beta, w):
                 continue
             if w == v:
                 chains.append(Chain(elems + (w,), betas + (beta,)))
-            elif w.length < v.length and bruhat_leq(w, v):
+            else:
                 walk(w, elems + (w,), betas + (beta,), h if monotone else 1)
 
     walk(u, (u,), (), 1)
@@ -262,31 +276,24 @@ def chain_contribution(gamma: Chain, v: WeylElement) -> FactoredPoly:
     return FactoredPoly(scalar, rest, v.rs.rank)
 
 
-def _check_edge(p: WeylElement, beta, w: WeylElement):
-    """A cover p -> w must be the right reflection by the positive root
-    beta, ascending, and one longer; anything else is an internal fault."""
-    if p * reflection(p.rs, beta) != w:
-        raise AssertionError(f"edge {p!r} -> {w!r} is not a right reflection by {beta}")
-    if not is_positive(beta) or not is_positive(p.act(beta)):
-        raise AssertionError(f"edge {p!r} -{beta}-> is not ascending")
-    if w.length != p.length + 1:
-        raise AssertionError(f"edge {p!r} -> {w!r} does not raise the length by one")
-
-
 #: The sums of the state at v itself: the empty chain, nothing cancelled.
 _AT_TOP = {0: 1}
 
 
 class _ChainColumn:
-    """The chain sum's memo for one top element v.
+    """Everything kept for one top element v, shared by every walk up to
+    v: the chain sum's dynamic program, both chain enumerators and the
+    moment-map path sum.
 
+    ``under`` memoizes whether an element is below v, and ``edges`` holds
+    each cover below v that a walk has met, checked once (:meth:`edge`),
+    with its chain-sum term, or None until one is needed.
     ``states[(w, floor)]`` maps each set of cancelled factors (a bitmask
     over ``factors``, the sorted factors of lambda_minus(v)) to the summed
     scalar of the h-monotone maximal chains from w to v whose edge roots
     all have h at least ``floor``; these are all a chain's remaining
-    edges depend on.  ``edges`` holds each checked edge's term, or None
-    until one is needed, ``under`` whether an element is below v, and
-    ``expansions`` the product of the factors outside each mask.
+    edges depend on.  ``expansions`` holds the product of the factors
+    outside each mask.
     """
 
     __slots__ = ("v", "factors", "index", "states", "edges", "under", "expansions")
@@ -307,6 +314,23 @@ class _ChainColumn:
             len(self.states) + len(self.edges) + len(self.under) + len(self.expansions)
         )
 
+    def edge(self, p: WeylElement, beta, w: WeylElement) -> bool:
+        """Whether the cover p -beta-> w of ``covers_above(p)`` lies below
+        v.  The first time any walk meets a cover below v, it is checked:
+        one that is not an ascending right reflection raising the length
+        by one is an internal fault."""
+        under = self.under.get(w)
+        if under is None:
+            under = self.under[w] = w == self.v or bruhat_leq(w, self.v)
+        if under and (p, beta) not in self.edges:
+            fault = _edge_fault(p, beta, w)
+            if fault is None and w.length != p.length + 1:
+                fault = f"edge {p!r} -> {w!r} does not raise the length by one"
+            if fault is not None:
+                raise AssertionError(fault)
+            self.edges[p, beta] = None
+        return under
+
     def sums(self, p: WeylElement, floor: int) -> dict:
         key = (p, floor)
         got = self.states.get(key)
@@ -317,20 +341,14 @@ class _ChainColumn:
         got = {}
         for beta, w in covers_above(p):
             h = h_root(beta)
-            if h < floor:
+            if h < floor or not self.edge(p, beta, w):
                 continue
-            if not self.below(w):
-                continue
-            edge_key = (p, beta)
-            if edge_key not in edges:
-                _check_edge(p, beta, w)
-                edges[edge_key] = None
             rest = _AT_TOP if w == v else self.sums(w, h)
             if not rest:
                 continue
-            term = edges[edge_key]
+            term = edges[p, beta]
             if term is None:
-                term = edges[edge_key] = _edge_term(p, beta, v, self.index)
+                term = edges[p, beta] = _edge_term(p, beta, v, self.index)
             idx, ratio = term
             bit = 1 << idx
             for mask, scalar in rest.items():
@@ -340,13 +358,6 @@ class _ChainColumn:
                 acc = got.get(mask)
                 got[mask] = ratio * scalar if acc is None else acc + ratio * scalar
         self.states[key] = got
-        return got
-
-    def below(self, w: WeylElement) -> bool:
-        """Whether w <= v, memoized for the column."""
-        got = self.under.get(w)
-        if got is None:
-            got = self.under[w] = w == self.v or bruhat_leq(w, self.v)
         return got
 
     def expansion(self, mask: int) -> Polynomial:
@@ -363,7 +374,7 @@ class _ChainColumn:
 
 
 def _chain_column(v: WeylElement) -> _ChainColumn:
-    """The memo for v; it replaces that of any other top element, so
+    """The column of v; it replaces that of any other top element, so
     ``rs._cache`` holds one column at a time."""
     column = v.rs._cache.get("chain_column")
     if column is None or column.v != v:
@@ -377,7 +388,7 @@ def tau_chain(u: WeylElement, v: WeylElement) -> Polynomial:
     The same sum as that of :func:`chain_contribution` over
     :func:`enumerate_c0`, regrouped: the chains' scalars are summed per
     set of cancelled factors and each group is expanded once.  Filling
-    many pairs with the same v in a row reuses one memo.
+    many pairs with the same v in a row reuses one column.
     """
     _require_same_system(u, v)
     got = Polynomial.zero(u.rs.rank)
@@ -388,6 +399,22 @@ def tau_chain(u: WeylElement, v: WeylElement) -> Polynomial:
             term = column.expansion(mask)
             got = got + (term if scalar == 1 else term * scalar)
     return got
+
+
+def _tau_table(elements, pairs=None):
+    """Restrictions as ``{u: {v: tau_chain(u, v)}}``: of every pair, each
+    row in the order of ``elements``, or of ``pairs`` only.  Filled one v
+    at a time, in the order of ``elements``, so that one column serves
+    every pair with that v."""
+    if pairs is None:
+        pairs = itertools.product(elements, repeat=2)
+    else:
+        position = {v: k for k, v in enumerate(elements)}
+        pairs = sorted(((v, u) for u, v in pairs), key=lambda vu: position[vu[0]])
+    table = {u: {} for u in elements}
+    for v, u in pairs:
+        table[u][v] = tau_chain(u, v)
+    return table
 
 
 def _reduced_element(rs: RootSystem, word) -> WeylElement:
@@ -607,8 +634,9 @@ def tau_gt_eval(u: WeylElement, v: WeylElement, mu, alpha_values) -> Fraction:
     so the sum over the maximal chains from p to v is the sum, over the
     covers p -s_beta-> w below v, of <mu, beta^vee> times the sum from w,
     divided by <mu, (p omega - v omega)(alpha)>.  Each element's sum is
-    computed once, as a reduced pair of integers, and each edge is checked
-    once.  The interval is graded, so every element of [u, v) lies on a
+    computed once, as a reduced pair of integers; the covers below v come
+    from the column of v, which checks each of them once for every point
+    and every other walk up to v.  The interval is graded, so every element of [u, v) lies on a
     maximal chain, and a vanishing denominator raises
     :class:`NonGenericPointError` at exactly the points where some chain's
     term does.
@@ -617,6 +645,7 @@ def tau_gt_eval(u: WeylElement, v: WeylElement, mu, alpha_values) -> Fraction:
     point = _MomentPoint(v, mu, alpha_values)
     if not bruhat_leq(u, v):
         return Fraction(0)
+    column = _chain_column(v)
     sums = {v: (1, 1)}
 
     def total(p):
@@ -625,9 +654,8 @@ def tau_gt_eval(u: WeylElement, v: WeylElement, mu, alpha_values) -> Fraction:
             return got
         numerator, denominator = 0, 1
         for beta, w in covers_above(p):
-            if not bruhat_leq(w, v):
+            if not column.edge(p, beta, w):
                 continue
-            _check_edge(p, beta, w)
             w_numerator, w_denominator = total(w)
             term = point.numerator(beta) * w_numerator
             if w_denominator == denominator:

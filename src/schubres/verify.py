@@ -17,13 +17,13 @@ from .rootsys import RootSystem, h_root, is_positive, root_system
 from .schubert import (
     NonGenericPointError,
     _subword_step,
+    _tau_table,
     chain_contribution,
     enumerate_c0,
     enumerate_max_chains,
     gkm_check_class,
     gt_term_eval,
     lambda_minus,
-    tau_chain,
     tau_gt_eval,
 )
 from .typea import element_to_perm, tau_typea, verify_equivalence
@@ -81,22 +81,6 @@ def bruhat_pairs(rs: RootSystem):
     ]
 
 
-def _classes(elements, pairs=None):
-    """Restrictions as ``{u: {v: tau_chain(u, v)}}``: of every pair, or of
-    ``pairs`` only.  Filled with v in the outer loop, in the order of
-    ``elements``, so that the chain sum's one-column memo serves each
-    column."""
-    if pairs is None:
-        pairs = [(u, v) for v in elements for u in elements]
-    else:
-        position = {v: k for k, v in enumerate(elements)}
-        pairs = sorted(pairs, key=lambda pair: position[pair[1]])
-    table = {u: {} for u in elements}
-    for u, v in pairs:
-        table[u][v] = tau_chain(u, v)
-    return table
-
-
 def _reduced_word_trie(rs: RootSystem):
     """Every reduced word of the group, depth first in lexicographic
     order, as (word, element, subword states).
@@ -126,7 +110,7 @@ def suite_oracle(rs: RootSystem) -> SuiteResult:
     """
     result = SuiteResult(f"oracle[{rs.lie_type}]")
     elements = enumerate_elements(rs)
-    table = _classes(elements, bruhat_pairs(rs))
+    table = _tau_table(elements, bruhat_pairs(rs))
     zero = Polynomial.zero(rs.rank)
     for word, v, sums in _reduced_word_trie(rs):
         for u in elements:
@@ -154,7 +138,7 @@ def suite_characterization(rs: RootSystem) -> SuiteResult:
     """Degree, support and normalization of every computed class value."""
     result = SuiteResult(f"characterization[{rs.lie_type}]")
     elements = enumerate_elements(rs)
-    table = _classes(elements)
+    table = _tau_table(elements)
     for u in elements:
         result.check(
             table[u][u] == expand(lambda_minus(u)),
@@ -175,29 +159,19 @@ def suite_characterization(rs: RootSystem) -> SuiteResult:
     return result
 
 
-def _power_of_two_exponent(value: Fraction):
-    den = value.denominator
-    exponent = 0
-    while den % 2 == 0:
-        den //= 2
-        exponent += 1
-    return exponent if den == 1 else None
-
-
 def suite_positivity(rs: RootSystem) -> SuiteResult:
     """Nonnegativity and integrality of chain contributions and totals.
 
-    Types A and C must be nonnegative integers throughout; in type B each
-    chain contribution times 2^m must be integral and the total must lie
-    in 2^-L Z>=0 with L at most the total chain length.
+    Every restriction must be a nonnegative integer polynomial.  So must
+    each chain contribution in types A and C; in type B a chain
+    contribution can carry halves, and times 2^m, m its number of edges,
+    it must be a nonnegative integer polynomial.
     """
     result = SuiteResult(f"positivity[{rs.lie_type}]")
     family = rs.lie_type.family
-    table = _classes(enumerate_elements(rs))
+    table = _tau_table(enumerate_elements(rs))
     for u, v in bruhat_pairs(rs):
-        chains = enumerate_c0(u, v)
-        total_chain_length = sum(len(g.betas) for g in chains)
-        for gamma in chains:
+        for gamma in enumerate_c0(u, v):
             contribution = expand(chain_contribution(gamma, v))
             m = len(gamma.betas)
             if family in ("A", "C"):
@@ -219,22 +193,11 @@ def suite_positivity(rs: RootSystem) -> SuiteResult:
                     lambda: f"2^m-scaled contribution not integral at u={u!r}, v={v!r}",
                 )
         value = table[u][v]
-        if family in ("A", "C"):
-            result.check(
-                all(c >= 0 and c.denominator == 1 for c in value.terms.values()),
-                lambda: "restriction not a nonnegative integer polynomial "
-                f"at u={u!r}, v={v!r}",
-            )
-        else:
-            exponents = [
-                _power_of_two_exponent(c) for c in value.terms.values()
-            ]
-            result.check(
-                all(c >= 0 for c in value.terms.values())
-                and all(e is not None for e in exponents)
-                and max(exponents, default=0) <= total_chain_length,
-                lambda: f"type B restriction outside 2^-L Z>=0 at u={u!r}, v={v!r}",
-            )
+        result.check(
+            all(c >= 0 and c.denominator == 1 for c in value.terms.values()),
+            lambda: "restriction not a nonnegative integer polynomial "
+            f"at u={u!r}, v={v!r}",
+        )
     return result
 
 
@@ -243,7 +206,7 @@ def suite_gkm(rs: RootSystem) -> SuiteResult:
     class fails it."""
     result = SuiteResult(f"gkm[{rs.lie_type}]")
     elements = enumerate_elements(rs)
-    table = _classes(elements)
+    table = _tau_table(elements)
     for u in elements:
         report = gkm_check_class(rs, table[u])
         result.cases += report.edges_checked
@@ -300,7 +263,7 @@ def suite_gt(
     pairs = bruhat_pairs(rs)
     if pair_sample is not None and pair_sample < len(pairs):
         pairs = rng.sample(pairs, pair_sample)
-    table = _classes(enumerate_elements(rs), pairs)
+    table = _tau_table(enumerate_elements(rs), pairs)
     for u, v in pairs:
         value_poly = table[u][v]
         for _ in range(samples):

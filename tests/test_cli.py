@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from schubres import cli, schubert, verify, weyl
+from schubres import cli, schubert, weyl
 from schubres.cli import main
 from schubres.poly import CancellationError, Polynomial
 from schubres.rootsys import root_system
@@ -111,7 +111,16 @@ class TestRestrict:
         )
         assert "Traceback" not in err
 
-    def test_broken_chain_edge_exits_3(self, capsys, monkeypatch):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("restrict", "--type", "A", "--rank", "2", "--u", "", "--v", "1,2,1"),
+            ("chains", "--type", "A", "--rank", "2", "--u", "", "--v", "1,2,1"),
+            ("verify", "--suite", "gt", "--type", "A", "--rank", "2", "--samples", "1"),
+        ],
+        ids=["restrict", "chains", "verify-gt"],
+    )
+    def test_broken_chain_edge_exits_3(self, capsys, monkeypatch, argv):
         real = schubert.covers_above
 
         def swapped(u):
@@ -125,10 +134,7 @@ class TestRestrict:
             )
 
         monkeypatch.setattr(schubert, "covers_above", swapped)
-        code, out, err = run(
-            capsys,
-            "restrict", "--type", "A", "--rank", "2", "--u", "", "--v", "1,2,1",
-        )
+        code, out, err = run(capsys, *argv)
         assert code == 3
         assert out == ""
         lines = err.splitlines()
@@ -150,7 +156,7 @@ class TestRestrict:
 
         # The chain route is stubbed out, so the broken edge is met by the
         # moment-map path sum alone.
-        monkeypatch.setattr(verify, "tau_chain", lambda u, v: Polynomial.zero(2))
+        monkeypatch.setattr(schubert, "tau_chain", lambda u, v: Polynomial.zero(2))
         monkeypatch.setattr(schubert, "covers_above", swapped)
         code, out, err = run(
             capsys,
@@ -507,6 +513,32 @@ class TestErrorStatus:
         else:
             monkeypatch.setenv("SCHUBERT_MAX_GROUP_ORDER", cap)
         assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+    #: What each command says when --word is reduced but not a word for v.
+    MISMATCH = {
+        "restrict": "word does not evaluate to v",
+        "chains": "chain does not end at the element of the word",
+        "subwords": "--word does not evaluate to v",
+    }
+
+    @pytest.mark.parametrize("command", ["restrict", "chains", "subwords"])
+    @pytest.mark.parametrize(
+        "word,message",
+        [
+            ("9", "invalid word: letter 9 out of range 1..2"),
+            ("1,1", "word is not reduced"),
+            ("1,2", None),
+        ],
+        ids=["bad-letter", "not-reduced", "other-element"],
+    )
+    def test_word_is_checked_whenever_given(self, capsys, command, word, message):
+        # u is not below v, so no chain or subword would ever read the
+        # word, and restrict's chain method does not use it at all.
+        argv = (command, "--type", "A", "--rank", "2", "--u", "1,2", "--v", "2,1")
+        if command == "restrict":
+            argv += ("--method", "chain")
+        message = message or self.MISMATCH[command]
+        assert run(capsys, *argv, "--word", word) == (2, "", f"error: {message}\n")
 
     def test_internal_value_error_exits_3(self, capsys, monkeypatch):
         def broken(p, beta, v, index):

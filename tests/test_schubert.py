@@ -30,6 +30,8 @@ from schubres.schubert import (
 )
 from schubres.weyl import (
     all_reduced_words,
+    bruhat_leq,
+    covers_above,
     element_from_word,
     enumerate_elements,
     identity,
@@ -623,6 +625,39 @@ class TestGtProgram:
             assert gt_by_program(u, v, mu, alpha) == expected, (u, v, mu, alpha)
             raised += expected is None
         assert 0 < raised < 300
+
+
+class TestSharedColumn:
+    def test_every_route_checks_each_edge_of_the_interval_once(self, monkeypatch):
+        # A fresh system, so the column starts empty; all four walks up to
+        # v, the moment-map sum at 20 points, share its checked edges.
+        rs = build_root_system(LieType("B", 3))
+        u = simple_reflection(rs, 2)
+        v = element_from_word(rs, (3, 2, 3, 1, 2, 3))
+        interval = {
+            w for w in enumerate_elements(rs) if bruhat_leq(u, w) and bruhat_leq(w, v)
+        }
+        edges = {
+            (p, beta)
+            for p in interval
+            for beta, w in covers_above(p)
+            if w in interval
+        }
+        real = schubert._edge_fault
+        checked = []
+
+        def counting(p, beta, w):
+            checked.append((p, beta))
+            return real(p, beta, w)
+
+        monkeypatch.setattr(schubert, "_edge_fault", counting)
+        assert tau_chain(u, v)
+        assert enumerate_c0(u, v)
+        assert len(enumerate_max_chains(u, v)) == 72
+        for mu, alpha in seeded_points(3, 20, 11):
+            gt_by_program(u, v, mu, alpha)
+        assert len(checked) == len(edges) == len(set(checked))
+        assert set(checked) == edges
 
 
 class TestFIMap:

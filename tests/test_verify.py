@@ -1,19 +1,21 @@
 """Suite bookkeeping: case counts and failure messages."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
-from schubres import verify
+from schubres import schubert, verify
 from schubres.poly import Polynomial
 from schubres.rootsys import root_system
 from schubres.schubert import NonGenericPointError, _subword_sums, tau_chain
 from schubres.typea import element_to_perm
-from schubres.verify import SuiteResult, suite_oracle
+from schubres.verify import SuiteResult, suite_oracle, suite_positivity
 from schubres.weyl import (
     all_reduced_words,
     element_from_word,
     enumerate_elements,
+    identity,
     simple_reflection,
 )
 
@@ -34,7 +36,7 @@ def test_mutated_value_gives_exact_messages(monkeypatch):
     # control does; the subword and type A routes must then disagree with it.
     rs = root_system("A", 1)
     s1 = simple_reflection(rs, 1)
-    real = verify.tau_chain
+    real = schubert.tau_chain
 
     def mutated(u, v):
         value = real(u, v)
@@ -42,13 +44,36 @@ def test_mutated_value_gives_exact_messages(monkeypatch):
             value = value + Polynomial.one(rs.rank)
         return value
 
-    monkeypatch.setattr(verify, "tau_chain", mutated)
+    monkeypatch.setattr(schubert, "tau_chain", mutated)
     result = suite_oracle(rs)
     assert result.cases == 7
     assert result.failures == [
         "tau mismatch at u=<A1 1>, v=<A1 1>, word=(1,): "
         "billey Polynomial(a1) vs chain Polynomial(1 + a1)",
         "typea mismatch at u=<A1 1>, v=<A1 1>",
+    ]
+
+
+def test_half_integer_total_fails_positivity_in_type_b(monkeypatch):
+    # tau_e(s1) = 1 has one chain of one edge, so 3/2 lies in the 2^-L Z
+    # that single type-B chain contributions may reach; a total may not.
+    rs = root_system("B", 2)
+    e = identity(rs)
+    s1 = simple_reflection(rs, 1)
+    real = schubert.tau_chain
+
+    def mutated(u, v):
+        value = real(u, v)
+        if (u, v) == (e, s1):
+            value = value + Polynomial.one(rs.rank) * Fraction(1, 2)
+        return value
+
+    cases = suite_positivity(rs).cases
+    monkeypatch.setattr(schubert, "tau_chain", mutated)
+    result = suite_positivity(rs)
+    assert result.cases == cases
+    assert result.failures == [
+        "restriction not a nonnegative integer polynomial at u=<B2 e>, v=<B2 1>",
     ]
 
 
