@@ -31,11 +31,11 @@ from .schubert import (
     tau_chain,
 )
 from .typea import (
+    _tau_typea,
     element_to_perm,
     parse_oneline,
     perm_to_element,
     root_to_xdiff,
-    tau_typea,
 )
 from .weyl import WeylElement, element_from_word, enumerate_elements
 
@@ -48,8 +48,10 @@ class UsageError(Exception):
 
 
 def _parse_word(text: str):
+    """A comma-separated word; ``e`` or nothing is the identity's empty
+    word, as every output labels it."""
     text = text.strip()
-    if not text:
+    if text in ("", "e"):
         return ()
     try:
         return tuple(int(part) for part in text.split(","))
@@ -206,7 +208,7 @@ def cmd_restrict(args) -> int:
         elif method == "billey":
             values[method] = tau_billey(u, v, word)
         else:
-            values[method] = tau_typea(element_to_perm(u), element_to_perm(v))
+            values[method] = _tau_typea(u, v)
     agree = len(set(values.values())) == 1
     if args.format == "json":
         payload = {
@@ -339,8 +341,10 @@ def _suite_runner(args):
         )
     if args.type is None:
         raise UsageError("--type is required for this suite")
-    # Desk-scale defaults: rank 4 in type A, rank 3 in types B and C.
-    rank = args.rank if args.rank is not None else (4 if args.type == "A" else 3)
+    # Desk-scale defaults: rank 4 in type A, rank 3 in types B and C; limits
+    # evaluates every maximal chain of every pair, so it stays at rank 3.
+    default = 4 if args.type == "A" and name != "limits" else 3
+    rank = args.rank if args.rank is not None else default
     rs = build_root_system(_lie_type(args.type, rank))
     _elements(rs)
     if name == "gt":
@@ -446,7 +450,8 @@ def build_parser():
         "--rank",
         type=int,
         default=None,
-        help="defaults to 4 in type A and 3 in types B/C",
+        help="defaults to 4 in type A and 3 in types B/C; "
+        "limits and equivalence-typeA default to 3",
     )
     p.add_argument("--samples", type=_positive_int, default=20)
     p.add_argument("--pairs", type=_positive_int, default=None)

@@ -6,9 +6,12 @@ Every vector is a coordinate tuple over the simple-root basis
 form is normalized so that long roots have squared length 2; in type B
 the short simple root alpha_n then has squared length 1.
 
-A root system also holds the same weights scaled to integers and the
+A root system is integer data by construction: the Cartan matrix, the
+squared lengths of the simple roots, the fundamental weights scaled to
+integers by their closed forms (there is no Cartan inverse), and the
 integer coroot pairings <omega_i, beta> of each root, memoized on first
-use, so that the chain route runs in integer arithmetic.
+use, so that the chain route runs in integer arithmetic.  The rational
+Gram matrix and fundamental weights are derived from these integers.
 
 Simple roots are ordered along the Dynkin chain, with the special bond
 between the last two nodes: in type B the last simple root is short, in
@@ -20,9 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm
-
-from ._linalg import as_int, div_exact, mat_inv
+from math import factorial
 
 #: A coordinate tuple over the simple-root basis.
 Vector = tuple
@@ -72,6 +73,35 @@ def _cartan_matrix(lie_type: LieType):
     return tuple(tuple(row) for row in cart)
 
 
+def _weights(lie_type: LieType):
+    """``scale`` and ``omegas``, where ``omegas[i - 1]`` is ``scale * omega_i``.
+
+    Closed forms over the simple-root basis (Bourbaki, Lie Groups and Lie
+    Algebras, Ch. IV-VI, Plates I-III); ``scale`` is the least common
+    denominator of the fundamental weights.
+    """
+    n = lie_type.rank
+    idx = range(1, n + 1)
+    if lie_type.family == "A":
+        scale = n + 1
+        rows = ((min(i, j) * (n + 1 - max(i, j)) for j in idx) for i in idx)
+    elif lie_type.family == "B":
+        scale = 2
+        rows = ((2 * min(i, j) if i < n else j for j in idx) for i in idx)
+    else:
+        scale = 2
+        rows = ((2 * min(i, j) if j < n else i for j in idx) for i in idx)
+    return scale, tuple(tuple(row) for row in rows)
+
+
+def div_exact(vec, d: int):
+    """The integer vector ``vec / d``; raises unless ``d`` divides every
+    coordinate, since a remainder means an upstream invariant failed."""
+    if any(c % d for c in vec):
+        raise ArithmeticError(f"{vec} is not divisible by {d}")
+    return tuple(c // d for c in vec)
+
+
 def _generate_positive_roots(cart):
     """Closure of the simple roots under simple reflections, positives only."""
     n = len(cart)
@@ -95,8 +125,7 @@ class RootSystem:
     """Simple roots, positive roots, Gram matrix and fundamental weights.
 
     ``scale`` is the least common denominator of the fundamental weights
-    (:func:`weight_scale`) and ``omegas[i]`` is ``scale * omega_{i+1}`` as
-    an integer tuple.
+    and ``omegas[i]`` is ``scale * omega_{i+1}`` as an integer tuple.
 
     Instances are immutable after construction and safe to share between
     threads.  The ``_cache`` dict is used by the group layer for
@@ -110,17 +139,14 @@ class RootSystem:
         n = lie_type.rank
         self.rank = n
         self.cartan = _cartan_matrix(lie_type)
-        if lie_type.family == "A":
-            half_lengths = [Fraction(1)] * n
-        elif lie_type.family == "B":
-            half_lengths = [Fraction(1)] * (n - 1) + [Fraction(1, 2)]
-        else:
-            half_lengths = [Fraction(1, 2)] * (n - 1) + [Fraction(1)]
-        # gram[a][b] = (alpha_a, alpha_b) = cart[a][b] * |alpha_b|^2 / 2
-        self.gram = tuple(
-            tuple(self.cartan[a][b] * half_lengths[b] for b in range(n))
-            for a in range(n)
+        # |alpha_a|^2 for each simple root: long roots 2, short roots 1.
+        short = {"A": (), "B": (n - 1,), "C": range(n - 1)}[lie_type.family]
+        lengths = [1 if a in short else 2 for a in range(n)]
+        # form[a][b] = 2 (alpha_a, alpha_b) = cart[a][b] * |alpha_b|^2
+        self._form = tuple(
+            tuple(c * length for c, length in zip(row, lengths)) for row in self.cartan
         )
+        self.gram = tuple(tuple(Fraction(c, 2) for c in row) for row in self._form)
         self.simple_roots = tuple(
             tuple(int(i == j) for j in range(n)) for i in range(n)
         )
@@ -128,12 +154,9 @@ class RootSystem:
         self.roots = frozenset(self.positive_roots) | frozenset(
             tuple(-c for c in beta) for beta in self.positive_roots
         )
-        # omega_i is the i-th row of the inverse Cartan matrix.
-        self.fundamental_weights = mat_inv(self.cartan)
-        self.scale = weight_scale(self)
-        self.omegas = tuple(
-            tuple(as_int(c * self.scale) for c in omega)
-            for omega in self.fundamental_weights
+        self.scale, self.omegas = _weights(lie_type)
+        self.fundamental_weights = tuple(
+            tuple(Fraction(c, self.scale) for c in omega) for omega in self.omegas
         )
         self._pairings: dict = {}
         self._cache: dict = {}
@@ -143,14 +166,18 @@ class RootSystem:
 
         Since (omega_i, alpha_j) = delta_ij (alpha_i, alpha_i) / 2,
         <omega_i, beta> = beta_i (alpha_i, alpha_i) / (beta, beta), the i-th
-        coordinate of the coroot of beta on the simple coroots.
+        coordinate of the coroot of beta on the simple coroots.  In the
+        integer form F(x, y) = 2 (x, y) that is beta_i F_ii / F(beta, beta).
         """
         got = self._pairings.get(beta)
         if got is None:
-            norm = as_int(bilinear(self, beta, beta))
-            got = div_exact(
-                tuple(b * as_int(self.gram[i][i]) for i, b in enumerate(beta)), norm
+            form = self._form
+            norm = sum(
+                b * sum(f * c for f, c in zip(form[a], beta))
+                for a, b in enumerate(beta)
+                if b
             )
+            got = div_exact(tuple(b * form[i][i] for i, b in enumerate(beta)), norm)
             self._pairings[beta] = got
         return got
 
@@ -200,12 +227,6 @@ def reflect(rs: RootSystem, beta, vec) -> Vector:
         f = Fraction(v - c * b)
         out.append(f.numerator if f.denominator == 1 else f)
     return tuple(out)
-
-
-def weight_scale(rs: RootSystem) -> int:
-    """Least common denominator of the fundamental weights: n + 1 in A_n,
-    2 in B_n and C_n."""
-    return lcm(*(c.denominator for omega in rs.fundamental_weights for c in omega))
 
 
 def h_root(beta) -> int:

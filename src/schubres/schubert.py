@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from ._linalg import div_exact
 from .poly import (
     CancellationError,
     FactoredPoly,
@@ -40,7 +39,7 @@ from .poly import (
     _cleared,
     divide_linear,
 )
-from .rootsys import RootSystem, h_root, is_positive
+from .rootsys import RootSystem, div_exact, h_root, is_positive
 from .weyl import (
     WeylElement,
     bruhat_leq,

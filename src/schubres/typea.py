@@ -137,10 +137,15 @@ def tau_typea(u: Permutation, v: Permutation) -> Polynomial:
     _check_permutation(v)
     if len(u) != len(v):
         raise ValueError("size mismatch between the two permutations")
+    rs = typea_system(len(v))
+    return _tau_typea(perm_to_element(rs, u), perm_to_element(rs, v))
+
+
+def _tau_typea(U: WeylElement, V: WeylElement) -> Polynomial:
+    """:func:`tau_typea` on the elements of any type-A system."""
+    rs = V.rs
+    v = element_to_perm(V)
     n = len(v)
-    rs = typea_system(n)
-    U = perm_to_element(rs, u)
-    V = perm_to_element(rs, v)
     inv_v = inv_set(v)
     total = Polynomial.zero(rs.rank)
     for gamma in enumerate_c0(U, V):

@@ -26,7 +26,7 @@ from .schubert import (
     lambda_minus,
     tau_gt_eval,
 )
-from .typea import element_to_perm, tau_typea, verify_equivalence
+from .typea import _tau_typea, element_to_perm, verify_equivalence
 from .weyl import (
     INFINITY,
     bruhat_leq,
@@ -123,12 +123,11 @@ def suite_oracle(rs: RootSystem) -> SuiteResult:
             )
     if rs.lie_type.family == "A":
         for v in elements:
-            pv = element_to_perm(v)
             for u in elements:
                 if not bruhat_leq(u, v):
                     continue
                 result.check(
-                    tau_typea(element_to_perm(u), pv) == table[u][v],
+                    _tau_typea(u, v) == table[u][v],
                     lambda: f"typea mismatch at u={u!r}, v={v!r}",
                 )
     return result

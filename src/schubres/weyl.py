@@ -29,8 +29,7 @@ from __future__ import annotations
 
 import math
 
-from ._linalg import div_exact
-from .rootsys import RootSystem, Vector
+from .rootsys import RootSystem, Vector, div_exact
 
 #: Default cap on the group order for exhaustive enumeration.
 DEFAULT_MAX_GROUP_ORDER = 100_000

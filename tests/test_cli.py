@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from schubres import cli, schubert, weyl
+from schubres import cli, schubert, typea, verify, weyl
 from schubres.cli import main
 from schubres.poly import CancellationError, Polynomial
 from schubres.rootsys import root_system
@@ -37,6 +37,47 @@ class TestRestrict:
         assert code == 0
         assert "verdict: AGREE" in out
         assert out.count("a1^2 + 2*a1*a2 + a1*a3 + a2^2 + a2*a3") == 3
+
+    # SHA-256 of each command's output on A3, recorded while the type-A
+    # route still ran on a second, process-wide system.
+    OWN_SYSTEM_DIGESTS = {
+        ("restrict", "--u", "1,3", "--v", "2,1,3,2,3", "--method", "all",
+         "--format", "json"):
+            "262fd67b361eb1c29572fae3aa8d70f1062a695440edef19398f6ee02826216b",
+        ("restrict", "--u", "1,3", "--v", "2,1,3,2,3", "--method", "typea",
+         "--format", "json"):
+            "c7ba1c090fe819ae49f800637eb74abb88c2e5be4276ecce73e6aa5ba6979e51",
+        ("verify", "--suite", "oracle"):
+            "f22f9411ac03d7139e26be170e379b6505b6e480e7a8d1a05a0098f7c8c3079e",
+    }
+
+    @pytest.mark.parametrize("argv", sorted(OWN_SYSTEM_DIGESTS))
+    def test_type_a_route_runs_on_the_jobs_own_system(
+        self, capsys, monkeypatch, argv
+    ):
+        def shared_system(*args):
+            raise AssertionError("the type-A route asked for a shared system")
+
+        monkeypatch.setattr(typea, "typea_system", shared_system)
+        monkeypatch.setattr(typea, "root_system", shared_system)
+        rank = "2" if argv[0] == "verify" else "3"
+        code, out, err = run(capsys, *argv, "--type", "A", "--rank", rank)
+        assert (code, err) == (0, "")
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == self.OWN_SYSTEM_DIGESTS[argv]
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_identity_label_reads_back(self, capsys, fmt):
+        outputs = [
+            run(
+                capsys,
+                "restrict", "--type", "A", "--rank", "2", "--u", label,
+                "--v", "1,2,1", "--method", "all", "--format", fmt,
+            )
+            for label in ("e", "", " e ")
+        ]
+        assert outputs[0][0] == 0
+        assert outputs[0] == outputs[1] == outputs[2]
 
     def test_b2_chain_method(self, capsys):
         code, out, _ = run(
@@ -409,6 +450,29 @@ class TestVerify:
         )
         assert code == 0
         assert json.loads(out)["failures"] == []
+
+    @pytest.mark.parametrize(
+        "suite,family,rank",
+        [
+            ("limits", "A", 3),
+            ("limits", "B", 3),
+            ("limits", "C", 3),
+            ("oracle", "A", 4),
+            ("oracle", "B", 3),
+        ],
+    )
+    def test_default_rank(self, capsys, monkeypatch, suite, family, rank):
+        # limits evaluates every maximal chain of every pair, which does
+        # not finish on A4 in minutes; the recorder runs no suite at all.
+        seen = []
+
+        def recorder(rs):
+            seen.append(rs.rank)
+            return verify.SuiteResult(suite)
+
+        monkeypatch.setitem(verify.SUITES, suite, recorder)
+        code, _, _ = run(capsys, "verify", "--suite", suite, "--type", family)
+        assert (code, seen) == (0, [rank])
 
     def test_unknown_suite(self, capsys):
         code, _, err = run(capsys, "verify", "--suite", "nope", "--rank", "2")

@@ -1,5 +1,6 @@
 """Root system construction, pairings, reflections and the h statistic."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -201,11 +202,30 @@ class TestHRoot:
             h_root((0, 0))
 
 
+#: Every rank whose closed-form weights are checked against their
+#: defining property.
+CLOSED_FORM_RANKS = (
+    [("A", n) for n in range(1, 9)]
+    + [("B", n) for n in range(2, 9)]
+    + [("C", n) for n in range(2, 9)]
+)
+
+
 class TestWeightTable:
-    @pytest.mark.parametrize(
-        "family,rank",
-        [("A", 1), ("A", 3), ("B", 2), ("B", 3), ("C", 2), ("C", 3)],
-    )
+    @pytest.mark.parametrize("family,rank", CLOSED_FORM_RANKS)
+    def test_closed_form_weights_invert_the_cartan_matrix(self, family, rank):
+        rs = build_root_system(LieType(family, rank))
+        n, scale, omegas = rs.rank, rs.scale, rs.omegas
+        for i in range(n):
+            for j in range(n):
+                got = sum(omegas[i][a] * rs.cartan[a][j] for a in range(n))
+                assert got == (scale if i == j else 0)
+        assert math.gcd(scale, *(c for row in omegas for c in row)) == 1
+        assert rs.fundamental_weights == tuple(
+            tuple(Fraction(c, scale) for c in row) for row in omegas
+        )
+
+    @pytest.mark.parametrize("family,rank", CLOSED_FORM_RANKS)
     def test_pairings_match_pairing(self, family, rank):
         rs = build_root_system(LieType(family, rank))
         for beta in rs.roots:

@@ -2,7 +2,6 @@
 
 import pytest
 
-from schubres import rootsys
 from schubres.rootsys import (
     LieType,
     build_root_system,
@@ -160,12 +159,6 @@ class TestWeightImages:
     def _b3_chain(rs):
         v = element_from_word(rs, (3, 2, 3))
         return enumerate_c0(identity(rs), v)[0], v
-
-    def test_wrong_scale_at_build_raises(self, monkeypatch):
-        # 1 * omega_3 of B3 is not integral.
-        monkeypatch.setattr(rootsys, "weight_scale", lambda rs: 1)
-        with pytest.raises(ArithmeticError, match="expected an integer value"):
-            build_root_system(LieType("B", 3))
 
     def test_wrong_scale_after_build_raises(self):
         rs = build_root_system(LieType("B", 3))
