@@ -91,13 +91,17 @@ def _cleared(values):
     return tuple(x.numerator * (scale // x.denominator) for x in values), scale
 
 
+def _holds_fraction(terms) -> bool:
+    return Fraction in map(type, terms.values())
+
+
 def _integral_terms(terms):
-    """``terms`` with each integral Fraction coefficient replaced by an
-    int, in place."""
+    """Replace each integral Fraction coefficient of ``terms`` by an int,
+    in place.  A product of int coefficients is an int, so a product runs
+    this only when a factor holds a Fraction."""
     for e, c in terms.items():
         if type(c) is not int and c.denominator == 1:
             terms[e] = c.numerator
-    return terms
 
 
 def _quotient(a, b):
@@ -241,9 +245,9 @@ class Polynomial:
             other = _coefficient(other)
             p = Polynomial.zero(self.rank)
             if other:
-                p.terms = _integral_terms(
-                    {e: c * other for e, c in self.terms.items()}
-                )
+                p.terms = {e: c * other for e, c in self.terms.items()}
+                if type(other) is Fraction or _holds_fraction(self.terms):
+                    _integral_terms(p.terms)
             return p
         if not isinstance(other, Polynomial):
             return NotImplemented
@@ -272,7 +276,9 @@ class Polynomial:
                         out[e] = acc
                     else:
                         del out[e]
-        p.terms = _integral_terms(out)
+        if _holds_fraction(self.terms) or _holds_fraction(other.terms):
+            _integral_terms(out)
+        p.terms = out
         return p
 
     __rmul__ = __mul__

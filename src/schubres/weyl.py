@@ -5,11 +5,20 @@ root set, the standard faithful representation of a Weyl group.  Each
 root system gets a root table, built on first use: its positive roots in
 ``rs.positive_roots`` order, then their negatives in the same order, and
 a dict from root to index.  ``perm[k]`` is the index of ``w(root_k)``, so
-the product is one tuple lookup per root, the inverse is the inverse
-permutation and the length counts positive indices sent to negative
-ones.  The action matrix on the simple-root basis (columns are the
-images of the simple roots; all entries are integers) is derived from
-the permutation on each access.
+the product is one tuple lookup per root and the inverse is the inverse
+permutation.  The action matrix on the simple-root basis (columns are
+the images of the simple roots; all entries are integers) is derived
+from the permutation on each access.
+
+The order layer reads the inversion set ``N(w)``, the positive roots
+that w sends to negative roots, as one ``int`` bitmask: bit k is set
+when ``perm[k]`` indexes a negative root.  It is computed once per element.
+The length is its popcount.  A positive root beta outside ``N(u)`` gives
+a cover ``u s_beta`` exactly when ``l(s_beta) - 2 |N(u) & N(s_beta)|``
+is 1, since ``l(u s_beta) = l(u) + l(s_beta) - 2 |N(u) & N(s_beta)|``:
+one AND and one popcount per root.  Each element also keeps its first
+right descent s and the element ``w s``, so the Bruhat test walks each
+descent chain with products built once.
 
 Weights stay in integers too.  The root system holds ``scale``, the
 least common denominator of the fundamental weights, and ``omegas``,
@@ -104,13 +113,17 @@ class WeylElement:
     that identifies the element; ``matrix`` is derived from it.
     """
 
-    __slots__ = ("rs", "perm", "_hash", "_length", "_canonical", "_omega_images")
+    __slots__ = (
+        "rs", "perm", "_hash", "_inversions", "_descent", "_canonical",
+        "_omega_images",
+    )
 
     def __init__(self, rs: RootSystem, perm):
         self.rs = rs
         self.perm = perm
         self._hash = hash(perm)
-        self._length = None
+        self._inversions = None
+        self._descent = None
         self._canonical = None
         self._omega_images = None
 
@@ -177,11 +190,9 @@ class WeylElement:
 
     @property
     def length(self) -> int:
-        """Number of positive roots sent to negative roots."""
-        if self._length is None:
-            npos = root_table(self.rs).npos
-            self._length = sum(image >= npos for image in self.perm[:npos])
-        return self._length
+        """Number of positive roots sent to negative roots: the popcount
+        of the inversion mask."""
+        return _inversions(self).bit_count()
 
     @property
     def canonical_word(self) -> Word:
@@ -204,6 +215,33 @@ class WeylElement:
     def __repr__(self):
         word = ",".join(map(str, self.canonical_word)) or "e"
         return f"<{self.rs.lie_type} {word}>"
+
+
+def _inversions(w: WeylElement) -> int:
+    """N(w) as a bitmask: bit k is set when w sends positive root k to a
+    negative root; memoized on ``w``."""
+    mask = w._inversions
+    if mask is None:
+        perm = w.perm
+        npos = len(perm) >> 1
+        mask = w._inversions = sum(1 << k for k in range(npos) if perm[k] >= npos)
+    return mask
+
+
+def _right_descent(w: WeylElement):
+    """``(k, s, w s)`` for the first simple reflection s with w alpha_s
+    negative, k the root index of alpha_s; memoized on ``w``, which must
+    not be the identity."""
+    got = w._descent
+    if got is None:
+        table = root_table(w.rs)
+        perm = w.perm
+        npos = table.npos
+        for k, s in zip(table.simple, table.simple_reflections):
+            if perm[k] >= npos:
+                got = w._descent = (k, s, w * s)
+                break
+    return got
 
 
 def _element(rs: RootSystem, perm) -> WeylElement:
@@ -270,25 +308,25 @@ def all_reduced_words(u: WeylElement):
 def covers_above(u: WeylElement):
     """All (beta, v = u s_beta) with beta positive and l(v) = l(u) + 1.
 
-    A root with u beta negative gives u s_beta < u and is skipped by one
-    lookup; for the others l(u s_beta) is counted on the permutations,
-    and only the covers are built.
+    A root in N(u) gives u s_beta < u and is skipped by one bit test; for
+    the others l(u s_beta) - l(u) = l(s_beta) - 2 |N(u) & N(s_beta)| on
+    the inversion masks, and only the covers are built.
     """
     cache = u.rs._cache.setdefault("covers_above", {})
     got = cache.get(u)
     if got is None:
         rs = u.rs
-        npos = root_table(rs).npos
-        perm = u.perm
-        target = u.length + 1
+        reflections = root_table(rs).reflections
+        mask = _inversions(u)
         out = []
         # ``rs.positive_roots`` is sorted, so the order is deterministic,
         # and beta is root k of the root table.
         for k, beta in enumerate(rs.positive_roots):
-            if perm[k] >= npos:
+            if mask >> k & 1:
                 continue
-            r = reflection(rs, beta)
-            if sum(map(npos.__le__, map(perm.__getitem__, r.perm[:npos]))) == target:
+            r = reflections[beta]
+            rmask = _inversions(r)
+            if rmask.bit_count() - 2 * (mask & rmask).bit_count() == 1:
                 out.append((beta, u * r))
         got = tuple(out)
         cache[u] = got
@@ -296,37 +334,41 @@ def covers_above(u: WeylElement):
 
 
 def bruhat_leq(u: WeylElement, v: WeylElement) -> bool:
-    """Strong Bruhat order, by recursion on right descents; agrees with
-    cover closure.
+    """Strong Bruhat order, by descent down the right descents of v;
+    agrees with cover closure.
 
-    For a right descent s of b (b alpha_s negative, one lookup),
+    For the first right descent s of b (:func:`_right_descent`),
     a <= b iff a' <= b s, where a' is a s if s is a descent of a and a
-    otherwise (the lifting property).
+    otherwise (the lifting property).  Each step shortens b by one and a
+    by one or none, so the lengths are counted, not read.  Every pair on
+    the walked path is memoized with the answer.
     """
     if u.rs.lie_type != v.rs.lie_type:
         raise ValueError("cannot compare elements of different root systems")
     cache = u.rs._cache.setdefault("bruhat", {})
-    table = root_table(u.rs)
-    npos = table.npos
-    simple = table.simple
-
-    def rec(a, b):
-        if a is b or a == b:
-            return True
-        if a.length >= b.length:
-            return False
+    npos = len(u.perm) >> 1
+    path = []
+    a, b = u, v
+    la, lb = u.length, v.length
+    while True:
+        if la >= lb:
+            # No element lies below one of its own length or shorter
+            # but itself.
+            got = a == b
+            break
         key = (a, b)
         got = cache.get(key)
-        if got is None:
-            for i, k in enumerate(simple, 1):
-                if b.perm[k] >= npos:
-                    s = simple_reflection(a.rs, i)
-                    got = rec(a * s if a.perm[k] >= npos else a, b * s)
-                    break
-            cache[key] = got
-        return got
-
-    return rec(u, v)
+        if got is not None:
+            break
+        path.append(key)
+        k, s, b = _right_descent(b)
+        lb -= 1
+        if a.perm[k] >= npos:
+            a = a * s
+            la -= 1
+    for key in path:
+        cache[key] = got
+    return got
 
 
 def h_pair(p: WeylElement, q: WeylElement):

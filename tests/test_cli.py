@@ -210,39 +210,6 @@ class TestRestrict:
         assert lines[0].startswith("error: internal error: AssertionError: ")
         assert "not a right reflection" in lines[0]
 
-    def test_perm_elements_require_type_a(self, capsys):
-        code, _, err = run(
-            capsys,
-            "restrict", "--type", "B", "--rank", "2",
-            "--u", "12", "--v", "21", "--elements", "perm",
-        )
-        assert code == 2
-        assert "type A" in err
-
-    def test_typea_method_requires_type_a(self, capsys):
-        code, _, _ = run(
-            capsys,
-            "restrict", "--type", "C", "--rank", "2",
-            "--u", "1", "--v", "1,2", "--method", "typea",
-        )
-        assert code == 2
-
-    def test_bad_word_is_usage_error(self, capsys):
-        code, _, err = run(
-            capsys,
-            "restrict", "--type", "A", "--rank", "2", "--u", "5", "--v", "1",
-        )
-        assert code == 2
-        assert "error" in err
-
-    def test_non_reduced_element_is_usage_error(self, capsys):
-        code, out, err = run(
-            capsys,
-            "restrict", "--type", "A", "--rank", "2", "--u", "", "--v", "2,1,2,1",
-        )
-        assert (code, out) == (2, "")
-        assert err == "error: word '2,1,2,1' is not reduced\n"
-
 
 class TestChains:
     def test_c2_counts_and_subword_images(self, capsys):
@@ -285,14 +252,6 @@ class TestChains:
         assert code == 0
         assert "(x1-x3)" in out and "(x2-x4)" in out
 
-    def test_x_basis_requires_type_a(self, capsys):
-        code, _, _ = run(
-            capsys,
-            "chains", "--type", "B", "--rank", "2",
-            "--u", "1", "--v", "1,2,1", "--basis", "x",
-        )
-        assert code == 2
-
     def test_non_reduced_element_is_usage_error(self, capsys):
         code, out, err = run(
             capsys,
@@ -328,14 +287,6 @@ class TestSubwords:
         assert payload["count"] == 2
         letters = {tuple(s["letters"]) for s in payload["subwords"]}
         assert letters == {(0, 1, 3, 0, 0), (0, 1, 0, 0, 3)}
-
-    def test_word_must_match_v(self, capsys):
-        code, _, _ = run(
-            capsys,
-            "subwords", "--type", "A", "--rank", "2",
-            "--u", "1", "--v", "1,2,1", "--word", "1,2",
-        )
-        assert code == 2
 
     def test_non_reduced_element_is_usage_error(self, capsys):
         code, out, err = run(
@@ -474,11 +425,6 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", "--suite", suite, "--type", family)
         assert (code, seen) == (0, [rank])
 
-    def test_unknown_suite(self, capsys):
-        code, _, err = run(capsys, "verify", "--suite", "nope", "--rank", "2")
-        assert code == 2
-        assert "unknown suite" in err
-
     @pytest.mark.parametrize(
         "argv",
         [
@@ -604,15 +550,118 @@ class TestErrorStatus:
         message = message or self.MISMATCH[command]
         assert run(capsys, *argv, "--word", word) == (2, "", f"error: {message}\n")
 
-    def test_internal_value_error_exits_3(self, capsys, monkeypatch):
-        def broken(p, beta, v, index):
-            raise ValueError("edge out of step")
 
-        monkeypatch.setattr(schubert, "_edge_term", broken)
-        assert run(
-            capsys,
-            "restrict", "--type", "B", "--rank", "2", "--u", "2", "--v", "1,2,1",
-        ) == (3, "", "error: internal error: ValueError: edge out of step\n")
+A2_RESTRICT = ("restrict", "--type", "A", "--rank", "2")
+A2_PAIR = ("--u", "1", "--v", "1,2,1")
+
+
+class TestExitStatus:
+    """Every ``UsageError`` raise site of ``cli.py`` (exit 2) and one
+    internal error (exit 3): argv -> (exit status, stderr prefix).  ``cap``
+    is the value of SCHUBERT_MAX_GROUP_ORDER (None: unset); ``broken``
+    names a ``schubert`` function replaced by one raising a ValueError."""
+
+    @pytest.mark.parametrize(
+        "argv,cap,broken,status,prefix",
+        [
+            pytest.param(
+                A2_RESTRICT + ("--u", "1,x", "--v", "1"), None, None,
+                2, "error: cannot parse word '1,x': ", id="word-syntax",
+            ),
+            pytest.param(
+                A2_RESTRICT + ("--elements", "perm", "--u", "113", "--v", "321"),
+                None, None,
+                2, "error: (1, 1, 3) is not a permutation of 1..3", id="perm-syntax",
+            ),
+            pytest.param(
+                A2_RESTRICT + ("--elements", "perm", "--u", "12", "--v", "321"),
+                None, None,
+                2, "error: permutation '12' has 2 values; type A rank 2 needs 3",
+                id="perm-size",
+            ),
+            pytest.param(
+                A2_RESTRICT + ("--u", "5", "--v", "1"), None, None,
+                2, "error: invalid word: letter 5 out of range 1..2",
+                id="element-letter",
+            ),
+            pytest.param(
+                A2_RESTRICT + ("--u", "", "--v", "2,1,2,1"), None, None,
+                2, "error: word '2,1,2,1' is not reduced", id="element-not-reduced",
+            ),
+            pytest.param(
+                ("restrict", "--type", "A", "--rank", "0", "--u", "1", "--v", "1"),
+                None, None,
+                2, "error: rank must be at least 1", id="type-label",
+            ),
+            pytest.param(
+                ("restrict", "--type", "B", "--rank", "2", "--u", "12", "--v", "21",
+                 "--elements", "perm"), None, None,
+                2, "error: --elements perm requires type A", id="perm-needs-type-a",
+            ),
+            pytest.param(
+                ("restrict", "--type", "C", "--rank", "2", "--u", "1", "--v", "1,2",
+                 "--method", "typea"), None, None,
+                2, "error: --method typea requires type A", id="typea-needs-type-a",
+            ),
+            pytest.param(
+                ("chains", "--type", "B", "--rank", "2", "--u", "1", "--v", "1,2,1",
+                 "--basis", "x"), None, None,
+                2, "error: --basis x requires type A", id="basis-x-needs-type-a",
+            ),
+            pytest.param(
+                A2_RESTRICT + A2_PAIR + ("--word", "1,1"), None, None,
+                2, "error: word is not reduced", id="word-not-reduced",
+            ),
+            pytest.param(
+                ("subwords", "--type", "A", "--rank", "2") + A2_PAIR
+                + ("--word", "1,2"), None, None,
+                2, "error: --word does not evaluate to v", id="word-not-v",
+            ),
+            pytest.param(
+                A2_RESTRICT + A2_PAIR + ("--out", "."), None, None,
+                2, "error: cannot write '.': ", id="out-unwritable",
+            ),
+            pytest.param(
+                ("table", "--type", "A", "--rank", "2"), "abc", None,
+                2, "error: SCHUBERT_MAX_GROUP_ORDER must be a positive integer, "
+                "got 'abc'", id="cap-syntax",
+            ),
+            pytest.param(
+                ("table", "--type", "A", "--rank", "2"), "5", None,
+                2, "error: group order 6 of A2 exceeds the enumeration cap 5",
+                id="cap-exceeded",
+            ),
+            pytest.param(
+                ("verify", "--suite", "nope", "--rank", "2"), None, None,
+                2, "error: unknown suite 'nope'; choose from ", id="unknown-suite",
+            ),
+            pytest.param(
+                ("verify", "--suite", "gkm", "--rank", "2"), None, None,
+                2, "error: --type is required for this suite", id="suite-needs-type",
+            ),
+            pytest.param(
+                ("restrict", "--type", "B", "--rank", "2", "--u", "2", "--v", "1,2,1"),
+                None, "_edge_term",
+                3, "error: internal error: ValueError: edge out of step",
+                id="internal-value-error",
+            ),
+        ],
+    )
+    def test_exit_status(self, capsys, monkeypatch, argv, cap, broken, status, prefix):
+        if cap is None:
+            monkeypatch.delenv("SCHUBERT_MAX_GROUP_ORDER", raising=False)
+        else:
+            monkeypatch.setenv("SCHUBERT_MAX_GROUP_ORDER", cap)
+        if broken is not None:
+
+            def raising(*args):
+                raise ValueError("edge out of step")
+
+            monkeypatch.setattr(schubert, broken, raising)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (status, "")
+        assert err.startswith(prefix), err
+        assert err.count("\n") == 1 and err.endswith("\n")
 
 
 class TestTableAndPlumbing:
@@ -624,12 +673,6 @@ class TestTableAndPlumbing:
         payload = json.loads(out)
         assert len(payload["elements"]) == 6
         assert len(payload["values"]) == 6
-
-    def test_group_order_cap_from_environment(self, capsys, monkeypatch):
-        monkeypatch.setenv("SCHUBERT_MAX_GROUP_ORDER", "5")
-        code, _, err = run(capsys, "table", "--type", "A", "--rank", "2")
-        assert code == 2
-        assert "exceeds" in err
 
     @pytest.mark.parametrize(
         "suite", ["gkm", "characterization", "oracle", "lemmas", "positivity"]

@@ -206,6 +206,17 @@ class TestIntegerCoefficients:
         assert results[3] == Polynomial(1, {(2,): 3, (1,): -2, (0,): -1})
         assert type((half * 3).terms[pack((1,))]) is Fraction
 
+    def test_fraction_products_store_integral_results_as_int(self):
+        three_halves = Polynomial(1, {(1,): Fraction(3, 2)})
+        results = [
+            # (3/2 a1)(2/3 a1 + 4/3) = a1^2 + 2 a1
+            three_halves * Polynomial(1, {(1,): Fraction(2, 3), (0,): Fraction(4, 3)}),
+            three_halves * Fraction(2, 3),  # a1
+        ]
+        for p in results:
+            assert all(type(c) is int for c in p.terms.values()), p
+        assert results == [Polynomial(1, {(2,): 1, (1,): 2}), Polynomial(1, {(1,): 1})]
+
     def test_int_and_fraction_coefficients_agree(self):
         with_int = Polynomial(2, {(1, 0): 3, (0, 1): Fraction(1, 2)})
         with_fraction = Polynomial(2, {(1, 0): 3, (0, 1): Fraction(1, 2)})

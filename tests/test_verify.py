@@ -7,7 +7,7 @@ import pytest
 
 from schubres import schubert, verify
 from schubres.poly import Polynomial
-from schubres.rootsys import root_system
+from schubres.rootsys import LieType, build_root_system, root_system
 from schubres.schubert import NonGenericPointError, _subword_sums, tau_chain
 from schubres.typea import element_to_perm
 from schubres.verify import SuiteResult, suite_oracle, suite_positivity
@@ -69,7 +69,7 @@ def test_half_integer_total_fails_positivity_in_type_b(monkeypatch):
         return value
 
     cases = suite_positivity(rs).cases
-    monkeypatch.setattr(schubert, "tau_chain", mutated)
+    monkeypatch.setattr(verify, "tau_chain", mutated)
     result = suite_positivity(rs)
     assert result.cases == cases
     assert result.failures == [
@@ -107,6 +107,32 @@ def test_trie_visits_each_reduced_word_once(family):
     for word, v, states in visited:
         assert element_from_word(rs, word) == v
         assert states == _subword_sums(rs, word), word
+
+
+@pytest.mark.parametrize(
+    "suite,cases,columns",
+    [(verify.suite_positivity, 2366, 48), (verify.suite_limits, 51630, 47)],
+)
+def test_suites_build_one_column_per_top_element(monkeypatch, suite, cases, columns):
+    # A fresh system, so no column is cached; visiting each v's pairs
+    # together builds the column of each of the 48 elements at most once.
+    # The chain walks of limits need none for the identity, whose only
+    # pair is (e, e); positivity's tau_chain(e, e) reads its column.
+    built = []
+
+    class Counting(schubert._ChainColumn):
+        __slots__ = ()
+
+        def __init__(self, v):
+            built.append(v)
+            super().__init__(v)
+
+    monkeypatch.setattr(schubert, "_ChainColumn", Counting)
+    rs = build_root_system(LieType("B", 3))
+    result = suite(rs)
+    assert (result.cases, result.failures) == (cases, [])
+    assert len(built) == len(set(built)) == columns
+    assert len(enumerate_elements(rs)) == 48
 
 
 @pytest.mark.parametrize("family,cases", [("A", 1797), ("B", 10032), ("C", 10032)])

@@ -226,6 +226,13 @@ class TestLength:
                 v = u * simple_reflection(a3, i)
                 assert abs(v.length - u.length) == 1
 
+    @pytest.mark.parametrize("family,rank", [("A", 4), ("B", 3), ("C", 3)])
+    def test_length_counts_roots_sent_negative(self, family, rank):
+        rs = root_system(family, rank)
+        for u in enumerate_elements(rs):
+            count = sum(is_negative(u.act(beta)) for beta in rs.positive_roots)
+            assert u.length == count, u
+
     def test_length_counts_inverse_inversions(self, b2):
         for u in enumerate_elements(b2):
             count = 0
@@ -294,9 +301,12 @@ class TestCovers:
         for rs in (a2, b2, c2):
             assert covers_above(longest_element(rs)) == ()
 
-    @pytest.mark.parametrize("family", ["A", "B", "C"])
-    def test_match_definition(self, family):
-        rs = root_system(family, 3)
+    @pytest.mark.parametrize(
+        "family,rank",
+        [("A", 3), ("B", 3), ("C", 3), ("A", 4), ("B", 4), ("C", 4)],
+    )
+    def test_match_definition(self, family, rank):
+        rs = root_system(family, rank)
         for u in enumerate_elements(rs):
             expected = [
                 (beta, u * reflection(rs, beta))
@@ -327,7 +337,8 @@ class TestBruhat:
         assert not bruhat_leq(simple_reflection(a2, 2), simple_reflection(a2, 1))
 
     @pytest.mark.parametrize(
-        "family,rank", [("A", 2), ("B", 2), ("C", 2), ("A", 3), ("B", 3), ("C", 3)]
+        "family,rank",
+        [("A", 2), ("B", 2), ("C", 2), ("A", 3), ("B", 3), ("C", 3), ("A", 4)],
     )
     def test_agrees_with_cover_closure(self, family, rank):
         rs = root_system(family, rank)
