@@ -19,7 +19,7 @@ from . import verify as verify_mod
 from .poly import FactoredPoly, Polynomial, expand
 from .rootsys import LieType, build_root_system, root_system
 from .schubert import (
-    _reduced_element,
+    _prefix_roots,
     _tau_table,
     chain_contribution,
     enumerate_c0,
@@ -111,7 +111,7 @@ def _job(args, mismatch: str):
     if word is None:
         return v.canonical_word, u, v
     try:
-        target = _reduced_element(rs, word)
+        _, target = _prefix_roots(rs, word)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     if target != v:

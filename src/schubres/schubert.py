@@ -5,7 +5,8 @@ The three computation routes:
 * ``tau_chain`` -- sum of contributions of the maximal ascending chains
   whose edge roots have nondecreasing h statistic, by a memoized dynamic
   program over (element, h-floor) states, grouped by the set of
-  cancelled factors of lambda_minus(v) and expanded once per group;
+  cancelled factors of lambda_minus(v) and expanded once per group; it
+  sums doubled edge ratios in integers and divides once by 2^(l(v) - l(u));
 * ``tau_billey`` -- sum of subword contributions over the reduced
   subwords of a reduced word for the top element, by a dynamic program
   over the positions of the word;
@@ -44,7 +45,6 @@ from .weyl import (
     WeylElement,
     bruhat_leq,
     covers_above,
-    element_from_word,
     enumerate_elements,
     identity,
     inversion_roots,
@@ -199,16 +199,18 @@ def enumerate_c0(u: WeylElement, v: WeylElement):
 
 
 def _factor_index(v: WeylElement):
-    """The sorted factors of lambda_minus(v) and the position of each."""
-    factors = lambda_minus(v).factors
+    """The factors of lambda_minus(v), sorted as :func:`inversion_roots`
+    gives them, and the position of each."""
+    factors = inversion_roots(v)
     return factors, {f: j for j, f in enumerate(factors)}
 
 
 def _edge_term(p: WeylElement, beta, v: WeylElement, index):
     """What the edge p -> p s_beta of an h-monotone chain ending at v
     contributes: the position in ``index`` (from :func:`_factor_index`)
-    of the factor of lambda_minus(v) it cancels, and its coroot pairing
-    times the ratio of that factor to its denominator form.
+    of the factor of lambda_minus(v) it cancels, and twice its coroot
+    pairing times the ratio of that factor to its denominator form, an
+    int: the ratios are integers in types A and C and halves in type B.
 
     The denominator is (p omega_i - v omega_i) for i = h(beta), from the
     integer omega images.  Roots of types A, B and C are primitive
@@ -238,7 +240,10 @@ def _edge_term(p: WeylElement, beta, v: WeylElement, index):
         )
     if sign < 0:
         raise CancellationError(f"factor {root} is a nonpositive multiple of {denom}")
-    return idx, (numerator // g if numerator % g == 0 else Fraction(numerator, g))
+    doubled, remainder = divmod(2 * numerator, g)
+    if remainder:
+        raise CancellationError(f"edge {p!r} -{beta}-> has the ratio {numerator}/{g}")
+    return idx, doubled
 
 
 def _cancelled_twice(factors, idx):
@@ -252,7 +257,8 @@ def chain_contribution(gamma: Chain, v: WeylElement) -> FactoredPoly:
 
     Starts from the full inversion product of v, multiplies the scalar by
     the coroot pairing of each edge, and cancels each denominator form
-    against a proportional factor (:func:`_edge_term`).
+    against a proportional factor; the m doubled edge terms
+    (:func:`_edge_term`) are multiplied in integers and divided by 2^m.
     """
     if gamma.end != v:
         raise ValueError("chain does not end at v")
@@ -272,7 +278,7 @@ def chain_contribution(gamma: Chain, v: WeylElement) -> FactoredPoly:
         cancelled |= 1 << idx
         scalar *= term
     rest = [f for j, f in enumerate(factors) if not cancelled >> j & 1]
-    return FactoredPoly(scalar, rest, v.rs.rank)
+    return FactoredPoly(Fraction(scalar, 1 << len(gamma.betas)), rest, v.rs.rank)
 
 
 #: The sums of the state at v itself: the empty chain, nothing cancelled.
@@ -291,8 +297,10 @@ class _ChainColumn:
     over ``factors``, the sorted factors of lambda_minus(v)) to the summed
     scalar of the h-monotone maximal chains from w to v whose edge roots
     all have h at least ``floor``; these are all a chain's remaining
-    edges depend on.  ``expansions`` holds the product of the factors
-    outside each mask.
+    edges depend on.  Each chain has l(v) - l(w) edges, and its scalar is
+    the product of its doubled edge terms (:func:`_edge_term`), so every
+    sum is an int, 2^(l(v) - l(w)) times the true one.  ``expansions``
+    holds the product of the factors outside each mask.
     """
 
     __slots__ = ("v", "factors", "index", "states", "edges", "under", "expansions")
@@ -354,8 +362,7 @@ class _ChainColumn:
                 if mask & bit:
                     raise _cancelled_twice(self.factors, idx)
                 mask |= bit
-                acc = got.get(mask)
-                got[mask] = ratio * scalar if acc is None else acc + ratio * scalar
+                got[mask] = got.get(mask, 0) + ratio * scalar
         self.states[key] = got
         return got
 
@@ -386,17 +393,26 @@ def tau_chain(u: WeylElement, v: WeylElement) -> Polynomial:
 
     The same sum as that of :func:`chain_contribution` over
     :func:`enumerate_c0`, regrouped: the chains' scalars are summed per
-    set of cancelled factors and each group is expanded once.  Filling
-    many pairs with the same v in a row reuses one column.
+    set of cancelled factors and each group is expanded once.  The sum is
+    taken in integers, 2^(l(v) - l(u)) times too large (see
+    :class:`_ChainColumn`), and divided by that once; a restriction has
+    integer coefficients, so a remainder is a :class:`CancellationError`.
+    Filling many pairs with the same v in a row reuses one column.
     """
     _require_same_system(u, v)
     got = Polynomial.zero(u.rs.rank)
     if bruhat_leq(u, v):
         column = _chain_column(v)
-        sums = _AT_TOP if u == v else column.sums(u, 1)
-        for mask, scalar in sums.items():
-            term = column.expansion(mask)
-            got = got + (term if scalar == 1 else term * scalar)
+        total: dict = {}
+        for mask, scalar in (_AT_TOP if u == v else column.sums(u, 1)).items():
+            for key, c in column.expansion(mask).terms.items():
+                total[key] = total.get(key, 0) + scalar * c
+        shift = v.length - u.length
+        if any(c & (1 << shift) - 1 for c in total.values()):
+            raise CancellationError(
+                f"chain sum at u={u!r}, v={v!r} is not divisible by 2^{shift}"
+            )
+        got.terms = {key: c >> shift for key, c in total.items() if c}
     return got
 
 
@@ -416,29 +432,24 @@ def _tau_table(elements, pairs=None):
     return table
 
 
-def _reduced_element(rs: RootSystem, word) -> WeylElement:
-    """The element of ``word``, which must be a reduced word."""
-    el = element_from_word(rs, word)
-    if el.length != len(word):
-        raise ValueError("word is not reduced")
-    return el
-
-
 def _prefix_roots(rs: RootSystem, word):
     """The factor each letter of the reduced ``word`` contributes when
-    selected: its simple root moved by the product of the letters before."""
-    _reduced_element(rs, word)
+    selected (its simple root moved by the product of the letters before),
+    and the element of the word."""
     roots = []
     prefix = identity(rs)
     for letter in word:
+        s = simple_reflection(rs, letter)  # checks the letter first
         roots.append(prefix.act(rs.simple_roots[letter - 1]))
-        prefix = prefix * simple_reflection(rs, letter)
-    return roots
+        prefix = prefix * s
+    if prefix.length != len(word):
+        raise ValueError("word is not reduced")
+    return roots, prefix
 
 
 def subword_contribution(rs: RootSystem, subword: Subword) -> FactoredPoly:
     """Product of prefix-transformed simple roots over the selected letters."""
-    roots = _prefix_roots(rs, subword.word)
+    roots, _ = _prefix_roots(rs, subword.word)
     factors = tuple(root for root, keep in zip(roots, subword.mask) if keep)
     return FactoredPoly(Fraction(1), factors, rs.rank)
 
@@ -447,7 +458,7 @@ def enumerate_reduced_subwords(u: WeylElement, word):
     """Masks whose selected letters form a reduced word for u."""
     rs = u.rs
     word = tuple(word)
-    _reduced_element(rs, word)
+    _prefix_roots(rs, word)
     target_len = u.length
     m = len(word)
     found = []
@@ -505,7 +516,7 @@ def _subword_step(
     return nxt
 
 
-def _subword_sums(rs: RootSystem, word, u: WeylElement | None = None):
+def _subword_sums(rs: RootSystem, word, u: WeylElement | None = None, roots=None):
     """Sums of expanded subword contributions of ``word``, grouped by the
     element the selected letters evaluate to.
 
@@ -513,12 +524,14 @@ def _subword_sums(rs: RootSystem, word, u: WeylElement | None = None):
     position, every element reached by a reduced selection of the letters
     so far holds the sum of their contributions, so the work is positions
     times elements, not 2^m subwords.  A target ``u`` keeps only the
-    states that can still end at it.
+    states that can still end at it.  ``roots`` are :func:`_prefix_roots`'s.
     """
     word = tuple(word)
+    if roots is None:
+        roots, _ = _prefix_roots(rs, word)
     target = None if u is None else (u.inverse(), u.length)
     states = {identity(rs): Polynomial.one(rs.rank)}
-    for pos, root in enumerate(_prefix_roots(rs, word)):
+    for pos, root in enumerate(roots):
         states = _subword_step(
             states,
             simple_reflection(rs, word[pos]),
@@ -541,9 +554,10 @@ def tau_billey(u: WeylElement, v: WeylElement, word=None) -> Polynomial:
     if word is None:
         word = v.canonical_word
     word = tuple(word)
-    if _reduced_element(u.rs, word) != v:
+    roots, top = _prefix_roots(u.rs, word)
+    if top != v:
         raise ValueError("word does not evaluate to v")
-    return _subword_sums(u.rs, word, u).get(u, Polynomial.zero(u.rs.rank))
+    return _subword_sums(u.rs, word, u, roots).get(u, Polynomial.zero(u.rs.rank))
 
 
 class _MomentPoint:
@@ -681,7 +695,7 @@ def f_i_map(gamma: Chain, word) -> Subword:
     """
     word = tuple(word)
     rs = gamma.end.rs
-    if gamma.end != _reduced_element(rs, word):
+    if gamma.end != _prefix_roots(rs, word)[1]:
         raise ValueError("chain does not end at the element of the word")
     _validate_ascending(gamma)
     mask = [1] * len(word)

@@ -132,14 +132,11 @@ def suite_oracle(rs: RootSystem) -> SuiteResult:
                 f"billey {got!r} vs chain {expected!r}",
             )
     if rs.lie_type.family == "A":
-        for v in elements:
-            for u in elements:
-                if not bruhat_leq(u, v):
-                    continue
-                result.check(
-                    _tau_typea(u, v) == table[u][v],
-                    lambda: f"typea mismatch at u={u!r}, v={v!r}",
-                )
+        for u, v in _pairs_by_top(rs):
+            result.check(
+                _tau_typea(u, v) == table[u][v],
+                lambda: f"typea mismatch at u={u!r}, v={v!r}",
+            )
     return result
 
 
@@ -180,26 +177,14 @@ def suite_positivity(rs: RootSystem) -> SuiteResult:
     family = rs.lie_type.family
     for u, v in _pairs_by_top(rs):
         for gamma in enumerate_c0(u, v):
-            contribution = expand(chain_contribution(gamma, v))
-            m = len(gamma.betas)
-            if family in ("A", "C"):
-                result.check(
-                    all(
-                        c >= 0 and c.denominator == 1
-                        for c in contribution.terms.values()
-                    ),
-                    lambda: "non-integral or negative contribution "
-                    f"at u={u!r}, v={v!r}",
-                )
-            else:
-                scaled = contribution * Fraction(2**m)
-                result.check(
-                    all(
-                        c >= 0 and c.denominator == 1
-                        for c in scaled.terms.values()
-                    ),
-                    lambda: f"2^m-scaled contribution not integral at u={u!r}, v={v!r}",
-                )
+            scale = 2 ** len(gamma.betas) if family == "B" else 1
+            scaled = expand(chain_contribution(gamma, v)) * scale
+            result.check(
+                all(c >= 0 and c.denominator == 1 for c in scaled.terms.values()),
+                lambda: f"2^m-scaled contribution not integral at u={u!r}, v={v!r}"
+                if family == "B"
+                else f"non-integral or negative contribution at u={u!r}, v={v!r}",
+            )
         value = tau_chain(u, v)
         result.check(
             all(c >= 0 and c.denominator == 1 for c in value.terms.values()),

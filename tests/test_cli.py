@@ -8,7 +8,7 @@ import pytest
 from schubres import cli, schubert, typea, verify, weyl
 from schubres.cli import main
 from schubres.poly import CancellationError, Polynomial
-from schubres.rootsys import root_system
+from schubres.rootsys import LieType, build_root_system, root_system
 from schubres.schubert import tau_chain
 from schubres.weyl import element_from_word
 
@@ -151,6 +151,33 @@ class TestRestrict:
             "error: internal error: CancellationError: no factor is proportional\n"
         )
         assert "Traceback" not in err
+
+    def test_odd_doubled_edge_term_exits_3(self, capsys, monkeypatch):
+        # The one h-monotone chain from s1 to s1s2s1 in A2 has two edges,
+        # so its doubled edge terms must multiply to a multiple of 2^2.
+        real = schubert._edge_term
+
+        def odd(p, beta, v, index):
+            idx, doubled = real(p, beta, v, index)
+            return idx, doubled + 1 if p.length == 1 else doubled
+
+        monkeypatch.setattr(schubert, "_edge_term", odd)
+        # A new system, so that no cached column holds the real terms.
+        rs = build_root_system(LieType("A", 2))
+        u, v = element_from_word(rs, (1,)), element_from_word(rs, (1, 2, 1))
+        assert len(schubert.enumerate_c0(u, v)) == 1
+        with pytest.raises(CancellationError, match="not divisible by 2"):
+            tau_chain(u, v)
+        code, out, err = run(
+            capsys,
+            "restrict", "--type", "A", "--rank", "2", "--u", "1", "--v", "1,2,1",
+            "--method", "chain",
+        )
+        assert code == 3
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: internal error: CancellationError: ")
 
     @pytest.mark.parametrize(
         "argv",

@@ -277,6 +277,14 @@ def chain_by_chain(u, v):
     return total
 
 
+def assert_int_states(rs):
+    """Every sum held by the cached chain column is an int."""
+    column = rs._cache.get("chain_column")
+    if column is not None:
+        for key, sums in column.states.items():
+            assert all(type(c) is int for c in sums.values()), key
+
+
 class TestChainProgram:
     @pytest.mark.parametrize("family", ["A", "B", "C"])
     def test_every_pair_of_rank_3(self, family):
@@ -285,6 +293,7 @@ class TestChainProgram:
         for v in elements:
             for u in elements:
                 assert tau_chain(u, v) == chain_by_chain(u, v), (u, v)
+            assert_int_states(rs)
 
     @pytest.mark.parametrize("family", ["A", "B", "C"])
     def test_seeded_rank_4_pairs(self, family):
@@ -301,6 +310,7 @@ class TestChainProgram:
             value = tau_chain(u, v)
             outside += not value
             assert value == chain_by_chain(u, v), (u, v)
+            assert_int_states(rs)
         assert outside, "the sample has pairs with u not below v"
 
     @pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("C", 2)])
@@ -322,12 +332,24 @@ class TestChainProgram:
         gamma = enumerate_c0(u, v)[0]
         p, beta = gamma.elements[0], gamma.betas[0]
         _, index = _factor_index(v)
-        assert _edge_term(p, beta, v, index)[1] == 1
+        # The doubled ratio: its ratio is 1.
+        assert _edge_term(p, beta, v, index)[1] == 2
         with pytest.raises(CancellationError, match="no factor .* is proportional"):
             _edge_term(p, beta, v, {})
         # With p and v exchanged the denominator is the factor's negative.
         with pytest.raises(CancellationError, match="nonpositive multiple"):
             _edge_term(v, beta, p, index)
+        real_div = schubert.div_exact
+
+        def quadrupled(vec, d):
+            # A denominator form four times as large: the ratio is 1/4,
+            # which doubled is still not an integer.
+            return tuple(4 * c for c in real_div(vec, d))
+
+        with monkeypatch.context() as m:
+            m.setattr(schubert, "div_exact", quadrupled)
+            with pytest.raises(CancellationError, match="has the ratio 1/4"):
+                _edge_term(p, beta, v, index)
         real = schubert._factor_index
 
         def collapsed(top):
