@@ -6,14 +6,24 @@ or a precondition failed inside the library).  Element inputs are words of
 simple-reflection indices ("1,2,1") by default; in type A, pass
 ``--elements perm`` to use one-line permutations instead.
 Disambiguation is always by flag, never by guessing at the string shape.
+Ranks above ``MAX_RANK`` are refused as usage errors.
+
+JSON output is byte-identical to ``json.dumps``: with an indent of 2
+for the pair payloads of restrict, the listings of chains and subwords and
+the suite results of verify, and compact (the default separators) for
+table.  One writer, :func:`_write_json`, renders all of them; it prints
+each polynomial term from a %-format built once per rank and nesting
+depth, and writes the table to its output as it renders it.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import contextlib
+import functools
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import verify as verify_mod
 from .poly import FactoredPoly, Polynomial, expand
@@ -41,6 +51,10 @@ from .weyl import WeylElement, element_from_word, enumerate_elements
 
 SCHEMA = "v1"
 ENV_MAX_ORDER = "SCHUBERT_MAX_GROUP_ORDER"
+#: Largest rank a command accepts: up to it, every value's degree
+#: (at most |Phi+| = 225 in B15 and C15) fits a packed monomial
+#: (``poly.MAX_DEGREE``), and a root system builds in well under a second.
+MAX_RANK = 15
 
 
 class UsageError(Exception):
@@ -83,9 +97,12 @@ def _parse_element(rs, text: str, elements: str) -> WeylElement:
 
 def _lie_type(family: str, rank: int) -> LieType:
     try:
-        return LieType(family, rank)
+        lie_type = LieType(family, rank)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    if rank > MAX_RANK:
+        raise UsageError(f"rank {rank} exceeds the largest supported rank {MAX_RANK}")
+    return lie_type
 
 
 def _job(args, mismatch: str):
@@ -148,15 +165,106 @@ def _factored_text(f: FactoredPoly, basis: str) -> str:
     return "*".join(parts)
 
 
-def _emit(text: str, out: str | None):
-    if out:
-        try:
-            with open(out, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
-        except OSError as exc:
-            raise UsageError(f"cannot write {out!r}: {exc.strerror}") from None
+@functools.lru_cache(maxsize=None)
+def _term_format(rank: int, level):
+    """The %-format of one term ``{exponents, numerator, denominator}`` of
+    a polynomial of ``rank`` variables, as ``json.dumps`` with an indent
+    of 2 prints it in a list nested ``level`` deep (its leading newline and
+    indentation included), or as ``json.dumps`` prints it when ``level``
+    is None.  It takes the exponents, the numerator and the denominator."""
+    if level is None:
+        exponents = "[" + ", ".join(["%d"] * rank) + "]"
+        return '{"exponents": ' + exponents + ', "numerator": %d, "denominator": %d}'
+    item = "\n" + "  " * (level + 1)
+    key = item + "  "
+    exponents = "[" + ",".join([key + "  %d"] * rank) + key + "]" if rank else "[]"
+    return (
+        item + "{" + key + '"exponents": ' + exponents + ","
+        + key + '"numerator": %d,' + key + '"denominator": %d' + item + "}"
+    )
+
+
+def _polynomial_json(p: Polynomial, level) -> str:
+    """``p.to_json()`` as :func:`_write_json` prints it, one format call a
+    term, with no intermediate dict."""
+    if not p.terms:
+        return "[]"
+    fmt = _term_format(p.rank, level)
+    terms = [fmt % (*e, c.numerator, c.denominator) for e, c in p._sorted_terms()]
+    if level is None:
+        return "[" + ", ".join(terms) + "]"
+    return "[" + ",".join(terms) + "\n" + "  " * level + "]"
+
+
+def _write_json(obj, write, level=0):
+    """Write ``obj`` through ``write`` as ``json.dumps`` with an indent of
+    2 prints it when nested ``level`` deep, or as ``json.dumps(obj)`` when
+    ``level`` is None, with a ``Polynomial`` standing for its
+    ``to_json()`` list.  It takes None, bools, ints, strings, lists and
+    dicts with string keys; anything else raises ``TypeError``."""
+    if isinstance(obj, Polynomial):
+        write(_polynomial_json(obj, level))
+    elif isinstance(obj, str):
+        write(encode_basestring_ascii(obj))
+    elif obj is None:
+        write("null")
+    elif obj is True:
+        write("true")
+    elif obj is False:
+        write("false")
+    elif isinstance(obj, int):
+        write(int.__repr__(obj))
+    elif isinstance(obj, (list, dict)):
+        opening, closing = "[]" if isinstance(obj, list) else "{}"
+        if not obj:
+            write(opening + closing)
+            return
+        inner = None if level is None else level + 1
+        newline = "" if level is None else "\n" + "  " * inner
+        comma = "," + (newline or " ")
+        sep = opening + newline
+        if isinstance(obj, list):
+            for item in obj:
+                write(sep)
+                _write_json(item, write, inner)
+                sep = comma
+        else:
+            for key, value in obj.items():
+                if not isinstance(key, str):
+                    raise TypeError(f"keys must be str, not {type(key).__name__}")
+                write(sep + encode_basestring_ascii(key) + ": ")
+                _write_json(value, write, inner)
+                sep = comma
+        write(("" if level is None else "\n" + "  " * level) + closing)
     else:
-        print(text)
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _dumps(obj) -> str:
+    """``obj`` as ``json.dumps`` with an indent of 2 prints it, by
+    :func:`_write_json`."""
+    parts = []
+    _write_json(obj, parts.append)
+    return "".join(parts)
+
+
+@contextlib.contextmanager
+def _output(out: str | None):
+    """The stream a command writes to: the file ``out``, or stdout."""
+    if not out:
+        yield sys.stdout
+        return
+    try:
+        with open(out, "w", encoding="utf-8") as fh:
+            yield fh
+    except OSError as exc:
+        raise UsageError(f"cannot write {out!r}: {exc.strerror}") from None
+
+
+def _emit(text: str, out: str | None):
+    with _output(out) as fh:
+        fh.write(text)
+        fh.write("\n")
 
 
 def _positive_int(text: str) -> int:
@@ -213,10 +321,10 @@ def cmd_restrict(args) -> int:
     if args.format == "json":
         payload = {
             **_header(args, u, v),
-            "values": {m: p.to_json() for m, p in values.items()},
+            "values": values,
             "agree": agree,
         }
-        _emit(json.dumps(payload, indent=2), args.out)
+        _emit(_dumps(payload), args.out)
     else:
         lines = []
         for method, p in values.items():
@@ -246,7 +354,7 @@ def cmd_chains(args) -> int:
         contribution = None
         if gamma in in_c0:
             contribution = chain_contribution(gamma, v)
-            record["contribution"] = expand(contribution).to_json()
+            record["contribution"] = expand(contribution)
         if args.map_to_subwords:
             record["subword"] = list(f_i_map(gamma, word).display())
         records.append((record, contribution))
@@ -257,7 +365,7 @@ def cmd_chains(args) -> int:
             "c0_count": len(in_c0),
             "chains": [r for r, _ in records],
         }
-        _emit(json.dumps(payload, indent=2), args.out)
+        _emit(_dumps(payload), args.out)
     else:
         lines = [
             f"{len(chains)} maximal chain(s) from "
@@ -302,12 +410,12 @@ def cmd_subwords(args) -> int:
                 {
                     "mask": list(sub.mask),
                     "letters": list(sub.display()),
-                    "contribution": expand(contribution).to_json(),
+                    "contribution": expand(contribution),
                 }
                 for sub, contribution in records
             ],
         }
-        _emit(json.dumps(payload, indent=2), args.out)
+        _emit(_dumps(payload), args.out)
     else:
         lines = [
             f"{len(records)} reduced subword(s) of {list(word)} for "
@@ -354,7 +462,7 @@ def _suite_runner(args):
 
 def cmd_verify(args) -> int:
     result = _suite_runner(args)
-    _emit(json.dumps(result.to_json(), indent=2), args.out)
+    _emit(_dumps(result.to_json()), args.out)
     return 0 if result.ok else 1
 
 
@@ -363,33 +471,31 @@ def cmd_table(args) -> int:
     rs = build_root_system(lie_type)
     elements = _elements(rs)
     labels = [_element_label(el, "word") for el in elements]
-    rows = [row.values() for row in _tau_table(elements).values()]
-    if args.format == "json":
-        payload = {
-            "schema": SCHEMA,
-            "type": str(lie_type),
-            "elements": labels,
-            "values": [[p.to_json() for p in row] for row in rows],
-        }
-        _emit(json.dumps(payload), args.out)
-    elif args.format == "latex":
-        lines = ["\\begin{tabular}{l|" + "l" * len(labels) + "}"]
-        lines.append(
-            " & " + " & ".join(f"${lbl}$" for lbl in labels) + " \\\\ \\hline"
-        )
-        for lbl, row in zip(labels, rows):
-            lines.append(
-                f"${lbl}$ & " + " & ".join(f"${p.to_latex()}$" for p in row) + " \\\\"
-            )
-        lines.append("\\end{tabular}")
-        _emit("\n".join(lines), args.out)
-    else:
-        lines = []
-        for lbl, row in zip(labels, rows):
-            for vlbl, p in zip(labels, row):
-                if p:
-                    lines.append(f"tau[{lbl}]({vlbl}) = {p.to_text()}")
-        _emit("\n".join(lines), args.out)
+    rows = [list(row.values()) for row in _tau_table(elements).values()]
+    # Written as it is rendered, so the table's text is never held whole.
+    with _output(args.out) as fh:
+        if args.format == "json":
+            payload = {
+                "schema": SCHEMA,
+                "type": str(lie_type),
+                "elements": labels,
+                "values": rows,
+            }
+            _write_json(payload, fh.write, None)
+            fh.write("\n")
+        elif args.format == "latex":
+            fh.write("\\begin{tabular}{l|" + "l" * len(labels) + "}\n")
+            header = " & ".join(f"${lbl}$" for lbl in labels)
+            fh.write(f" & {header} \\\\ \\hline\n")
+            for lbl, row in zip(labels, rows):
+                cells = " & ".join(f"${p.to_latex()}$" for p in row)
+                fh.write(f"${lbl}$ & {cells} \\\\\n")
+            fh.write("\\end{tabular}\n")
+        else:
+            for lbl, row in zip(labels, rows):
+                for vlbl, p in zip(labels, row):
+                    if p:
+                        fh.write(f"tau[{lbl}]({vlbl}) = {p.to_text()}\n")
     return 0
 
 

@@ -2,8 +2,11 @@
 
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from schubres import cli, schubert, typea, verify, weyl
 from schubres.cli import main
@@ -621,6 +624,23 @@ class TestExitStatus:
                 2, "error: rank must be at least 1", id="type-label",
             ),
             pytest.param(
+                ("restrict", "--type", "A", "--rank", "80", "--u", "1", "--v", "1"),
+                None, None,
+                2, "error: rank 80 exceeds the largest supported rank 15",
+                id="rank-cap",
+            ),
+            pytest.param(
+                ("table", "--type", "C", "--rank", "16"), None, None,
+                2, "error: rank 16 exceeds the largest supported rank 15",
+                id="rank-cap-table",
+            ),
+            pytest.param(
+                ("verify", "--suite", "equivalence-typeA", "--rank", "16"),
+                None, None,
+                2, "error: rank 16 exceeds the largest supported rank 15",
+                id="rank-cap-verify",
+            ),
+            pytest.param(
                 ("restrict", "--type", "B", "--rank", "2", "--u", "12", "--v", "21",
                  "--elements", "perm"), None, None,
                 2, "error: --elements perm requires type A", id="perm-needs-type-a",
@@ -886,6 +906,30 @@ class TestTableAndPlumbing:
         digest = hashlib.sha256(out.encode()).hexdigest()
         assert digest == self.LISTING_DIGESTS[command]
 
+    # SHA-256 of `chains` JSON on a B2 pair whose first chain contributes
+    # a1/2 + a2, recorded before the writer replaced `json.dumps`: the
+    # pins above print only "denominator": 1.
+    HALVES_DIGEST = "f7163670d40d7ca3239d2e6fb66c931acf45077d1f15bf8ed0626a34fb2ad1f8"
+
+    def test_chains_json_with_halves_is_byte_identical(self, capsys):
+        code, out, _ = run(
+            capsys,
+            "chains", "--type", "B", "--rank", "2", "--u", "2",
+            "--v", "1,2,1", "--format", "json",
+        )
+        assert code == 0
+        assert '"denominator": 2' in out
+        assert hashlib.sha256(out.encode()).hexdigest() == self.HALVES_DIGEST
+
+    @pytest.mark.parametrize("fmt", ["json", "text", "latex"])
+    def test_table_on_stdout_matches_the_file(self, capsys, tmp_path, fmt):
+        target = tmp_path / "table.out"
+        argv = ("table", "--type", "B", "--rank", "2", "--format", fmt)
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert run(capsys, *argv, "--out", str(target)) == (0, "", "")
+        assert target.read_text() == out
+
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "value.txt"
         code, out, _ = run(
@@ -917,3 +961,79 @@ class TestTableAndPlumbing:
         assert run(capsys, *command, "--out", target) == (
             2, "", f"error: cannot write {target!r}: {reason}\n"
         )
+
+
+def plain(obj):
+    """``obj`` with every ``Polynomial`` replaced by its ``to_json()``."""
+    if isinstance(obj, Polynomial):
+        return obj.to_json()
+    if isinstance(obj, list):
+        return [plain(item) for item in obj]
+    if isinstance(obj, dict):
+        return {key: plain(value) for key, value in obj.items()}
+    return obj
+
+
+def written(obj, level):
+    parts = []
+    cli._write_json(obj, parts.append, level)
+    return "".join(parts)
+
+
+coefficients = st.one_of(
+    st.integers(min_value=-10**20, max_value=10**20),
+    st.fractions(max_denominator=12),
+)
+
+
+@st.composite
+def polynomials(draw):
+    rank = draw(st.integers(min_value=1, max_value=4))
+    exponents = st.tuples(*[st.integers(min_value=0, max_value=3)] * rank)
+    return Polynomial(rank, draw(st.dictionaries(exponents, coefficients, max_size=4)))
+
+
+#: Strings with quotes, backslashes, control and non-ASCII characters.
+texts = st.one_of(
+    st.text(max_size=6), st.sampled_from(['"', "\\", "\n", "é", "\u2028", "😀"])
+)
+payloads = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), texts, polynomials()),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4), st.dictionaries(texts, children, max_size=4)
+    ),
+    max_leaves=12,
+)
+
+#: One payload with every leaf the writer distinguishes.
+EVERY_LEAF = {
+    "zero": Polynomial.zero(2),
+    "halves": Polynomial(2, {(1, 0): Fraction(-1, 2), (0, 1): 1, (0, 0): 3}),
+    "empty": [{}, [], ""],
+    "flags": [True, 1, False, 0, None, -1],
+    'quote " back \\ é': ["\u2028", "\x00", "😀"],
+}
+
+
+class TestJsonWriter:
+    """``cli._write_json`` prints what ``json.dumps`` prints for the
+    ``to_json()`` form of the payload, indented and compact."""
+
+    @given(obj=payloads)
+    @example(obj=EVERY_LEAF)
+    @example(obj=[EVERY_LEAF, [EVERY_LEAF]])
+    @settings(deadline=None)
+    def test_indented_output_is_json_dumps(self, obj):
+        assert cli._dumps(obj) == json.dumps(plain(obj), indent=2)
+        assert written(obj, 0) == json.dumps(plain(obj), indent=2)
+
+    @given(obj=payloads)
+    @example(obj=EVERY_LEAF)
+    @settings(deadline=None)
+    def test_compact_output_is_json_dumps(self, obj):
+        assert written(obj, None) == json.dumps(plain(obj))
+
+    @pytest.mark.parametrize("obj", [1.5, {1: 2}, (1, 2), {3}, b"x"])
+    def test_other_types_are_refused(self, obj):
+        with pytest.raises(TypeError):
+            cli._dumps(obj)
