@@ -190,7 +190,7 @@ def _polynomial_json(p: Polynomial, level) -> str:
     if not p.terms:
         return "[]"
     fmt = _term_format(p.rank, level)
-    terms = [fmt % (*e, c.numerator, c.denominator) for e, c in p._sorted_terms()]
+    terms = [fmt % (*e, n, d) for e, n, d in p._sorted_terms()]
     if level is None:
         return "[" + ", ".join(terms) + "]"
     return "[" + ",".join(terms) + "\n" + "  " * level + "]"
@@ -432,6 +432,8 @@ def cmd_subwords(args) -> int:
 def _suite_runner(args):
     name = args.suite
     if name == "equivalence-typeA":
+        if args.type not in (None, "A"):
+            raise UsageError("--suite equivalence-typeA requires type A")
         rank = args.rank if args.rank is not None else 3
         # The suite runs on the shared system; enumerating it here applies
         # the cap to the suite's own enumeration.

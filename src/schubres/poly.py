@@ -13,14 +13,18 @@ degree and then the exponents of variables 1 to rank, so the key of a
 product of monomials is the sum of their keys, and the canonical term
 order (total degree ascending, then the exponent vector descending) is
 read off the key.  The degree of a monomial is at most ``MAX_DEGREE`` =
-255, against at most |Phi+| = 36 at rank 6, so no field ever carries
-into the next; a polynomial or product past it raises ``OverflowError``.
-Exponent tuples are unpacked only for output, evaluation and division.
+255, against at most |Phi+| = 225 in B15 and C15 at the CLI's largest
+rank, so no field ever carries into the next; a polynomial or product
+past it raises ``OverflowError``.  Exponent tuples are unpacked only for
+output, evaluation and division.
 
-A polynomial stores an integral coefficient as ``int`` and any other as
-``Fraction``, also after arithmetic, so the usual all-integer case never
-builds a ``Fraction``; the two compare, hash and print alike.  No
-floating point is used anywhere: no ``/`` is taken between two ints.
+A polynomial's coefficients are ``int`` numerators over one positive
+denominator ``den``, in lowest terms, so arithmetic runs in integers and
+the usual integral case (``den == 1``) never takes a gcd.  ``Fraction``
+appears only at the edges: rational input, a rational scalar factor,
+:meth:`Polynomial.from_json`, the value of :meth:`Polynomial.evaluate`
+and :class:`FactoredPoly`.  No floating point is used anywhere: no ``/``
+is taken between two ints.
 """
 
 from __future__ import annotations
@@ -75,14 +79,6 @@ def _rational(x) -> Fraction:
     return Fraction(x)
 
 
-def _coefficient(c):
-    """``c`` as an int when integral, else as a Fraction."""
-    if type(c) is int:
-        return c
-    c = _rational(c)
-    return c.numerator if c.denominator == 1 else c
-
-
 def _cleared(values):
     """Exact rationals (ints or Fractions; a float is refused) as ints
     over a common denominator: (ints, denominator)."""
@@ -91,70 +87,66 @@ def _cleared(values):
     return tuple(x.numerator * (scale // x.denominator) for x in values), scale
 
 
-def _holds_fraction(terms) -> bool:
-    return Fraction in map(type, terms.values())
-
-
-def _integral_terms(terms):
-    """Replace each integral Fraction coefficient of ``terms`` by an int,
-    in place.  A product of int coefficients is an int, so a product runs
-    this only when a factor holds a Fraction."""
-    for e, c in terms.items():
-        if type(c) is not int and c.denominator == 1:
-            terms[e] = c.numerator
-
-
-def _quotient(a, b):
-    """a / b for exact a and b != 0, as an int when integral."""
-    if type(a) is int and type(b) is int:
-        q, r = divmod(a, b)
-        return Fraction(a, b) if r else q
-    q = Fraction(a) / b
-    return q.numerator if q.denominator == 1 else q
-
-
-def _latex_number(c):
-    if c.denominator != 1:
-        return f"\\frac{{{c.numerator}}}{{{c.denominator}}}"
-    return str(c.numerator)
+def _scaled(terms, factor):
+    """A new dict of ``terms`` times the int ``factor``."""
+    if factor == 1:
+        return dict(terms)
+    return {e: c * factor for e, c in terms.items()}
 
 
 class Polynomial:
     """Sparse multivariate polynomial with exact rational coefficients.
 
     ``terms`` maps the packed key of each monomial (see :func:`pack`) to
-    its nonzero coefficient.
+    the nonzero ``int`` numerator of its coefficient, and ``den`` is the
+    one denominator of them all: the coefficient of a key is
+    ``terms[key] / den``.  The form is canonical: ``den >= 1``, the gcd of
+    ``den`` and the numerators is 1, and the zero polynomial has
+    ``den == 1``.
 
     >>> p = Polynomial(2, {(1, 0): 1, (0, 1): 1})
     >>> (p * p).to_text()
     'a1^2 + 2*a1*a2 + a2^2'
     """
 
-    __slots__ = ("rank", "terms")
+    __slots__ = ("rank", "terms", "den")
 
     def __init__(self, rank, terms=None):
-        self.rank = rank
+        self.rank, self.terms, self.den = rank, {}, 1
+        if not terms:
+            return
+        items = list(terms.items() if isinstance(terms, dict) else terms)
+        numerators, den = _cleared(c for _, c in items)
         clean = {}
-        if terms:
-            items = terms.items() if isinstance(terms, dict) else terms
-            for exponents, coeff in items:
-                coeff = _coefficient(coeff)
-                if not coeff:
-                    continue
-                exponents = tuple(exponents)
-                if len(exponents) != rank:
-                    raise ValueError("exponent vector length does not match rank")
-                key = pack(exponents)
-                acc = clean.get(key)
-                if acc is None:
-                    clean[key] = coeff
-                else:
-                    acc += coeff
-                    if acc:
-                        clean[key] = acc
-                    else:
-                        del clean[key]
-        self.terms = clean
+        for (exponents, _), coeff in zip(items, numerators):
+            if not coeff:
+                continue
+            exponents = tuple(exponents)
+            if len(exponents) != rank:
+                raise ValueError("exponent vector length does not match rank")
+            key = pack(exponents)
+            acc = clean.get(key, 0) + coeff
+            if acc:
+                clean[key] = acc
+            else:
+                del clean[key]
+        p = self._of(rank, clean, den)
+        self.terms, self.den = p.terms, p.den
+
+    @classmethod
+    def _of(cls, rank, terms, den):
+        """The polynomial ``terms / den`` for nonzero int numerators and
+        den > 0, brought to lowest terms; the gcd is skipped when den is 1."""
+        if den != 1:
+            g = math.gcd(den, *terms.values())
+            if g != 1:
+                den //= g
+                terms = {e: c // g for e, c in terms.items()}
+        p = cls.__new__(cls)
+        p.rank = rank
+        p.terms = terms
+        p.den = den
+        return p
 
     # -- constructors
 
@@ -174,13 +166,16 @@ class Polynomial:
     def from_linear(cls, form):
         form = tuple(form)
         rank = len(form)
-        p = cls(rank)
+        den = 1
+        if any(type(c) is not int for c in form):
+            form, den = _cleared(form)
         degree_one = 1 << FIELD_BITS * rank
-        for i, c in enumerate(form):
-            if c:
-                key = degree_one | 1 << FIELD_BITS * (rank - 1 - i)
-                p.terms[key] = _coefficient(c)
-        return p
+        terms = {
+            degree_one | 1 << FIELD_BITS * (rank - 1 - i): c
+            for i, c in enumerate(form)
+            if c
+        }
+        return cls._of(rank, terms, den)
 
     # -- structure
 
@@ -190,10 +185,10 @@ class Polynomial:
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.rank == other.rank and self.terms == other.terms
+        return (self.rank, self.den, self.terms) == (other.rank, other.den, other.terms)
 
     def __hash__(self):
-        return hash((self.rank, frozenset(self.terms.items())))
+        return hash((self.rank, self.den, frozenset(self.terms.items())))
 
     def degree(self):
         """Total degree; -1 for the zero polynomial.  The degree is the
@@ -213,27 +208,24 @@ class Polynomial:
             return NotImplemented
         if self.rank != other.rank:
             raise ValueError("rank mismatch")
-        out = dict(self.terms)
+        den = math.lcm(self.den, other.den)
+        out = _scaled(self.terms, den // self.den)
+        lift = den // other.den
         for e, c in other.terms.items():
+            c *= lift
             acc = out.get(e)
             if acc is None:
                 out[e] = c
             else:
                 acc += c
-                if not acc:
-                    del out[e]
-                elif type(acc) is int or acc.denominator != 1:
+                if acc:
                     out[e] = acc
                 else:
-                    out[e] = acc.numerator
-        p = Polynomial.zero(self.rank)
-        p.terms = out
-        return p
+                    del out[e]
+        return Polynomial._of(self.rank, out, den)
 
     def __neg__(self):
-        p = Polynomial.zero(self.rank)
-        p.terms = {e: -c for e, c in self.terms.items()}
-        return p
+        return Polynomial._of(self.rank, _scaled(self.terms, -1), self.den)
 
     def __sub__(self, other):
         if not isinstance(other, Polynomial):
@@ -242,20 +234,19 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = _coefficient(other)
-            p = Polynomial.zero(self.rank)
-            if other:
-                p.terms = {e: c * other for e, c in self.terms.items()}
-                if type(other) is Fraction or _holds_fraction(self.terms):
-                    _integral_terms(p.terms)
-            return p
+            if not other:
+                return Polynomial(self.rank)
+            return Polynomial._of(
+                self.rank,
+                _scaled(self.terms, other.numerator),
+                self.den * other.denominator,
+            )
         if not isinstance(other, Polynomial):
             return NotImplemented
         if self.rank != other.rank:
             raise ValueError("rank mismatch")
-        p = Polynomial.zero(self.rank)
         if not self.terms or not other.terms:
-            return p
+            return Polynomial(self.rank)
         # A product whose degree fits cannot carry from one exponent field
         # into the next.
         degree = self.degree() + other.degree()
@@ -276,10 +267,7 @@ class Polynomial:
                         out[e] = acc
                     else:
                         del out[e]
-        if _holds_fraction(self.terms) or _holds_fraction(other.terms):
-            _integral_terms(out)
-        p.terms = out
-        return p
+        return Polynomial._of(self.rank, out, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -298,69 +286,72 @@ class Polynomial:
         shift = FIELD_BITS * self.rank
         top = self.degree()
         lifts = [scale ** (top - d) for d in range(top + 1)]
-        denominator = math.lcm(*(c.denominator for c in self.terms.values()))
         total = 0
         for key, c in self.terms.items():
-            term = lifts[key >> shift]
+            term = lifts[key >> shift] * c
             for v, k in zip(values, unpack(key, self.rank)):
                 if k:
                     term *= v**k
-            total += term * c.numerator * (denominator // c.denominator)
-        return Fraction(total, denominator * scale**top)
+            total += term
+        return Fraction(total, self.den * scale**top)
 
     # -- serialization
 
     def _sorted_terms(self):
-        """The terms by total degree, then by exponent vector descending:
+        """``(exponents, numerator, denominator)`` of each coefficient in
+        lowest terms, by total degree, then by exponent vector descending:
         the key of degree d and exponent fields r sorts as d * 2^s - r."""
         shift = FIELD_BITS * self.rank
         keys = sorted(self.terms, key=lambda k: ((k >> shift) << (shift + 1)) - k)
-        return [(unpack(k, self.rank), self.terms[k]) for k in keys]
+        rank, terms, den = self.rank, self.terms, self.den
+        if den == 1:
+            return [(unpack(k, rank), terms[k], 1) for k in keys]
+        return [
+            (unpack(k, rank), terms[k] // (g := math.gcd(terms[k], den)), den // g)
+            for k in keys
+        ]
 
-    def _render(self, power, number, joiner):
+    def _render(self, power, fraction, joiner):
         """The terms in canonical order with their signs: ``power(i, k)``
-        renders the factor a_i^k, ``number`` a positive coefficient, and
-        ``joiner`` goes between the factors of a term."""
+        renders the factor a_i^k, ``fraction % (n, d)`` a positive
+        coefficient n/d with d > 1, and ``joiner`` goes between the factors
+        of a term."""
         if not self.terms:
             return "0"
         pieces = []
-        for e, c in self._sorted_terms():
+        for e, n, d in self._sorted_terms():
             mono = joiner.join(power(i + 1, k) for i, k in enumerate(e) if k)
-            mag = abs(c)
+            number = str(abs(n)) if d == 1 else fraction % (abs(n), d)
             if not mono:
-                body = number(mag)
-            elif mag == 1:
+                body = number
+            elif number == "1":
                 body = mono
             else:
-                body = number(mag) + joiner + mono
+                body = number + joiner + mono
             if not pieces:
-                pieces.append(body if c > 0 else f"-{body}")
+                pieces.append(body if n > 0 else f"-{body}")
             else:
-                pieces.append(("+ " if c > 0 else "- ") + body)
+                pieces.append(("+ " if n > 0 else "- ") + body)
         return " ".join(pieces)
 
     def to_text(self):
         """Canonical text form, e.g. ``a1^2 + 2*a1*a2 + a2^2``."""
         return self._render(
-            lambda i, k: f"a{i}" + (f"^{k}" if k > 1 else ""), str, "*"
+            lambda i, k: f"a{i}" + (f"^{k}" if k > 1 else ""), "%d/%d", "*"
         )
 
     def to_latex(self):
         return self._render(
             lambda i, k: f"\\alpha_{{{i}}}" + (f"^{{{k}}}" if k > 1 else ""),
-            _latex_number,
+            "\\frac{%d}{%d}",
             "",
         )
 
     def to_json(self):
         """List of ``{exponents, numerator, denominator}`` records."""
         return [
-            {
-                "exponents": list(e),
-                "numerator": c.numerator,
-                "denominator": c.denominator,
-            }
-            for e, c in self._sorted_terms()
+            {"exponents": list(e), "numerator": n, "denominator": d}
+            for e, n, d in self._sorted_terms()
         ]
 
     @classmethod
@@ -429,10 +420,12 @@ def expand(f: FactoredPoly) -> Polynomial:
 def divide_linear(p: Polynomial, d):
     """Exact quotient p / d for a linear form d, or None if not divisible.
 
-    Eliminates the first variable with a nonzero coefficient in d and
-    checks that the remainder vanishes.
+    Eliminates the first variable x with a nonzero coefficient c in the
+    cleared d by pseudo-division: the numerators are scaled by c^L, L the
+    degree of p in x, so that each elimination step divides exactly, and
+    the remainder must vanish.
     """
-    d = tuple(_coefficient(c) for c in d)
+    d, d_den = _cleared(d)
     k = next((i for i, c in enumerate(d) if c), None)
     if k is None:
         raise ValueError("division by the zero linear form")
@@ -448,8 +441,11 @@ def divide_linear(p: Polynomial, d):
         for j, dj in enumerate(d)
         if dj and j != k
     ]
+    # Every coefficient of alpha_k-degree l in the remainder stays a
+    # multiple of ck^l, so each step's // is exact.
+    lift = ck ** max(((e >> field) & MAX_DEGREE for e in p.terms), default=0)
     quotient = {}
-    remainder = dict(p.terms)
+    remainder = _scaled(p.terms, lift)
     while True:
         level = max(((e >> field) & MAX_DEGREE for e in remainder), default=0)
         if level == 0:
@@ -458,7 +454,7 @@ def divide_linear(p: Polynomial, d):
             # Each popped key is distinct and never comes back, so each
             # quotient key is set once.
             me = e - down
-            mc = quotient[me] = _quotient(remainder.pop(e), ck)
+            mc = quotient[me] = remainder.pop(e) // ck
             # remainder -= mc * alpha^me * d; the alpha_k part cancels the
             # popped term exactly, so it is skipped.
             for up, dj in ups:
@@ -470,6 +466,7 @@ def divide_linear(p: Polynomial, d):
                     remainder.pop(key, None)
     if remainder:
         return None
-    q = Polynomial.zero(rank)
-    q.terms = quotient
-    return q
+    # p = quotient * d_int / (p.den * lift) and d = d_int / d_den.
+    den = p.den * lift
+    sign = -1 if den < 0 else 1
+    return Polynomial._of(rank, _scaled(quotient, sign * d_den), sign * den)

@@ -679,6 +679,12 @@ class TestExitStatus:
                 id="cap-exceeded",
             ),
             pytest.param(
+                ("verify", "--suite", "equivalence-typeA", "--type", "B", "--rank", "2"),
+                None, None,
+                2, "error: --suite equivalence-typeA requires type A",
+                id="equivalence-needs-type-a",
+            ),
+            pytest.param(
                 ("verify", "--suite", "nope", "--rank", "2"), None, None,
                 2, "error: unknown suite 'nope'; choose from ", id="unknown-suite",
             ),

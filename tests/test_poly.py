@@ -1,10 +1,11 @@
 """Exact polynomial arithmetic: expansion, division, evaluation, output."""
 
 import json
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from schubres.poly import (
@@ -180,19 +181,37 @@ class TestSerialization:
         assert not poly(2, {(1, 0): 1, (0, 0): 2}).is_homogeneous()
 
 
-def all_coefficients(polys):
-    return [c for p in polys for c in p.terms.values()]
+def canonical(p):
+    """p is in its canonical form: nonzero int numerators over a positive
+    denominator, the two coprime (so the zero polynomial has den 1)."""
+    return (
+        type(p.den) is int
+        and p.den > 0
+        and all(type(c) is int and c for c in p.terms.values())
+        and math.gcd(p.den, *p.terms.values()) == 1
+    )
 
 
 class TestIntegerCoefficients:
-    def test_integral_fraction_is_stored_as_int(self):
+    def test_integral_input_has_den_one(self):
         p = Polynomial(2, {(1, 0): Fraction(3)})
-        assert type(p.terms[pack((1, 0))]) is int and p.terms[pack((1, 0))] == 3
+        assert p.den == 1 and p.terms == {pack((1, 0)): 3}
         q = Polynomial(2, {(1, 0): Fraction(1, 2)})
-        assert type(q.terms[pack((1, 0))]) is Fraction
-        assert type(Polynomial.from_linear((Fraction(2), 1)).terms[pack((1, 0))]) is int
+        assert q.den == 2 and q.terms == {pack((1, 0)): 1}
+        linear = Polynomial.from_linear((Fraction(2), 1))
+        assert linear.den == 1 and linear == Polynomial.from_linear((2, 1))
 
-    def test_arithmetic_stores_integral_results_as_int(self):
+    def test_int_and_fraction_inputs_agree(self):
+        with_int = Polynomial(2, {(1, 0): 3, (0, 1): Fraction(1, 2)})
+        with_fraction = Polynomial(2, {(1, 0): Fraction(3), (0, 1): Fraction(1, 2)})
+        assert canonical(with_int) and canonical(with_fraction)
+        assert with_int == with_fraction
+        assert hash(with_int) == hash(with_fraction)
+        assert with_int.to_text() == with_fraction.to_text()
+        assert with_int.to_latex() == with_fraction.to_latex()
+        assert json.dumps(with_int.to_json()) == json.dumps(with_fraction.to_json())
+
+    def test_integral_results_have_den_one(self):
         half = Polynomial(1, {(1,): Fraction(1, 2)})
         three_halves = Polynomial(1, {(1,): Fraction(3, 2), (0,): Fraction(1, 2)})
         results = [
@@ -200,13 +219,14 @@ class TestIntegerCoefficients:
             half * 2,  # a1
             half * Polynomial(1, {(1,): 2}),  # a1^2
             three_halves * Polynomial(1, {(1,): 2, (0,): -2}),  # 3 a1^2 - 2 a1 - 1
+            half - half,  # 0
         ]
         for p in results:
-            assert all(type(c) is int for c in p.terms.values()), p
+            assert canonical(p) and p.den == 1, p
         assert results[3] == Polynomial(1, {(2,): 3, (1,): -2, (0,): -1})
-        assert type((half * 3).terms[pack((1,))]) is Fraction
+        assert (half * 3).den == 2
 
-    def test_fraction_products_store_integral_results_as_int(self):
+    def test_fraction_products_reduce_to_den_one(self):
         three_halves = Polynomial(1, {(1,): Fraction(3, 2)})
         results = [
             # (3/2 a1)(2/3 a1 + 4/3) = a1^2 + 2 a1
@@ -214,30 +234,16 @@ class TestIntegerCoefficients:
             three_halves * Fraction(2, 3),  # a1
         ]
         for p in results:
-            assert all(type(c) is int for c in p.terms.values()), p
+            assert canonical(p) and p.den == 1, p
         assert results == [Polynomial(1, {(2,): 1, (1,): 2}), Polynomial(1, {(1,): 1})]
 
-    def test_int_and_fraction_coefficients_agree(self):
-        with_int = Polynomial(2, {(1, 0): 3, (0, 1): Fraction(1, 2)})
-        with_fraction = Polynomial(2, {(1, 0): 3, (0, 1): Fraction(1, 2)})
-        with_fraction.terms[pack((1, 0))] = Fraction(3)  # bypasses the constructor
-        assert with_int == with_fraction
-        assert hash(with_int) == hash(with_fraction)
-        assert with_int.to_text() == with_fraction.to_text()
-        assert with_int.to_latex() == with_fraction.to_latex()
-        assert with_int.to_json() == with_fraction.to_json()
-        assert json.dumps(with_int.to_json()) == json.dumps(with_fraction.to_json())
-
-    def test_no_float_coefficients(self):
+    def test_restrictions_have_den_one(self):
         rs = root_system("B", 3)
         elements = enumerate_elements(rs)
         table = [tau_chain(u, v) for u in elements for v in elements]
-        # Restrictions have integer coefficients, stored as int also when
-        # summed from chain contributions that carry 1/2.
-        assert not any(
-            type(c) is Fraction and c.denominator == 1
-            for c in all_coefficients(table)
-        )
+        # Restrictions have integer coefficients, also when summed from
+        # chain contributions that carry 1/2.
+        assert all(p.den == 1 for p in table)
         contributions = [
             expand(chain_contribution(gamma, v))
             for u in elements
@@ -245,14 +251,13 @@ class TestIntegerCoefficients:
             for gamma in enumerate_c0(u, v)
         ]
         assert any(
-            type(c) is Fraction for c in all_coefficients(contributions)
+            p.den > 1 for p in contributions
         ), "B3 chain contributions have non-integral coefficients"
         p = poly(2, {(2, 0): 3, (1, 1): 5, (0, 2): 2})  # (3 a1 + 2 a2)(a1 + a2)
         quotients = [divide_linear(p, (1, 1)), divide_linear(p, (3, 2))]
         quotients.append(divide_linear(p, (Fraction(3, 2), 1)))
         scaled = [p * Fraction(1, 3), p * Fraction(4, 2), p * 2]
-        for c in all_coefficients(table + contributions + quotients + scaled):
-            assert type(c) in (int, Fraction)
+        assert all(map(canonical, table + contributions + quotients + scaled))
 
 
 # The exponent-tuple arithmetic that the packed keys replaced, kept as the
@@ -337,14 +342,13 @@ def ref_json(a):
 
 
 def as_tuples(p):
-    """The terms of a Polynomial keyed by exponent tuples."""
-    return {unpack(key, p.rank): c for key, c in p.terms.items()}
+    """The coefficients of a Polynomial keyed by exponent tuples."""
+    return {unpack(key, p.rank): Fraction(c, p.den) for key, c in p.terms.items()}
 
 
 def same(p, ref):
-    """p has the reference's terms, with the same int/Fraction types."""
-    got = as_tuples(p)
-    return got == ref and all(type(got[e]) is type(c) for e, c in ref.items())
+    """p is canonical and has the reference's terms."""
+    return canonical(p) and as_tuples(p) == ref
 
 
 exact = st.one_of(
@@ -387,6 +391,12 @@ def forms(draw, rank):
     return tuple(d)
 
 
+@st.composite
+def divisions(draw):
+    rank, a, _ = draw(poly_pairs())
+    return rank, a, draw(forms(rank))
+
+
 class TestPackedAgainstTuples:
     @given(pair=poly_pairs())
     @settings(deadline=None)
@@ -409,11 +419,19 @@ class TestPackedAgainstTuples:
         assert same(Polynomial(rank, a) * s, ref_scale(a, s))
         assert same(s * Polynomial(rank, a), ref_scale(a, s))
 
-    @given(data=st.data())
+    @given(case=divisions())
+    # A C2 long root, with leading coefficient 2, on a polynomial it
+    # divides and on one it does not.
+    @example(case=(2, {(2, 0): 2, (1, 1): 3, (0, 2): 1}, (2, 1)))
+    @example(case=(2, {(2, 0): 1, (0, 1): 1}, (2, 1)))
+    # A negative leading coefficient: the pseudo-division's scale c^L is
+    # negative for the odd L of the product.
+    @example(case=(2, {(2, 0): 1, (0, 1): Fraction(1, 2)}, (-2, 3)))
+    # A non-primitive form, whose quotient has halves.
+    @example(case=(2, {(1, 0): 1, (0, 1): 1}, (2, 2)))
     @settings(deadline=None)
-    def test_divide_linear(self, data):
-        rank, a, _ = data.draw(poly_pairs())
-        d = data.draw(forms(rank))
+    def test_divide_linear(self, case):
+        rank, a, d = case
         linear = {
             tuple(int(i == j) for j in range(rank)): _normal(Fraction(c))
             for i, c in enumerate(d)
@@ -438,6 +456,7 @@ class TestPackedAgainstTuples:
     def test_json_order(self, pair):
         rank, a, b = pair
         product = Polynomial(rank, a) * Polynomial(rank, b)
+        assert canonical(product)
         assert Polynomial(rank, a).to_json() == ref_json(a)
         assert product.to_json() == ref_json(ref_mul(a, b))
 
