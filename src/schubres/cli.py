@@ -27,7 +27,7 @@ from json.encoder import encode_basestring_ascii
 
 from . import verify as verify_mod
 from .poly import FactoredPoly, Polynomial, expand
-from .rootsys import LieType, build_root_system, root_system
+from .rootsys import LieType, build_root_system
 from .schubert import (
     _prefix_roots,
     _tau_table,
@@ -55,6 +55,12 @@ ENV_MAX_ORDER = "SCHUBERT_MAX_GROUP_ORDER"
 #: (at most |Phi+| = 225 in B15 and C15) fits a packed monomial
 #: (``poly.MAX_DEGREE``), and a root system builds in well under a second.
 MAX_RANK = 15
+#: The flags of ``verify`` that a suite reads, each with the keyword the
+#: suite takes it as; a suite refuses the flags it does not read.
+SUITE_FLAGS = {
+    "gt": {"samples": "samples", "pairs": "pair_sample", "seed": "seed"},
+    "equivalence-typeA": {"pairs": "pair_sample", "seed": "seed"},
+}
 
 
 class UsageError(Exception):
@@ -429,41 +435,36 @@ def cmd_subwords(args) -> int:
     return 0
 
 
-def _suite_runner(args):
+def cmd_verify(args) -> int:
     name = args.suite
-    if name == "equivalence-typeA":
-        if args.type not in (None, "A"):
-            raise UsageError("--suite equivalence-typeA requires type A")
-        rank = args.rank if args.rank is not None else 3
-        # The suite runs on the shared system; enumerating it here applies
-        # the cap to the suite's own enumeration.
-        _lie_type("A", rank)
-        _elements(root_system("A", rank))
-        return verify_mod.suite_equivalence_typea(
-            rank + 1, pair_sample=args.pairs, seed=args.seed
-        )
     try:
         runner = verify_mod.SUITES[name]
     except KeyError:
         raise UsageError(
-            f"unknown suite {name!r}; choose from "
-            f"{sorted(verify_mod.SUITES) + ['equivalence-typeA']}"
+            f"unknown suite {name!r}; choose from {sorted(verify_mod.SUITES)}"
         )
-    if args.type is None:
+    reads = SUITE_FLAGS.get(name, {})
+    flags = {}
+    for flag in ("samples", "pairs", "seed"):
+        if getattr(args, flag) is not None:
+            if flag not in reads:
+                raise UsageError(f"--{flag} does not apply to suite {name}")
+            flags[reads[flag]] = getattr(args, flag)
+    family = args.type
+    if name == "equivalence-typeA":
+        if family not in (None, "A"):
+            raise UsageError("--suite equivalence-typeA requires type A")
+        family = "A"
+    elif family is None:
         raise UsageError("--type is required for this suite")
     # Desk-scale defaults: rank 4 in type A, rank 3 in types B and C; limits
-    # evaluates every maximal chain of every pair, so it stays at rank 3.
-    default = 4 if args.type == "A" and name != "limits" else 3
+    # evaluates every maximal chain of every pair, and equivalence-typeA
+    # every pair of elements, so both stay at rank 3.
+    default = 3 if family != "A" or name in ("limits", "equivalence-typeA") else 4
     rank = args.rank if args.rank is not None else default
-    rs = build_root_system(_lie_type(args.type, rank))
+    rs = build_root_system(_lie_type(family, rank))
     _elements(rs)
-    if name == "gt":
-        return runner(rs, samples=args.samples, seed=args.seed, pair_sample=args.pairs)
-    return runner(rs)
-
-
-def cmd_verify(args) -> int:
-    result = _suite_runner(args)
+    result = runner(rs, **flags)
     _emit(_dumps(result.to_json()), args.out)
     return 0 if result.ok else 1
 
@@ -542,7 +543,12 @@ def build_parser():
         action="store_true",
         help="also print the subword image of each chain",
     )
-    p.add_argument("--word", help="reduced word for v used for the subword map")
+    p.add_argument(
+        "--word",
+        help="reduced word for v used for the subword map (default: the "
+        "lexicographically least; the type-A bijection of the paper holds "
+        "for the descending-run word, typea.canonical_word_iv)",
+    )
     p.set_defaults(func=cmd_chains)
 
     p = sub.add_parser("subwords", help="list reduced subwords and contributions")
@@ -552,7 +558,7 @@ def build_parser():
     p.set_defaults(func=cmd_subwords)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("--suite", required=True)
+    p.add_argument("--suite", required=True, help=", ".join(sorted(verify_mod.SUITES)))
     p.add_argument("--type", choices=["A", "B", "C"])
     p.add_argument(
         "--rank",
@@ -561,9 +567,10 @@ def build_parser():
         help="defaults to 4 in type A and 3 in types B/C; "
         "limits and equivalence-typeA default to 3",
     )
-    p.add_argument("--samples", type=_positive_int, default=20)
-    p.add_argument("--pairs", type=_positive_int, default=None)
-    p.add_argument("--seed", type=int, default=verify_mod.DEFAULT_SEED)
+    for flag in ("samples", "pairs", "seed"):
+        kind = int if flag == "seed" else _positive_int
+        readers = ", ".join(s for s, reads in SUITE_FLAGS.items() if flag in reads)
+        p.add_argument(f"--{flag}", type=kind, help=f"read by suites {readers}")
     p.add_argument("--out")
     p.set_defaults(func=cmd_verify)
 

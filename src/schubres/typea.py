@@ -133,12 +133,17 @@ def tau_typea(u: Permutation, v: Permutation) -> Polynomial:
     inversion factors of v that survive after removing one factor per
     edge; the result is expressed in the alpha basis.
     """
+    return _tau_typea(*_perm_pair(u, v))
+
+
+def _perm_pair(u: Permutation, v: Permutation):
+    """The elements of two permutations of one size, in the shared system."""
     _check_permutation(u)
     _check_permutation(v)
     if len(u) != len(v):
         raise ValueError("size mismatch between the two permutations")
     rs = typea_system(len(v))
-    return _tau_typea(perm_to_element(rs, u), perm_to_element(rs, v))
+    return perm_to_element(rs, u), perm_to_element(rs, v)
 
 
 def _tau_typea(U: WeylElement, V: WeylElement) -> Polynomial:
@@ -171,12 +176,7 @@ def canonical_word_iv(v: Permutation):
     >>> canonical_word_iv((3, 4, 2, 1))
     (2, 1, 3, 2, 3)
     """
-    _check_permutation(v)
-    segments = canonical_word_iv_segments(v)
-    word = []
-    for segment in segments:
-        word.extend(segment)
-    return tuple(word)
+    return tuple(i for segment in canonical_word_iv_segments(v) for i in segment)
 
 
 def canonical_word_iv_segments(v: Permutation):
@@ -238,14 +238,13 @@ def verify_equivalence(u: Permutation, v: Permutation) -> EquivalenceReport:
     chain to a subword, and compares images and expanded contributions.
     Violations are reported as data.
     """
-    _check_permutation(u)
-    _check_permutation(v)
-    if len(u) != len(v):
-        raise ValueError("size mismatch between the two permutations")
-    n = len(v)
-    rs = typea_system(n)
-    U = perm_to_element(rs, u)
-    V = perm_to_element(rs, v)
+    return _verify_equivalence(*_perm_pair(u, v))
+
+
+def _verify_equivalence(U: WeylElement, V: WeylElement) -> EquivalenceReport:
+    """:func:`verify_equivalence` on the elements of any type-A system."""
+    rs = V.rs
+    v = element_to_perm(V)
     word = canonical_word_iv(v)
     chains = enumerate_c0(U, V)
     expected = {s.mask: s for s in enumerate_reduced_subwords(U, word)}
@@ -267,8 +266,8 @@ def verify_equivalence(u: Permutation, v: Permutation) -> EquivalenceReport:
             mismatches.append((image.mask, lhs, rhs))
     missed = tuple(mask for mask in expected if mask not in seen)
     return EquivalenceReport(
-        u=tuple(u),
-        v=tuple(v),
+        u=element_to_perm(U),
+        v=v,
         word=word,
         chain_count=len(chains),
         subword_count=len(expected),

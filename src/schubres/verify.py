@@ -1,9 +1,10 @@
 """Cross-verification suites over exhaustive small-rank enumeration.
 
-Each suite returns a :class:`SuiteResult` with a case count and a list
-of human-readable failure strings; an empty failure list means the suite
-passed.  Suites are deterministic: randomized ones take an explicit
-seed.
+Every suite in :data:`SUITES` takes the root system it checks as its
+first argument, plus keyword options of its own, and returns a
+:class:`SuiteResult` with a case count and a list of human-readable
+failure strings; an empty failure list means the suite passed.  Suites
+are deterministic: randomized ones take an explicit seed.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .poly import Polynomial, expand
-from .rootsys import RootSystem, h_root, is_positive, root_system
+from .rootsys import RootSystem, h_root, is_positive
 from .schubert import (
     NonGenericPointError,
     _subword_step,
@@ -27,7 +28,7 @@ from .schubert import (
     tau_chain,
     tau_gt_eval,
 )
-from .typea import _tau_typea, element_to_perm, verify_equivalence
+from .typea import _tau_typea, _verify_equivalence, element_to_perm
 from .weyl import (
     INFINITY,
     bruhat_leq,
@@ -75,14 +76,6 @@ class SuiteResult:
 
 
 def bruhat_pairs(rs: RootSystem):
-    """All ordered pairs u <= v, in enumeration order."""
-    elements = enumerate_elements(rs)
-    return [
-        (u, v) for u in elements for v in elements if bruhat_leq(u, v)
-    ]
-
-
-def _pairs_by_top(rs: RootSystem):
     """All ordered pairs u <= v, v-major in enumeration order, so that the
     pairs of one v share its chain column."""
     elements = enumerate_elements(rs)
@@ -132,7 +125,7 @@ def suite_oracle(rs: RootSystem) -> SuiteResult:
                 f"billey {got!r} vs chain {expected!r}",
             )
     if rs.lie_type.family == "A":
-        for u, v in _pairs_by_top(rs):
+        for u, v in bruhat_pairs(rs):
             result.check(
                 _tau_typea(u, v) == table[u][v],
                 lambda: f"typea mismatch at u={u!r}, v={v!r}",
@@ -175,7 +168,7 @@ def suite_positivity(rs: RootSystem) -> SuiteResult:
     """
     result = SuiteResult(f"positivity[{rs.lie_type}]")
     family = rs.lie_type.family
-    for u, v in _pairs_by_top(rs):
+    for u, v in bruhat_pairs(rs):
         for gamma in enumerate_c0(u, v):
             scale = 2 ** len(gamma.betas) if family == "B" else 1
             scaled = expand(chain_contribution(gamma, v)) * scale
@@ -280,7 +273,7 @@ def suite_limits(rs: RootSystem) -> SuiteResult:
     result = SuiteResult(f"limits[{rs.lie_type}]")
     mu = limit_schedule(rs.rank, LIMIT_T)
     alpha = (Fraction(1),) * rs.rank
-    for u, v in _pairs_by_top(rs):
+    for u, v in bruhat_pairs(rs):
         surviving = set(enumerate_c0(u, v))
         for gamma in enumerate_max_chains(u, v):
             value = gt_term_eval(gamma, v, mu, alpha)
@@ -300,27 +293,24 @@ def suite_limits(rs: RootSystem) -> SuiteResult:
 
 
 def suite_equivalence_typea(
-    n: int,
+    rs: RootSystem,
     pair_sample: int | None = None,
     seed: int = DEFAULT_SEED,
 ) -> SuiteResult:
-    """Chain-to-subword bijection with termwise equal contributions."""
-    result = SuiteResult(f"equivalence-typeA[S{n}]")
-    rs = root_system("A", n - 1)
+    """Chain-to-subword bijection with termwise equal contributions, in type A."""
+    result = SuiteResult(f"equivalence-typeA[S{rs.rank + 1}]")
     elements = enumerate_elements(rs)
-    perms = [element_to_perm(el) for el in elements]
-    # Pair k is (perms[k // N], perms[k % N]); sampling the indices draws
-    # the same pairs as sampling the list of all N^2 pairs would.
-    indices = range(len(perms) ** 2)
+    # Pair k is (elements[k // N], elements[k % N]); sampling the indices
+    # draws the same pairs as sampling the list of all N^2 pairs would.
+    indices = range(len(elements) ** 2)
     if pair_sample is not None and pair_sample < len(indices):
         indices = random.Random(seed).sample(indices, pair_sample)
     for k in indices:
-        a, b = divmod(k, len(perms))
-        pu, pv = perms[a], perms[b]
-        report = verify_equivalence(pu, pv)
+        a, b = divmod(k, len(elements))
+        report = _verify_equivalence(elements[a], elements[b])
         result.check(
             report.ok,
-            lambda: f"equivalence fails at u={pu}, v={pv}: "
+            lambda: f"equivalence fails at u={report.u}, v={report.v}: "
             f"{report.chain_count} chains vs {report.subword_count} subwords, "
             f"{len(report.contribution_mismatches)} mismatches",
         )
@@ -500,4 +490,5 @@ SUITES = {
     "gt": suite_gt,
     "limits": suite_limits,
     "lemmas": suite_lemmas,
+    "equivalence-typeA": suite_equivalence_typea,
 }

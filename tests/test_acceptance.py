@@ -172,8 +172,8 @@ def test_criterion_7_limits():
 
 def test_criterion_8_typea_equivalence():
     results = [
-        suite_equivalence_typea(4),
-        suite_equivalence_typea(5, pair_sample=200),
+        suite_equivalence_typea(root_system("A", 3)),
+        suite_equivalence_typea(root_system("A", 4), pair_sample=200),
     ]
     run_suites(8, "chain-subword equivalence on S4 and S5", results)
 

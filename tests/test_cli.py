@@ -440,6 +440,7 @@ class TestVerify:
             ("limits", "C", 3),
             ("oracle", "A", 4),
             ("oracle", "B", 3),
+            ("equivalence-typeA", "A", 3),
         ],
     )
     def test_default_rank(self, capsys, monkeypatch, suite, family, rank):
@@ -685,6 +686,24 @@ class TestExitStatus:
                 id="equivalence-needs-type-a",
             ),
             pytest.param(
+                ("verify", "--suite", "oracle", "--type", "A", "--rank", "2",
+                 "--pairs", "1"), None, None,
+                2, "error: --pairs does not apply to suite oracle",
+                id="pairs-not-read",
+            ),
+            pytest.param(
+                ("verify", "--suite", "equivalence-typeA", "--rank", "2",
+                 "--samples", "3"), None, None,
+                2, "error: --samples does not apply to suite equivalence-typeA",
+                id="samples-not-read",
+            ),
+            pytest.param(
+                ("verify", "--suite", "gkm", "--type", "B", "--rank", "2",
+                 "--seed", "5"), None, None,
+                2, "error: --seed does not apply to suite gkm",
+                id="seed-not-read",
+            ),
+            pytest.param(
                 ("verify", "--suite", "nope", "--rank", "2"), None, None,
                 2, "error: unknown suite 'nope'; choose from ", id="unknown-suite",
             ),
@@ -728,7 +747,9 @@ class TestTableAndPlumbing:
         assert len(payload["values"]) == 6
 
     @pytest.mark.parametrize(
-        "suite", ["gkm", "characterization", "oracle", "lemmas", "positivity"]
+        "suite",
+        ["gkm", "characterization", "oracle", "lemmas", "positivity",
+         "equivalence-typeA"],
     )
     def test_group_order_cap_above_default_reaches_suites(
         self, capsys, monkeypatch, suite

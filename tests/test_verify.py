@@ -9,7 +9,6 @@ from schubres import schubert, verify
 from schubres.poly import Polynomial
 from schubres.rootsys import LieType, build_root_system, root_system
 from schubres.schubert import NonGenericPointError, _subword_sums, tau_chain
-from schubres.typea import element_to_perm
 from schubres.verify import SuiteResult, suite_oracle, suite_positivity
 from schubres.weyl import (
     all_reduced_words,
@@ -110,14 +109,28 @@ def test_trie_visits_each_reduced_word_once(family):
 
 
 @pytest.mark.parametrize(
-    "suite,cases,columns",
-    [(verify.suite_positivity, 2366, 48), (verify.suite_limits, 51630, 47)],
+    "suite,options,cases,builds,columns",
+    [
+        pytest.param(
+            verify.suite_positivity, {}, 2366, 48, 48, id="suite_positivity-2366-48"
+        ),
+        pytest.param(
+            verify.suite_limits, {}, 51630, 47, 47, id="suite_limits-51630-47"
+        ),
+        pytest.param(
+            verify.suite_gt, {"samples": 1}, 847, 96, 48, id="suite_gt-847-48"
+        ),
+    ],
 )
-def test_suites_build_one_column_per_top_element(monkeypatch, suite, cases, columns):
+def test_suites_build_one_column_per_top_element(
+    monkeypatch, suite, options, cases, builds, columns
+):
     # A fresh system, so no column is cached; visiting each v's pairs
-    # together builds the column of each of the 48 elements at most once.
-    # The chain walks of limits need none for the identity, whose only
-    # pair is (e, e); positivity's tau_chain(e, e) reads its column.
+    # together builds the column of each of the 48 elements at most once
+    # a pass.  The chain walks of limits need none for the identity, whose
+    # only pair is (e, e); positivity's tau_chain(e, e) reads its column.
+    # gt makes two passes over its pairs: one fills their chain values,
+    # the other sums the moment-map paths at its points.
     built = []
 
     class Counting(schubert._ChainColumn):
@@ -129,9 +142,9 @@ def test_suites_build_one_column_per_top_element(monkeypatch, suite, cases, colu
 
     monkeypatch.setattr(schubert, "_ChainColumn", Counting)
     rs = build_root_system(LieType("B", 3))
-    result = suite(rs)
+    result = suite(rs, **options)
     assert (result.cases, result.failures) == (cases, [])
-    assert len(built) == len(set(built)) == columns
+    assert (len(built), len(set(built))) == (builds, columns)
     assert len(enumerate_elements(rs)) == 48
 
 
@@ -148,16 +161,17 @@ def test_equivalence_sample_draws_the_pairs_of_the_full_list(monkeypatch, n, see
     # Sampling pair indices must draw what sampling the list of all N^2
     # pairs drew, so a seed keeps naming the same cases.
     seen = []
-    real = verify.verify_equivalence
+    real = verify._verify_equivalence
 
-    def recording(pu, pv):
-        seen.append((pu, pv))
-        return real(pu, pv)
+    def recording(u, v):
+        seen.append((u, v))
+        return real(u, v)
 
-    monkeypatch.setattr(verify, "verify_equivalence", recording)
-    result = verify.suite_equivalence_typea(n, pair_sample=10, seed=seed)
-    perms = [element_to_perm(el) for el in enumerate_elements(root_system("A", n - 1))]
-    pairs = [(pu, pv) for pu in perms for pv in perms]
+    monkeypatch.setattr(verify, "_verify_equivalence", recording)
+    rs = build_root_system(LieType("A", n - 1))
+    result = verify.suite_equivalence_typea(rs, pair_sample=10, seed=seed)
+    elements = enumerate_elements(rs)
+    pairs = [(u, v) for u in elements for v in elements]
     assert seen == random.Random(seed).sample(pairs, 10)
     assert (result.cases, result.failures) == (10, [])
 
