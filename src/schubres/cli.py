@@ -519,7 +519,10 @@ def _add_common_element_args(parser, need_uv=True, formats=("text", "json", "lat
     parser.add_argument("--out", help="write output to a file instead of stdout")
 
 
+@functools.cache
 def build_parser():
+    """The parser of every command, built on the first call (not at
+    import) and then reused: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="schubres",
         description="Exact restrictions of equivariant Schubert classes "

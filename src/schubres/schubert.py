@@ -42,10 +42,12 @@ from .poly import (
 )
 from .rootsys import RootSystem, div_exact, h_root, is_positive
 from .weyl import (
+    INFINITY,
     WeylElement,
     bruhat_leq,
     covers_above,
     enumerate_elements,
+    h_pair,
     identity,
     inversion_roots,
     reflection,
@@ -156,7 +158,11 @@ def _walk_chains(u: WeylElement, v: WeylElement, monotone: bool):
     """Maximal ascending chains from u to v, deterministically.
 
     With ``monotone`` the h statistic of the edge roots must not decrease,
-    and branches that break it are pruned as they are generated.
+    and branches that break it are pruned as they are generated, as are
+    covers that cannot lead to v: reflecting by beta fixes omega_j for
+    every j < h(beta), so along a chain from p whose edges all have h at
+    least h(beta), p omega_j = v omega_j for those j, and a cover
+    p -beta-> is kept only if ``floor <= h(beta) <= h_pair(p, v)``.
     """
     _require_same_system(u, v)
     if u == v:
@@ -167,9 +173,10 @@ def _walk_chains(u: WeylElement, v: WeylElement, monotone: bool):
     chains = []
 
     def walk(cur, elems, betas, floor):
+        top = h_pair(cur, v) if monotone else INFINITY
         for beta, w in covers_above(cur):
             h = h_root(beta)
-            if h < floor or not column.edge(cur, beta, w):
+            if h < floor or h > top or not column.edge(cur, beta, w):
                 continue
             if w == v:
                 chains.append(Chain(elems + (w,), betas + (beta,)))
@@ -297,10 +304,15 @@ class _ChainColumn:
     over ``factors``, the sorted factors of lambda_minus(v)) to the summed
     scalar of the h-monotone maximal chains from w to v whose edge roots
     all have h at least ``floor``; these are all a chain's remaining
-    edges depend on.  Each chain has l(v) - l(w) edges, and its scalar is
-    the product of its doubled edge terms (:func:`_edge_term`), so every
-    sum is an int, 2^(l(v) - l(w)) times the true one.  ``expansions``
-    holds the product of the factors outside each mask.
+    edges depend on.  Reflecting by beta fixes omega_j for every
+    j < h(beta), and every edge of such a chain has h at least that of
+    its first, beta; so the chain leaves w omega_j unchanged for those j,
+    and exists only if ``h(beta) <= h_pair(w, v)``.  :meth:`sums` skips
+    every other cover before its Bruhat test and its edge check.  Each
+    chain has l(v) - l(w) edges, and its scalar is the product of its
+    doubled edge terms (:func:`_edge_term`), so every sum is an int,
+    2^(l(v) - l(w)) times the true one.  ``expansions`` holds the
+    product of the factors outside each mask.
     """
 
     __slots__ = ("v", "factors", "index", "states", "edges", "under", "expansions")
@@ -346,9 +358,10 @@ class _ChainColumn:
         v = self.v
         edges = self.edges
         got = {}
+        top = h_pair(p, v)
         for beta, w in covers_above(p):
             h = h_root(beta)
-            if h < floor or not self.edge(p, beta, w):
+            if h < floor or h > top or not self.edge(p, beta, w):
                 continue
             rest = _AT_TOP if w == v else self.sums(w, h)
             if not rest:

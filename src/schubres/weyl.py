@@ -18,7 +18,8 @@ a cover ``u s_beta`` exactly when ``l(s_beta) - 2 |N(u) & N(s_beta)|``
 is 1, since ``l(u s_beta) = l(u) + l(s_beta) - 2 |N(u) & N(s_beta)|``:
 one AND and one popcount per root.  Each element also keeps its first
 right descent s and the element ``w s``, so the Bruhat test walks each
-descent chain with products built once.
+descent chain with products built once, and the canonical word of w is
+read off the descents of ``w^-1``.
 
 Weights stay in integers too.  The root system holds ``scale``, the
 least common denominator of the fundamental weights, and ``omegas``,
@@ -55,12 +56,13 @@ class RootTable:
     ``roots[k]`` for ``k < npos`` are the positive roots in
     ``rs.positive_roots`` order; ``roots[k + npos]`` is ``-roots[k]``.
     ``identity``, ``simple_reflections`` (s_1, ..., s_n) and
-    ``reflections`` (root of either sign to s_beta) are built with it.
+    ``reflections`` (root of either sign to s_beta) are built with it;
+    ``positive[k]`` is ``(s_beta, N(s_beta))`` for positive root k.
     """
 
     __slots__ = (
         "roots", "index", "npos", "simple", "identity", "simple_reflections",
-        "reflections",
+        "reflections", "positive",
     )
 
     def __init__(self, rs: RootSystem):
@@ -93,6 +95,9 @@ class RootTable:
                     found[image] = s * found[k] * s
                     frontier.append(image)
         self.reflections = {self.roots[k]: el for k, el in found.items()}
+        self.positive = tuple(
+            (found[k], _inversions(found[k])) for k in range(self.npos)
+        )
 
     def __len__(self):
         """Number of roots; every ``rs._cache`` entry reports its size so."""
@@ -196,19 +201,15 @@ class WeylElement:
 
     @property
     def canonical_word(self) -> Word:
-        """Lexicographically smallest reduced word."""
+        """Lexicographically smallest reduced word: its first letter is
+        the least left descent i of w, the first right descent of w^-1,
+        and the rest is that of s_i w = (w^-1 s_i)^-1."""
         if self._canonical is None:
             word = []
-            cur = self
-            while not cur.is_identity():
-                for i in range(1, cur.rs.rank + 1):
-                    lower = simple_reflection(cur.rs, i) * cur
-                    if lower.length < cur.length:
-                        word.append(i)
-                        cur = lower
-                        break
-                else:  # pragma: no cover - would indicate corrupt data
-                    raise AssertionError("non-identity element with no left descent")
+            cur = self.inverse()
+            while cur.length:
+                i, _, _, cur = _right_descent(cur)
+                word.append(i)
             self._canonical = tuple(word)
         return self._canonical
 
@@ -229,17 +230,17 @@ def _inversions(w: WeylElement) -> int:
 
 
 def _right_descent(w: WeylElement):
-    """``(k, s, w s)`` for the first simple reflection s with w alpha_s
-    negative, k the root index of alpha_s; memoized on ``w``, which must
-    not be the identity."""
+    """``(i, k, s, w s)`` for the first simple reflection s = s_i with
+    w alpha_i negative, k the root index of alpha_i; memoized on ``w``,
+    which must not be the identity."""
     got = w._descent
     if got is None:
         table = root_table(w.rs)
         perm = w.perm
         npos = table.npos
-        for k, s in zip(table.simple, table.simple_reflections):
+        for i, (k, s) in enumerate(zip(table.simple, table.simple_reflections), 1):
             if perm[k] >= npos:
-                got = w._descent = (k, s, w * s)
+                got = w._descent = (i, k, s, w * s)
                 break
     return got
 
@@ -315,19 +316,16 @@ def covers_above(u: WeylElement):
     cache = u.rs._cache.setdefault("covers_above", {})
     got = cache.get(u)
     if got is None:
-        rs = u.rs
-        reflections = root_table(rs).reflections
+        table = root_table(u.rs)
         mask = _inversions(u)
         out = []
-        # ``rs.positive_roots`` is sorted, so the order is deterministic,
-        # and beta is root k of the root table.
-        for k, beta in enumerate(rs.positive_roots):
+        # ``table.positive`` follows the sorted ``rs.positive_roots``, so
+        # the order is deterministic.
+        for k, (r, rmask) in enumerate(table.positive):
             if mask >> k & 1:
                 continue
-            r = reflections[beta]
-            rmask = _inversions(r)
             if rmask.bit_count() - 2 * (mask & rmask).bit_count() == 1:
-                out.append((beta, u * r))
+                out.append((table.roots[k], u * r))
         got = tuple(out)
         cache[u] = got
     return got
@@ -361,7 +359,7 @@ def bruhat_leq(u: WeylElement, v: WeylElement) -> bool:
         if got is not None:
             break
         path.append(key)
-        k, s, b = _right_descent(b)
+        _, k, s, b = _right_descent(b)
         lb -= 1
         if a.perm[k] >= npos:
             a = a * s

@@ -143,7 +143,7 @@ class TestChainEnumeration:
         }
 
     @pytest.mark.parametrize(
-        "family,rank", [("A", 2), ("B", 2), ("C", 2), ("A", 3)]
+        "family,rank", [("A", 2), ("B", 2), ("C", 2), ("A", 3), ("B", 3), ("C", 3)]
     )
     def test_c0_equals_filtered_sigma(self, family, rank):
         rs = root_system(family, rank)
@@ -650,6 +650,31 @@ class TestGtProgram:
 
 
 class TestSharedColumn:
+    @pytest.mark.parametrize(
+        "family,rank,u,v,states,value",
+        [
+            (
+                "B", 3, 2, (3, 2, 3, 1, 2, 3), 8,
+                {(1, 0, 0): 1, (0, 1, 0): 3, (0, 0, 1): 4},
+            ),
+            (
+                "C", 4, 1, (1, 2, 3, 4, 3, 2, 1, 2, 3, 4), 9,
+                {(1, 0, 0, 0): 2, (0, 1, 0, 0): 2, (0, 0, 1, 0): 2, (0, 0, 0, 1): 1},
+            ),
+        ],
+    )
+    def test_chain_sum_visits_only_states_that_can_reach_v(
+        self, family, rank, u, v, states, value
+    ):
+        # A cover p -beta-> is followed only if floor <= h(beta) <=
+        # h_pair(p, v); without the upper bound the same sums visit 23
+        # states in B3 and 131 in C4.
+        rs = build_root_system(LieType(family, rank))
+        v = element_from_word(rs, v)
+        got = tau_chain(simple_reflection(rs, u), v)
+        assert got == Polynomial(rank, value)
+        assert len(schubert._chain_column(v).states) == states
+
     def test_every_route_checks_each_edge_of_the_interval_once(self, monkeypatch):
         # A fresh system, so the column starts empty; all four walks up to
         # v, the moment-map sum at 20 points, share its checked edges.

@@ -269,6 +269,14 @@ class TestReducedWords:
                 )
                 assert len(set(words)) == len(words)
 
+    @pytest.mark.parametrize("family", ["A", "B", "C"])
+    def test_canonical_word_reads_the_least_left_descents(self, family):
+        # canonical_word walks the right descents of w^-1; the reference
+        # sorts every reduced word.
+        rs = build_root_system(LieType(family, 3))
+        for w in enumerate_elements(rs):
+            assert w.canonical_word == all_reduced_words(w)[0]
+
 
 class TestAction:
     def test_identity_action(self, a2):
