@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial
 
 #: A coordinate tuple over the simple-root basis.
@@ -190,9 +189,8 @@ def build_root_system(lie_type: LieType) -> RootSystem:
     return RootSystem(lie_type)
 
 
-@lru_cache(maxsize=None)
 def root_system(family: str, rank: int) -> RootSystem:
-    """Shared, cached root system; reuses element caches across callers."""
+    """A new root system for a family label and a rank, validated."""
     return build_root_system(LieType(family, rank))
 
 

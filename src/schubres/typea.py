@@ -52,7 +52,7 @@ def _check_permutation(values):
 
 
 def typea_system(n: int) -> RootSystem:
-    """The shared rank n-1 system acting on permutations of n values."""
+    """A new rank n-1 system acting on permutations of n values."""
     if n < 2:
         raise ValueError("need at least two values")
     return root_system("A", n - 1)
@@ -137,7 +137,7 @@ def tau_typea(u: Permutation, v: Permutation) -> Polynomial:
 
 
 def _perm_pair(u: Permutation, v: Permutation):
-    """The elements of two permutations of one size, in the shared system."""
+    """The elements of two permutations of one size, in one new type-A system."""
     _check_permutation(u)
     _check_permutation(v)
     if len(u) != len(v):

@@ -325,12 +325,7 @@ def suite_lemmas(rs: RootSystem) -> SuiteResult:
 
     # Weight differences p omega_i - q omega_i are nonnegative for p < q;
     # compared on the images scaled to integers by a positive factor.
-    strict_pairs = [
-        (p, q)
-        for p in elements
-        for q in elements
-        if p != q and bruhat_leq(p, q)
-    ]
+    strict_pairs = [(p, q) for p, q in bruhat_pairs(rs) if p != q]
     for p, q in strict_pairs:
         for p_image, q_image in zip(p.omega_images, q.omega_images):
             diff = tuple(a - b for a, b in zip(p_image, q_image))

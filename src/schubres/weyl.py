@@ -3,12 +3,14 @@
 An element is identified by the permutation it induces on the finite
 root set, the standard faithful representation of a Weyl group.  Each
 root system gets a root table, built on first use: its positive roots in
-``rs.positive_roots`` order, then their negatives in the same order, and
-a dict from root to index.  ``perm[k]`` is the index of ``w(root_k)``, so
-the product is one tuple lookup per root and the inverse is the inverse
-permutation.  The action matrix on the simple-root basis (columns are
-the images of the simple roots; all entries are integers) is derived
-from the permutation on each access.
+``rs.positive_roots`` order, then their negatives in the same order, a
+dict from root to index, and the group table of the identity, the simple
+reflections and one reflection s_beta per positive root beta (s_{-beta}
+is s_beta).  ``perm[k]`` is the index of ``w(root_k)``, so the product
+is one tuple lookup per root and the inverse is the inverse permutation.
+The action matrix on the simple-root basis (columns are the images of
+the simple roots; all entries are integers) is derived from the
+permutation on each access.
 
 The order layer reads the inversion set ``N(w)``, the positive roots
 that w sends to negative roots, as one ``int`` bitmask: bit k is set
@@ -55,49 +57,48 @@ class RootTable:
 
     ``roots[k]`` for ``k < npos`` are the positive roots in
     ``rs.positive_roots`` order; ``roots[k + npos]`` is ``-roots[k]``.
-    ``identity``, ``simple_reflections`` (s_1, ..., s_n) and
-    ``reflections`` (root of either sign to s_beta) are built with it;
-    ``positive[k]`` is ``(s_beta, N(s_beta))`` for positive root k.
+    ``identity`` and ``simple_reflections`` (s_1, ..., s_n) are built with
+    it, and ``positive[k]`` is ``(s_beta, N(s_beta))`` for positive root k:
+    one reflection per positive root, since s_{-beta} = s_beta.
     """
 
     __slots__ = (
         "roots", "index", "npos", "simple", "identity", "simple_reflections",
-        "reflections", "positive",
+        "positive",
     )
 
     def __init__(self, rs: RootSystem):
         positive = rs.positive_roots
-        self.npos = len(positive)
+        npos = self.npos = len(positive)
         self.roots = positive + tuple(tuple(-c for c in b) for b in positive)
         self.index = {beta: k for k, beta in enumerate(self.roots)}
         #: Index of alpha_j for j = 1..n, in order.
         self.simple = tuple(self.index[alpha] for alpha in rs.simple_roots)
         self.identity = _element(rs, tuple(range(len(self.roots))))
-        # s_i(beta) = beta - <beta, alpha_i^vee> alpha_i, in integers.
+        # s_i(beta) = beta - <beta, alpha_i^vee> alpha_i on the positive roots,
+        # in integers; s_i(-beta) = -s_i(beta) fills the negative half.
         simple = []
         for i0, column in enumerate(zip(*rs.cartan)):
             perm = []
-            for beta in self.roots:
+            for beta in positive:
                 image = list(beta)
                 image[i0] -= sum(b * c for b, c in zip(beta, column))
                 perm.append(self.index[tuple(image)])
+            perm += [(k + npos) % (2 * npos) for k in perm]
             simple.append(_element(rs, tuple(perm)))
         self.simple_reflections = tuple(simple)
-        # Close the simple roots under simple reflections, as the positive
-        # roots are generated: when beta' = s_i beta, s_beta' = s_i s_beta s_i.
+        # Close the simple roots under simple reflections, keeping positive
+        # images: when beta' = s_i beta is positive, s_beta' = s_i s_beta s_i.
         found = dict(zip(self.simple, simple))
         frontier = list(found)
         while frontier:
             k = frontier.pop()
             for s in simple:
                 image = s.perm[k]
-                if image not in found:
+                if image < npos and image not in found:
                     found[image] = s * found[k] * s
                     frontier.append(image)
-        self.reflections = {self.roots[k]: el for k, el in found.items()}
-        self.positive = tuple(
-            (found[k], _inversions(found[k])) for k in range(self.npos)
-        )
+        self.positive = tuple((found[k], _inversions(found[k])) for k in range(npos))
 
     def __len__(self):
         """Number of roots; every ``rs._cache`` entry reports its size so."""
@@ -267,12 +268,13 @@ def simple_reflection(rs: RootSystem, i: int) -> WeylElement:
 def reflection(rs: RootSystem, beta) -> WeylElement:
     """The reflection s_beta for a root beta (of either sign)."""
     beta = tuple(beta)
-    el = root_table(rs).reflections.get(beta)
-    if el is None:
+    table = root_table(rs)
+    k = table.index.get(beta)
+    if k is None:
         raise ValueError(
             f"invalid reflection: {beta} is not a root of {rs.lie_type}"
         )
-    return el
+    return table.positive[k % table.npos][0]
 
 
 def element_from_word(rs: RootSystem, word) -> WeylElement:

@@ -81,7 +81,7 @@ class TestConstruction:
     def test_build_returns_fresh_instance(self):
         lt = LieType("A", 2)
         assert build_root_system(lt) is not build_root_system(lt)
-        assert root_system("A", 2) is root_system("A", 2)
+        assert root_system("A", 2) is not root_system("A", 2)
 
     @pytest.mark.parametrize("family,rank", ALL_SMALL)
     def test_last_root_length_convention(self, family, rank):

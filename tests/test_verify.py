@@ -9,7 +9,7 @@ from schubres import schubert, verify
 from schubres.poly import Polynomial
 from schubres.rootsys import LieType, build_root_system, root_system
 from schubres.schubert import NonGenericPointError, _subword_sums, tau_chain
-from schubres.verify import SuiteResult, suite_oracle, suite_positivity
+from schubres.verify import SuiteResult, suite_lemmas, suite_oracle, suite_positivity
 from schubres.weyl import (
     all_reduced_words,
     element_from_word,
@@ -151,6 +151,13 @@ def test_suites_build_one_column_per_top_element(
 @pytest.mark.parametrize("family,cases", [("A", 1797), ("B", 10032), ("C", 10032)])
 def test_oracle_case_counts(family, cases):
     result = suite_oracle(root_system(family, 3))
+    assert result.failures == []
+    assert result.cases == cases
+
+
+@pytest.mark.parametrize("family,cases", [("A", 2101), ("B", 11808), ("C", 11808)])
+def test_lemmas_case_counts(family, cases):
+    result = suite_lemmas(root_system(family, 3))
     assert result.failures == []
     assert result.cases == cases
 

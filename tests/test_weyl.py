@@ -11,6 +11,7 @@ from schubres.rootsys import (
 from schubres.schubert import chain_contribution, enumerate_c0
 from schubres.weyl import (
     INFINITY,
+    WeylElement,
     all_reduced_words,
     bruhat_leq,
     covers_above,
@@ -104,9 +105,20 @@ class TestRepresentation:
                 reflection(rs, bad)
 
     @pytest.mark.parametrize("family,rank", GROUPS_RANK_3)
-    def test_group_table_is_built_with_the_root_table(self, family, rank):
+    def test_group_table_is_built_with_the_root_table(self, family, rank, monkeypatch):
         rs = build_root_system(LieType(family, rank))
+        products = []
+        mul = WeylElement.__mul__
+
+        def counted(x, y):
+            products.append((x, y))
+            return mul(x, y)
+
+        monkeypatch.setattr(WeylElement, "__mul__", counted)
         e = identity(rs)
+        monkeypatch.undo()
+        # Two products, s_i s_beta s_i, per non-simple positive root only.
+        assert len(products) == {"A": 6, "B": 12, "C": 12}[family]
         assert set(rs._cache) == {"root_table", "elements"}
         for i, alpha in enumerate(rs.simple_roots, 1):
             s = simple_reflection(rs, i)
