@@ -395,6 +395,8 @@ class FactoredPoly:
 
     def evaluate(self, values) -> Fraction:
         values = tuple(_rational(v) for v in values)
+        if len(values) != self.rank:
+            raise ValueError("value vector length does not match rank")
         total = self.scalar
         for f in self.factors:
             total *= sum(c * v for c, v in zip(f, values))

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .poly import Polynomial, expand
-from .rootsys import RootSystem, h_root, is_positive
+from .rootsys import RootSystem, div_exact, h_root, is_positive
 from .schubert import (
     NonGenericPointError,
     _subword_step,
@@ -23,7 +23,6 @@ from .schubert import (
     enumerate_c0,
     enumerate_max_chains,
     gkm_check_class,
-    gt_term_eval,
     lambda_minus,
     tau_chain,
     tau_gt_eval,
@@ -41,12 +40,6 @@ from .weyl import (
 )
 
 DEFAULT_SEED = 20260810
-
-#: The degeneration parameter of the ``limits`` suite and its relative
-#: tolerance.
-LIMIT_T = Fraction(1, 2**12)
-LIMIT_TOLERANCE = Fraction(1, 1000)
-
 
 @dataclass
 class SuiteResult:
@@ -261,34 +254,44 @@ def suite_gt(
     return result
 
 
-def limit_schedule(rank: int, t: Fraction):
-    """The degeneration weights (t, t^3, t^9, ...): later components
-    vanish first."""
-    return tuple(t ** (3**i) for i in range(rank))
-
-
 def suite_limits(rs: RootSystem) -> SuiteResult:
-    """Along the degeneration schedule at ``LIMIT_T``, non-monotone chains
-    vanish and monotone chains approach their exact contribution."""
+    """Exact t -> 0 limits along mu_i = t^(3^(i-1)): the moment-map term of
+    a chain outside C_0 tends to 0, that of a C_0 chain to its contribution.
+
+    An edge p -beta-> of a chain to v has the ratio of <mu, beta^vee> to
+    <mu, (p omega - v omega)(alpha)>, sums whose i-th terms carry
+    t^(3^(i-1)).  The powers of 3 are distinct, so no two terms cancel:
+    each sum leads with its first nonzero term, at h = h(beta) and at
+    k = h_pair(p, v).  The edge has t-valuation 3^(h-1) - 3^(k-1) and the
+    leading coefficient <omega_h, beta^vee> over p omega_k - v omega_k, the
+    difference of omega images over scale.  A chain vanishes if its
+    valuation sum is positive; at 0 its limit is lambda_minus(v) times its
+    leading coefficients, checked against its contribution cross-multiplied.
+    """
     result = SuiteResult(f"limits[{rs.lie_type}]")
-    mu = limit_schedule(rs.rank, LIMIT_T)
-    alpha = (Fraction(1),) * rs.rank
     for u, v in bruhat_pairs(rs):
         surviving = set(enumerate_c0(u, v))
         for gamma in enumerate_max_chains(u, v):
-            value = gt_term_eval(gamma, v, mu, alpha)
-            if gamma in surviving:
-                target = chain_contribution(gamma, v).evaluate(alpha)
-                result.check(
-                    abs(value - target) <= LIMIT_TOLERANCE * abs(target),
-                    lambda: f"surviving chain off target at u={u!r}, v={v!r}: "
-                    f"{value} vs {target}",
-                )
+            edges = list(zip(gamma.elements, gamma.betas))
+            valuation = sum(
+                3 ** (h_root(beta) - 1) - 3 ** (h_pair(p, v) - 1) for p, beta in edges
+            )
+            if valuation == 0 and gamma in surviving:
+                cleared, pairing = expand(chain_contribution(gamma, v)), 1
+                for p, beta in edges:
+                    h, k = h_root(beta), h_pair(p, v)
+                    pairing *= rs.pairings(beta)[h - 1]
+                    low = zip(p.omega_images[k - 1], v.omega_images[k - 1])
+                    form = div_exact(tuple(a - b for a, b in low), rs.scale)
+                    cleared = cleared * Polynomial.from_linear(form)
+                holds = expand(lambda_minus(v)) * pairing == cleared
             else:
-                result.check(
-                    abs(value) <= LIMIT_TOLERANCE,
-                    lambda: f"vanishing chain too large at u={u!r}, v={v!r}: {value}",
-                )
+                holds = valuation > 0 and gamma not in surviving
+            result.check(
+                holds,
+                lambda: f"{'surviving' if gamma in surviving else 'vanishing'} "
+                f"chain off its limit at u={u!r}, v={v!r}: valuation {valuation}",
+            )
     return result
 
 

@@ -1,8 +1,8 @@
 """Acceptance criteria: one test per criterion, each printing PASS/FAIL.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
-lines.  Every comparison is exact rational arithmetic except the limit
-criterion, which uses its stated tolerance.
+lines.  Every comparison is exact rational arithmetic, the limits
+criterion's too.
 """
 
 import time
@@ -167,7 +167,7 @@ def test_criterion_7_limits():
         suite_limits(root_system(family, rank))
         for family, rank in [("A", 2), ("B", 2), ("C", 2)]
     ]
-    run_suites(7, "degeneration limits at t = 2^-12", results)
+    run_suites(7, "exact degeneration limits t -> 0", results)
 
 
 def test_criterion_8_typea_equivalence():

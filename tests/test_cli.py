@@ -770,6 +770,19 @@ class TestTableAndPlumbing:
             capsys, "verify", "--suite", "gkm", "--type", "A", "--rank", "3"
         ) == (2, "", "error: group order 24 of A3 exceeds the enumeration cap 23\n")
 
+    @pytest.mark.parametrize("command", ["restrict", "chains", "subwords"])
+    def test_group_order_cap_leaves_interval_commands_alone(
+        self, capsys, monkeypatch, command
+    ):
+        # Only table and verify enumerate the group; a command on one
+        # interval runs under a cap below the order of A2, which is 6.
+        monkeypatch.setenv("SCHUBERT_MAX_GROUP_ORDER", "5")
+        code, out, err = run(
+            capsys, command, "--type", "A", "--rank", "2", "--u", "1", "--v", "1,2,1"
+        )
+        assert (code, err) == (0, "")
+        assert out
+
     @pytest.mark.parametrize("raw", ["0", "-5"])
     def test_group_order_cap_must_be_positive(self, capsys, monkeypatch, raw):
         monkeypatch.setenv("SCHUBERT_MAX_GROUP_ORDER", raw)

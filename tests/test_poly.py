@@ -502,3 +502,7 @@ class TestFloatsRejected:
             with pytest.raises(TypeError):
                 f.evaluate(values)
         assert p.evaluate((Fraction(1, 2), 1)) == f.evaluate((Fraction(1, 2), 1))
+        for values in ((1,), (1, 2, 3)):
+            for poly in (p, f):
+                with pytest.raises(ValueError, match="does not match rank"):
+                    poly.evaluate(values)

@@ -1,5 +1,6 @@
 """Suite bookkeeping: case counts and failure messages."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -146,6 +147,67 @@ def test_suites_build_one_column_per_top_element(
     assert (result.cases, result.failures) == (cases, [])
     assert (len(built), len(set(built))) == (builds, columns)
     assert len(enumerate_elements(rs)) == 48
+
+
+@pytest.mark.parametrize("every,failures", [(False, 1), (True, 38)])
+def test_limits_fail_on_a_doubled_contribution(monkeypatch, every, failures):
+    # Doubling the contribution of the C_0 chain e -> s1 (or of every C_0
+    # chain) moves it off its exact limit.
+    rs = root_system("B", 2)
+    chain = schubert.Chain((identity(rs), simple_reflection(rs, 1)), ((1, 0),))
+    real = verify.chain_contribution
+
+    def doubled(gamma, v):
+        got = real(gamma, v)
+        if every or gamma == chain:
+            got = dataclasses.replace(got, scalar=2 * got.scalar)
+        return got
+
+    monkeypatch.setattr(verify, "chain_contribution", doubled)
+    result = verify.suite_limits(rs)
+    assert result.cases == 60
+    assert len(result.failures) == failures
+    assert "surviving chain off its limit at u=<B2 e>, v=<B2 1>: valuation 0" in (
+        result.failures
+    )
+
+
+@pytest.mark.parametrize("every,failures", [(False, 1), (True, 22)])
+def test_limits_fail_on_a_non_monotone_survivor(monkeypatch, every, failures):
+    # Counting the chain e -> s2 -> s1 s2 (or every maximal chain) as
+    # surviving fails it: its t-valuation is 3 - 1 = 2, not 0.
+    rs = root_system("C", 2)
+    pair = (identity(rs), element_from_word(rs, (1, 2)))
+    real = verify.enumerate_c0
+
+    def widened(u, v):
+        if every or (u, v) == pair:
+            return verify.enumerate_max_chains(u, v)
+        return real(u, v)
+
+    monkeypatch.setattr(verify, "enumerate_c0", widened)
+    result = verify.suite_limits(rs)
+    assert result.cases == 60
+    assert len(result.failures) == failures
+    assert "surviving chain off its limit at u=<C2 e>, v=<C2 1,2>: valuation 2" in (
+        result.failures
+    )
+
+
+def test_limits_fail_on_a_dropped_survivor(monkeypatch):
+    # Leaving the C_0 chain e -> s1 -> s1 s2 out of C_0 fails it: its
+    # t-valuation is 0, so it does not vanish.
+    rs = root_system("C", 2)
+    pair = (identity(rs), element_from_word(rs, (1, 2)))
+    real = verify.enumerate_c0
+    monkeypatch.setattr(
+        verify, "enumerate_c0", lambda u, v: () if (u, v) == pair else real(u, v)
+    )
+    result = verify.suite_limits(rs)
+    assert (result.cases, result.failures) == (
+        60,
+        ["vanishing chain off its limit at u=<C2 e>, v=<C2 1,2>: valuation 0"],
+    )
 
 
 @pytest.mark.parametrize("family,cases", [("A", 1797), ("B", 10032), ("C", 10032)])
