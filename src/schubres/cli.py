@@ -13,7 +13,8 @@ for the pair payloads of restrict, the listings of chains and subwords and
 the suite results of verify, and compact (the default separators) for
 table.  One writer, :func:`_write_json`, renders all of them; it prints
 each polynomial term from a %-format built once per rank and nesting
-depth, and writes the table to its output as it renders it.
+depth, formats each distinct term once per output, and writes the table
+to its output as it renders it.
 """
 
 from __future__ import annotations
@@ -21,12 +22,13 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import math
 import os
 import sys
 from json.encoder import encode_basestring_ascii
 
 from . import verify as verify_mod
-from .poly import FactoredPoly, Polynomial, expand
+from .poly import FactoredPoly, Polynomial, expand, unpack
 from .rootsys import LieType, build_root_system
 from .schubert import (
     _prefix_roots,
@@ -190,26 +192,44 @@ def _term_format(rank: int, level):
     )
 
 
-def _polynomial_json(p: Polynomial, level) -> str:
-    """``p.to_json()`` as :func:`_write_json` prints it, one format call a
-    term, with no intermediate dict."""
+def _polynomial_json(p: Polynomial, level, rendered: dict) -> str:
+    """``p.to_json()`` as :func:`_write_json` prints it, with no
+    intermediate dict.  ``rendered[level, rank, den]`` maps the packed key
+    and numerator of each term already printed at that depth to its text,
+    so each distinct term of one output is formatted once."""
     if not p.terms:
         return "[]"
-    fmt = _term_format(p.rank, level)
-    terms = [fmt % (*e, n, d) for e, n, d in p._sorted_terms()]
+    rank, terms, den = p.rank, p.terms, p.den
+    texts = rendered.get((level, rank, den))
+    if texts is None:
+        texts = rendered[level, rank, den] = {}
+    pieces = []
+    for key in p._sorted_keys():
+        n = terms[key]
+        text = texts.get((key, n))
+        if text is None:
+            g = math.gcd(n, den)
+            text = texts[key, n] = _term_format(rank, level) % (
+                *unpack(key, rank), n // g, den // g
+            )
+        pieces.append(text)
     if level is None:
-        return "[" + ", ".join(terms) + "]"
-    return "[" + ",".join(terms) + "\n" + "  " * level + "]"
+        return "[" + ", ".join(pieces) + "]"
+    return "[" + ",".join(pieces) + "\n" + "  " * level + "]"
 
 
-def _write_json(obj, write, level=0):
+def _write_json(obj, write, level=0, rendered=None):
     """Write ``obj`` through ``write`` as ``json.dumps`` with an indent of
     2 prints it when nested ``level`` deep, or as ``json.dumps(obj)`` when
     ``level`` is None, with a ``Polynomial`` standing for its
     ``to_json()`` list.  It takes None, bools, ints, strings, lists and
-    dicts with string keys; anything else raises ``TypeError``."""
+    dicts with string keys; anything else raises ``TypeError``.  The
+    polynomial terms rendered so far (see :func:`_polynomial_json`) are
+    kept for one top-level call: one output."""
+    if rendered is None:
+        rendered = {}
     if isinstance(obj, Polynomial):
-        write(_polynomial_json(obj, level))
+        write(_polynomial_json(obj, level, rendered))
     elif isinstance(obj, str):
         write(encode_basestring_ascii(obj))
     elif obj is None:
@@ -232,14 +252,14 @@ def _write_json(obj, write, level=0):
         if isinstance(obj, list):
             for item in obj:
                 write(sep)
-                _write_json(item, write, inner)
+                _write_json(item, write, inner, rendered)
                 sep = comma
         else:
             for key, value in obj.items():
                 if not isinstance(key, str):
                     raise TypeError(f"keys must be str, not {type(key).__name__}")
                 write(sep + encode_basestring_ascii(key) + ": ")
-                _write_json(value, write, inner)
+                _write_json(value, write, inner, rendered)
                 sep = comma
         write(("" if level is None else "\n" + "  " * level) + closing)
     else:

@@ -16,7 +16,9 @@ read off the key.  The degree of a monomial is at most ``MAX_DEGREE`` =
 255, against at most |Phi+| = 225 in B15 and C15 at the CLI's largest
 rank, so no field ever carries into the next; a polynomial or product
 past it raises ``OverflowError``.  Exponent tuples are unpacked only for
-output, evaluation and division.
+output, evaluation and division.  Adding the key of alpha_i to every key
+multiplies by alpha_i, so :meth:`Polynomial.times_linear` multiplies by a
+linear form with one shifted copy of the terms per nonzero coordinate.
 
 A polynomial's coefficients are ``int`` numerators over one positive
 denominator ``den``, in lowest terms, so arithmetic runs in integers and
@@ -164,18 +166,10 @@ class Polynomial:
 
     @classmethod
     def from_linear(cls, form):
+        """The linear form sum_i c_i alpha_i: the constant 1, whose key is
+        0, times it."""
         form = tuple(form)
-        rank = len(form)
-        den = 1
-        if any(type(c) is not int for c in form):
-            form, den = _cleared(form)
-        degree_one = 1 << FIELD_BITS * rank
-        terms = {
-            degree_one | 1 << FIELD_BITS * (rank - 1 - i): c
-            for i, c in enumerate(form)
-            if c
-        }
-        return cls._of(rank, terms, den)
+        return cls._of(len(form), {0: 1}, 1).times_linear(form)
 
     # -- structure
 
@@ -271,6 +265,47 @@ class Polynomial:
 
     __rmul__ = __mul__
 
+    def times_linear(self, form):
+        """``self * Polynomial.from_linear(form)``, built as one shifted
+        copy of the terms per nonzero coordinate of ``form``, int or
+        Fraction coordinates cleared to ints over a common denominator."""
+        form = tuple(form)
+        rank = self.rank
+        if len(form) != rank:
+            raise ValueError("rank mismatch")
+        den = self.den
+        if any(type(c) is not int for c in form):
+            form, scale = _cleared(form)
+            den *= scale
+        if not self.terms or not any(form):
+            return Polynomial(rank)
+        degree = self.degree() + 1
+        if degree > MAX_DEGREE:
+            raise OverflowError(f"degree {degree} exceeds the bound {MAX_DEGREE}")
+        terms = self.terms
+        degree_one = 1 << FIELD_BITS * rank
+        out = None
+        for i, c in enumerate(form):
+            if not c:
+                continue
+            up = degree_one | 1 << FIELD_BITS * (rank - 1 - i)
+            if out is None:
+                out = {e + up: n * c for e, n in terms.items()}
+                continue
+            get = out.get
+            for e, n in terms.items():
+                e += up
+                acc = get(e)
+                if acc is None:
+                    out[e] = n * c
+                else:
+                    acc += n * c
+                    if acc:
+                        out[e] = acc
+                    else:
+                        del out[e]
+        return Polynomial._of(rank, out, den)
+
     # -- evaluation
 
     def evaluate(self, values) -> Fraction:
@@ -297,12 +332,17 @@ class Polynomial:
 
     # -- serialization
 
+    def _sorted_keys(self):
+        """The packed keys by total degree, then by exponent vector
+        descending: the key of degree d and exponent fields r sorts as
+        d * 2^s - r."""
+        shift = FIELD_BITS * self.rank
+        return sorted(self.terms, key=lambda k: ((k >> shift) << (shift + 1)) - k)
+
     def _sorted_terms(self):
         """``(exponents, numerator, denominator)`` of each coefficient in
-        lowest terms, by total degree, then by exponent vector descending:
-        the key of degree d and exponent fields r sorts as d * 2^s - r."""
-        shift = FIELD_BITS * self.rank
-        keys = sorted(self.terms, key=lambda k: ((k >> shift) << (shift + 1)) - k)
+        lowest terms, in the order of :meth:`_sorted_keys`."""
+        keys = self._sorted_keys()
         rank, terms, den = self.rank, self.terms, self.den
         if den == 1:
             return [(unpack(k, rank), terms[k], 1) for k in keys]
@@ -415,7 +455,7 @@ def expand(f: FactoredPoly) -> Polynomial:
     """Exact expansion; the degree equals the number of factors."""
     out = Polynomial.constant(f.rank, f.scalar)
     for form in f.factors:
-        out = out * Polynomial.from_linear(form)
+        out = out.times_linear(form)
     return out
 
 

@@ -385,9 +385,7 @@ class _ChainColumn:
         got = self.expansions.get(mask)
         if got is None:
             j = (~mask & (mask + 1)).bit_length() - 1
-            got = self.expansion(mask | 1 << j) * Polynomial.from_linear(
-                self.factors[j]
-            )
+            got = self.expansion(mask | 1 << j).times_linear(self.factors[j])
             self.expansions[mask] = got
         return got
 

@@ -283,7 +283,7 @@ def suite_limits(rs: RootSystem) -> SuiteResult:
                     pairing *= rs.pairings(beta)[h - 1]
                     low = zip(p.omega_images[k - 1], v.omega_images[k - 1])
                     form = div_exact(tuple(a - b for a, b in low), rs.scale)
-                    cleared = cleared * Polynomial.from_linear(form)
+                    cleared = cleared.times_linear(form)
                 holds = expand(lambda_minus(v)) * pairing == cleared
             else:
                 holds = valuation > 0 and gamma not in surviving
@@ -303,13 +303,16 @@ def suite_equivalence_typea(
     """Chain-to-subword bijection with termwise equal contributions, in type A."""
     result = SuiteResult(f"equivalence-typeA[S{rs.rank + 1}]")
     elements = enumerate_elements(rs)
-    # Pair k is (elements[k // N], elements[k % N]); sampling the indices
-    # draws the same pairs as sampling the list of all N^2 pairs would.
-    indices = range(len(elements) ** 2)
+    n = len(elements)
+    # Pair k is (elements[k // n], elements[k % n]); sampling the indices
+    # draws the same pairs as sampling the list of all n^2 pairs would.
+    # They are visited v-major, so that the pairs of one v share its
+    # chain column.
+    indices = range(n * n)
     if pair_sample is not None and pair_sample < len(indices):
         indices = random.Random(seed).sample(indices, pair_sample)
-    for k in indices:
-        a, b = divmod(k, len(elements))
+    for k in sorted(indices, key=lambda k: (k % n, k // n)):
+        a, b = divmod(k, n)
         report = _verify_equivalence(elements[a], elements[b])
         result.check(
             report.ok,

@@ -300,6 +300,16 @@ def ref_mul(a, b):
     return out
 
 
+def ref_linear(d):
+    """The reference polynomial of the linear form ``d``."""
+    rank = len(d)
+    return {
+        tuple(int(i == j) for j in range(rank)): _normal(Fraction(c))
+        for i, c in enumerate(d)
+        if c
+    }
+
+
 def ref_scale(a, s):
     return {e: _normal(c * s) for e, c in a.items()} if s else {}
 
@@ -397,6 +407,14 @@ def divisions(draw):
     return rank, a, draw(forms(rank))
 
 
+@st.composite
+def linear_products(draw):
+    """A reference polynomial and a linear form of its rank, which may be
+    the zero form."""
+    rank, a, _ = draw(poly_pairs())
+    return rank, a, tuple(draw(exact) for _ in range(rank))
+
+
 class TestPackedAgainstTuples:
     @given(pair=poly_pairs())
     @settings(deadline=None)
@@ -432,16 +450,28 @@ class TestPackedAgainstTuples:
     @settings(deadline=None)
     def test_divide_linear(self, case):
         rank, a, d = case
-        linear = {
-            tuple(int(i == j) for j in range(rank)): _normal(Fraction(c))
-            for i, c in enumerate(d)
-            if c
-        }
-        product = ref_mul(a, linear)
+        product = ref_mul(a, ref_linear(d))
         assert same(divide_linear(Polynomial(rank, product), d), a)
         expected = ref_divide(a, d)
         got = divide_linear(Polynomial(rank, a), d)
         assert got is None if expected is None else same(got, expected)
+
+    @given(case=linear_products())
+    # (a1 + a2)(a1 - a2): the two a1*a2 terms cancel.
+    @example(case=(2, {(1, 0): 1, (0, 1): 1}, (1, -1)))
+    # Halves and thirds over the denominator 6, times a Fraction form
+    # whose product is integral again.
+    @example(case=(2, {(1, 0): Fraction(1, 3), (0, 1): Fraction(1, 2)}, (3, 0)))
+    @example(case=(2, {(0, 0): Fraction(2, 3)}, (Fraction(3, 2), Fraction(-9, 4))))
+    @example(case=(3, {}, (1, Fraction(1, 2), -1)))
+    @example(case=(2, {(1, 1): 5}, (0, 0)))
+    @settings(deadline=None)
+    def test_times_linear(self, case):
+        rank, a, d = case
+        p = Polynomial(rank, a)
+        got = p.times_linear(d)
+        assert got == p * Polynomial.from_linear(d)
+        assert same(got, ref_mul(a, ref_linear(d)))
 
     @given(data=st.data())
     @settings(deadline=None)
@@ -469,6 +499,9 @@ class TestPackedAgainstTuples:
             top * x2
         with pytest.raises(OverflowError):
             x2 * top
+        for form in ((0, 1), (Fraction(1, 2), -3)):
+            with pytest.raises(OverflowError):
+                top.times_linear(form)
         with pytest.raises(OverflowError):
             Polynomial(2, {(1, MAX_DEGREE): 1})
 

@@ -109,6 +109,22 @@ def test_trie_visits_each_reduced_word_once(family):
         assert states == _subword_sums(rs, word), word
 
 
+@pytest.fixture
+def built_columns(monkeypatch):
+    """The top element of every chain column built, in order."""
+    built = []
+
+    class Counting(schubert._ChainColumn):
+        __slots__ = ()
+
+        def __init__(self, v):
+            built.append(v)
+            super().__init__(v)
+
+    monkeypatch.setattr(schubert, "_ChainColumn", Counting)
+    return built
+
+
 @pytest.mark.parametrize(
     "suite,options,cases,builds,columns",
     [
@@ -124,7 +140,7 @@ def test_trie_visits_each_reduced_word_once(family):
     ],
 )
 def test_suites_build_one_column_per_top_element(
-    monkeypatch, suite, options, cases, builds, columns
+    built_columns, suite, options, cases, builds, columns
 ):
     # A fresh system, so no column is cached; visiting each v's pairs
     # together builds the column of each of the 48 elements at most once
@@ -132,21 +148,30 @@ def test_suites_build_one_column_per_top_element(
     # only pair is (e, e); positivity's tau_chain(e, e) reads its column.
     # gt makes two passes over its pairs: one fills their chain values,
     # the other sums the moment-map paths at its points.
-    built = []
-
-    class Counting(schubert._ChainColumn):
-        __slots__ = ()
-
-        def __init__(self, v):
-            built.append(v)
-            super().__init__(v)
-
-    monkeypatch.setattr(schubert, "_ChainColumn", Counting)
     rs = build_root_system(LieType("B", 3))
     result = suite(rs, **options)
     assert (result.cases, result.failures) == (cases, [])
-    assert (len(built), len(set(built))) == (builds, columns)
+    assert (len(built_columns), len(set(built_columns))) == (builds, columns)
     assert len(enumerate_elements(rs)) == 48
+
+
+@pytest.mark.parametrize(
+    "options,cases,columns",
+    [
+        pytest.param({}, 576, 23, id="every-pair"),
+        pytest.param({"pair_sample": 50, "seed": 3}, 50, 8, id="sampled"),
+    ],
+)
+def test_equivalence_builds_one_column_per_top_element(
+    built_columns, options, cases, columns
+):
+    # The pairs are visited v-major, all of them or a seeded sample, so
+    # each column is built once.  Of the 24 elements of A3, the identity
+    # needs none: every pair with v = e returns before a chain walk.
+    rs = build_root_system(LieType("A", 3))
+    result = verify.suite_equivalence_typea(rs, **options)
+    assert (result.cases, result.failures) == (cases, [])
+    assert (len(built_columns), len(set(built_columns))) == (columns, columns)
 
 
 @pytest.mark.parametrize("every,failures", [(False, 1), (True, 38)])
@@ -228,7 +253,8 @@ def test_lemmas_case_counts(family, cases):
 @pytest.mark.parametrize("seed", [0, 7, 2024])
 def test_equivalence_sample_draws_the_pairs_of_the_full_list(monkeypatch, n, seed):
     # Sampling pair indices must draw what sampling the list of all N^2
-    # pairs drew, so a seed keeps naming the same cases.
+    # pairs drew, so a seed keeps naming the same cases; they are visited
+    # v-major, in the order of the elements.
     seen = []
     real = verify._verify_equivalence
 
@@ -241,7 +267,9 @@ def test_equivalence_sample_draws_the_pairs_of_the_full_list(monkeypatch, n, see
     result = verify.suite_equivalence_typea(rs, pair_sample=10, seed=seed)
     elements = enumerate_elements(rs)
     pairs = [(u, v) for u in elements for v in elements]
-    assert seen == random.Random(seed).sample(pairs, 10)
+    position = {el: k for k, el in enumerate(elements)}
+    drawn = random.Random(seed).sample(pairs, 10)
+    assert seen == sorted(drawn, key=lambda uv: (position[uv[1]], position[uv[0]]))
     assert (result.cases, result.failures) == (10, [])
 
 
