@@ -18,7 +18,9 @@ rank, so no field ever carries into the next; a polynomial or product
 past it raises ``OverflowError``.  Exponent tuples are unpacked only for
 output, evaluation and division.  Adding the key of alpha_i to every key
 multiplies by alpha_i, so :meth:`Polynomial.times_linear` multiplies by a
-linear form with one shifted copy of the terms per nonzero coordinate.
+linear form with one shifted copy of the terms per nonzero coordinate;
+the subword dynamic program adds such a product straight into a term
+dict with the same kernel, :func:`_add_times_linear`.
 
 A polynomial's coefficients are ``int`` numerators over one positive
 denominator ``den``, in lowest terms, so arithmetic runs in integers and
@@ -94,6 +96,36 @@ def _scaled(terms, factor):
     if factor == 1:
         return dict(terms)
     return {e: c * factor for e, c in terms.items()}
+
+
+def _add_times_linear(out, terms, form, rank):
+    """Add ``terms * form`` into the term dict ``out`` in place and return
+    it; ``out=None`` starts a new dict.  The product is one shifted copy
+    of ``terms`` per nonzero coordinate of the nonzero int tuple ``form``,
+    on the packed keys, and a sum that reaches zero is deleted.
+
+    The caller checks the degree: every key must stay within
+    ``MAX_DEGREE`` after the shift.
+    """
+    degree_one = 1 << FIELD_BITS * rank
+    items = terms.items()
+    for i, c in enumerate(form):
+        if not c:
+            continue
+        up = degree_one | 1 << FIELD_BITS * (rank - 1 - i)
+        if out is None:
+            out = {e + up: n * c for e, n in items}
+            continue
+        get = out.get
+        for e, n in items:
+            e += up
+            # n * c is nonzero, so a zero sum means the key was there.
+            acc = get(e, 0) + n * c
+            if acc:
+                out[e] = acc
+            else:
+                del out[e]
+    return out
 
 
 class Polynomial:
@@ -282,29 +314,8 @@ class Polynomial:
         degree = self.degree() + 1
         if degree > MAX_DEGREE:
             raise OverflowError(f"degree {degree} exceeds the bound {MAX_DEGREE}")
-        terms = self.terms
-        degree_one = 1 << FIELD_BITS * rank
-        out = None
-        for i, c in enumerate(form):
-            if not c:
-                continue
-            up = degree_one | 1 << FIELD_BITS * (rank - 1 - i)
-            if out is None:
-                out = {e + up: n * c for e, n in terms.items()}
-                continue
-            get = out.get
-            for e, n in terms.items():
-                e += up
-                acc = get(e)
-                if acc is None:
-                    out[e] = n * c
-                else:
-                    acc += n * c
-                    if acc:
-                        out[e] = acc
-                    else:
-                        del out[e]
-        return Polynomial._of(rank, out, den)
+        terms = _add_times_linear(None, self.terms, form, rank)
+        return Polynomial._of(rank, terms, den)
 
     # -- evaluation
 

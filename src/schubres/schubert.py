@@ -34,9 +34,11 @@ from fractions import Fraction
 from operator import mul
 
 from .poly import (
+    MAX_DEGREE,
     CancellationError,
     FactoredPoly,
     Polynomial,
+    _add_times_linear,
     _cleared,
     divide_linear,
 )
@@ -44,6 +46,7 @@ from .rootsys import RootSystem, div_exact, h_root, is_positive
 from .weyl import (
     INFINITY,
     WeylElement,
+    _inversions,
     bruhat_leq,
     covers_above,
     enumerate_elements,
@@ -51,6 +54,7 @@ from .weyl import (
     identity,
     inversion_roots,
     reflection,
+    root_table,
     simple_reflection,
 )
 
@@ -466,10 +470,18 @@ def subword_contribution(rs: RootSystem, subword: Subword) -> FactoredPoly:
 
 
 def enumerate_reduced_subwords(u: WeylElement, word):
-    """Masks whose selected letters form a reduced word for u."""
+    """Masks whose selected letters form a reduced word for u.
+
+    A selection is followed only while the selected letters stay a left
+    prefix of u (see :func:`_subword_step`), so no subtree that cannot
+    end at u is walked.
+    """
     rs = u.rs
     word = tuple(word)
     _prefix_roots(rs, word)
+    table = root_table(rs)
+    npos = table.npos
+    prefix_mask = _inversions(u.inverse())
     target_len = u.length
     m = len(word)
     found = []
@@ -484,46 +496,68 @@ def enumerate_reduced_subwords(u: WeylElement, word):
         mask.append(0)
         walk(pos + 1, cur, cur_len, mask)
         mask.pop()
-        if cur_len < target_len:
-            nxt = cur * simple_reflection(rs, word[pos])
-            if nxt.length == cur_len + 1:
-                mask.append(1)
-                walk(pos + 1, nxt, cur_len + 1, mask)
-                mask.pop()
+        letter = word[pos]
+        image = cur.perm[table.simple[letter - 1]]
+        if image < npos and prefix_mask >> image & 1:
+            mask.append(1)
+            walk(pos + 1, cur * table.simple_reflections[letter - 1], cur_len + 1, mask)
+            mask.pop()
 
     walk(0, identity(rs), 0, [])
     return tuple(sorted(found, key=lambda s: s.mask))
 
 
-def _subword_step(
-    states, s: WeylElement, factor: Polynomial, target=None, remaining=0
-):
+def _subword_step(states, s: WeylElement, form, target=None, remaining=0):
     """One position of the subword dynamic program: the states after a
-    letter with simple reflection ``s`` and factor ``factor``, from the
-    states before it.
+    letter with simple reflection ``s`` and factor the linear form
+    ``form`` (an int tuple), from the states before it.
 
     Each state either skips the letter or, when that lengthens it, selects
-    it and takes the factor.  ``target``, a pair (u^-1, l(u)), drops the
-    states that cannot end at u with ``remaining`` letters left after this
-    one (too few letters left, or not a left prefix w of u:
-    l(w^-1 u) = l(u) - l(w)) without changing the sum at u.
+    it and takes the factor.  ``target``, a pair (N(u^-1), l(u)), drops
+    the states that cannot end at u with ``remaining`` letters left after
+    this one (too few letters left, or not a left prefix w of u:
+    N(w^-1) inside N(u^-1)) without changing the sum at u.
+
+    Both tests read the permutation of a state ``cur``: with k the index
+    of alpha_s, ``cur s`` is longer than ``cur`` exactly when
+    ``cur.perm[k]`` is a positive root, and then
+    N((cur s)^-1) = N(cur^-1) + {cur alpha_s}, so a left prefix of u
+    stays one exactly when bit ``cur.perm[k]`` is set in N(u^-1).  A
+    selection adds ``total * form`` straight into the term dict of
+    ``cur s`` (:func:`_add_times_linear`).  A skipped state keeps its
+    input polynomial, whose dict is copied only the first time something
+    is added into it, so the input states never change.  States hold
+    integer polynomials (denominator 1), homogeneous of degree l(cur).
     """
-    if target is not None:
-        u_inverse, target_len = target
-    nxt: dict = {}
+    rank = s.rs.rank
+    npos = len(s.perm) >> 1
+    # N(s) = {alpha_s}: its one bit is the index of alpha_s.
+    k = _inversions(s).bit_length() - 1
+    if target is None:
+        nxt = dict(states)
+    else:
+        prefix_mask, target_len = target
+        nxt = {
+            cur: total
+            for cur, total in states.items()
+            if target_len - cur.length <= remaining
+        }
+    selected: dict = {}
     for cur, total in states.items():
-        cur_len = cur.length
-        if target is None or target_len - cur_len <= remaining:
-            acc = nxt.get(cur)
-            nxt[cur] = total if acc is None else acc + total
+        image = cur.perm[k]
+        if image >= npos or target is not None and not prefix_mask >> image & 1:
+            continue
+        degree = cur.length + 1
+        if degree > MAX_DEGREE:
+            raise OverflowError(f"degree {degree} exceeds the bound {MAX_DEGREE}")
         w = cur * s
-        if w.length != cur_len + 1:
-            continue
-        if target is not None and (u_inverse * w).length != target_len - w.length:
-            continue
-        acc = nxt.get(w)
-        product = total * factor
-        nxt[w] = product if acc is None else acc + product
+        terms = selected.get(w)
+        if terms is None:
+            skipped = nxt.get(w)
+            terms = None if skipped is None else dict(skipped.terms)
+        selected[w] = _add_times_linear(terms, total.terms, form, rank)
+    for w, terms in selected.items():
+        nxt[w] = Polynomial._of(rank, terms, 1)
     return nxt
 
 
@@ -535,18 +569,19 @@ def _subword_sums(rs: RootSystem, word, u: WeylElement | None = None, roots=None
     position, every element reached by a reduced selection of the letters
     so far holds the sum of their contributions, so the work is positions
     times elements, not 2^m subwords.  A target ``u`` keeps only the
-    states that can still end at it.  ``roots`` are :func:`_prefix_roots`'s.
+    states that can still end at it.  ``roots`` are :func:`_prefix_roots`'s,
+    the linear form each letter contributes when selected.
     """
     word = tuple(word)
     if roots is None:
         roots, _ = _prefix_roots(rs, word)
-    target = None if u is None else (u.inverse(), u.length)
+    target = None if u is None else (_inversions(u.inverse()), u.length)
     states = {identity(rs): Polynomial.one(rs.rank)}
     for pos, root in enumerate(roots):
         states = _subword_step(
             states,
             simple_reflection(rs, word[pos]),
-            Polynomial.from_linear(root),
+            root,
             target,
             len(word) - pos - 1,
         )

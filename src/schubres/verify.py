@@ -82,8 +82,10 @@ def _reduced_word_trie(rs: RootSystem):
     order, as (word, element, subword states).
 
     The states are those of ``_subword_sums(rs, word)``; the states of a
-    word w i are one :func:`_subword_step` from those of w, so each is
-    computed once for all the words that share it as a prefix.
+    word w i are one :func:`_subword_step` from those of w, with the
+    linear form w(alpha_i) as the factor, so each is computed once for
+    all the words that share it as a prefix.  A step never changes the
+    states it reads, so siblings share their parent's.
     """
     e = identity(rs)
     stack = [((), e, {e: Polynomial.one(rs.rank)})]
@@ -94,8 +96,8 @@ def _reduced_word_trie(rs: RootSystem):
             s = simple_reflection(rs, i)
             w = v * s
             if w.length == v.length + 1:
-                factor = Polynomial.from_linear(v.act(rs.simple_roots[i - 1]))
-                stack.append((word + (i,), w, _subword_step(states, s, factor)))
+                form = v.act(rs.simple_roots[i - 1])
+                stack.append((word + (i,), w, _subword_step(states, s, form)))
 
 
 def suite_oracle(rs: RootSystem) -> SuiteResult:

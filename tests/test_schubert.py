@@ -1,11 +1,12 @@
 """Chain and subword formulas, moment-map evaluation, subword map, GKM."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from schubres import schubert
+from schubres import schubert, verify
 from schubres.poly import CancellationError, FactoredPoly, Polynomial, expand
 from schubres.rootsys import LieType, build_root_system, h_root, root_system
 from schubres.schubert import (
@@ -393,6 +394,23 @@ class TestSubwords:
         with pytest.raises(ValueError):
             enumerate_reduced_subwords(identity(a2), (1, 1))
 
+    def test_every_mask_of_every_canonical_word_in_b3(self):
+        # Against all 2^m masks: the walk follows only selections that stay
+        # a left prefix of u, and must still find every reduced subword.
+        rs = root_system("B", 3)
+        elements = enumerate_elements(rs)
+        for v in elements:
+            word = v.canonical_word
+            by_element = {u: set() for u in elements}
+            for mask in itertools.product((0, 1), repeat=len(word)):
+                letters = [l for l, keep in zip(word, mask) if keep]
+                u = element_from_word(rs, letters)
+                if u.length == len(letters):
+                    by_element[u].add(mask)
+            for u in elements:
+                got = [s.mask for s in enumerate_reduced_subwords(u, word)]
+                assert got == sorted(by_element[u]), (u, v)
+
     def test_golden_contributions(self, a3):
         word = (2, 1, 3, 2, 3)
         j1 = Subword(word, (0, 1, 1, 0, 0))
@@ -491,6 +509,47 @@ class TestSubwordProgram:
             word = v.canonical_word
             u = element_from_word(rs, [l for l in word if rng.random() < 0.5])
             assert tau_billey(u, v) == billey_by_subwords(u, word), (u, v)
+
+    def test_a_step_leaves_its_input_states_untouched(self):
+        # Trie siblings share their parent's states, and a skipped state
+        # keeps its input polynomial, so a step must copy a term dict
+        # before it adds into it.
+        rs = root_system("B", 3)
+        seen = []
+        # The trie is lazy: a node's children are stepped after it is seen.
+        for _, _, states in verify._reduced_word_trie(rs):
+            seen.append((states, {w: dict(p.terms) for w, p in states.items()}))
+        assert len(seen) > 1
+        for states, snapshot in seen:
+            assert {w: dict(p.terms) for w, p in states.items()} == snapshot
+
+    @pytest.mark.parametrize("family", ["A", "B", "C"])
+    def test_targeted_states_are_left_prefixes_of_the_target(
+        self, family, monkeypatch
+    ):
+        # The step tests a left prefix by one bit of N(u^-1); every state it
+        # keeps must be one by the product definition.
+        rs = root_system(family, 3)
+        elements = enumerate_elements(rs)
+        kept = []
+        real = schubert._subword_step
+
+        def spy(*args):
+            states = real(*args)
+            kept.append(states)
+            return states
+
+        monkeypatch.setattr(schubert, "_subword_step", spy)
+        for v in elements:
+            for u in elements:
+                kept.clear()
+                tau_billey(u, v)
+                assert len(kept) == v.length
+                for states in kept:
+                    for w in states:
+                        assert (u.inverse() * w).length == u.length - w.length, (
+                            u, v, w,
+                        )
 
     def test_target_outside_the_interval(self, a3):
         u = element_from_word(a3, (3,))

@@ -83,8 +83,8 @@ def test_mutated_subword_step_gives_exact_messages(monkeypatch):
     rs = root_system("A", 1)
     real = verify._subword_step
 
-    def mutated(states, s, factor):
-        return real(states, s, factor * 2)
+    def mutated(states, s, form):
+        return real(states, s, tuple(2 * c for c in form))
 
     monkeypatch.setattr(verify, "_subword_step", mutated)
     result = suite_oracle(rs)
