@@ -20,9 +20,10 @@ module wires the cross-checks together.
 Every walk up to a top element v -- the chain sum, both chain
 enumerators and the moment-map path sum -- reads one column per v
 (:class:`_ChainColumn`): it decides once whether an element lies below
-v and checks each cover of the interval once, whichever walk meets it
-first.  Tables are filled one v at a time (:func:`_tau_table`), so the
-one column kept per root system serves a whole column of the table.
+v, and each cover is checked once per root system, whichever walk meets
+it first.  Tables are filled one v at a time (:func:`_tau_table`), so
+the one column kept per root system serves a whole column of the table;
+the fill reads the group's lower ideals instead of testing each pair.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ from .weyl import (
     h_pair,
     identity,
     inversion_roots,
+    lower_ideals,
     reflection,
     root_table,
     simple_reflection,
@@ -298,12 +300,15 @@ _AT_TOP = {0: 1}
 
 class _ChainColumn:
     """Everything kept for one top element v, shared by every walk up to
-    v: the chain sum's dynamic program, both chain enumerators and the
-    moment-map path sum.
+    v: the chain sum's dynamic program and its value (:meth:`value`), both
+    chain enumerators and the moment-map path sum.
 
-    ``under`` memoizes whether an element is below v, and ``edges`` holds
-    each cover below v that a walk has met, checked once (:meth:`edge`),
-    with its chain-sum term, or None until one is needed.
+    ``under`` memoizes whether an element is below v: read off the lower
+    ideals when the group's order is built (:func:`lower_ideals`),
+    otherwise by :func:`bruhat_leq`.  :meth:`edge` checks each cover below
+    v that a walk meets, once per root system: ``checked`` is the
+    system's set of checked covers, shared by every column.  ``edges``
+    holds the chain-sum term of each cover, computed when first needed.
     ``states[(w, floor)]`` maps each set of cancelled factors (a bitmask
     over ``factors``, the sorted factors of lambda_minus(v)) to the summed
     scalar of the h-monotone maximal chains from w to v whose edge roots
@@ -319,7 +324,10 @@ class _ChainColumn:
     product of the factors outside each mask.
     """
 
-    __slots__ = ("v", "factors", "index", "states", "edges", "under", "expansions")
+    __slots__ = (
+        "v", "factors", "index", "states", "edges", "under", "ideals", "checked",
+        "expansions",
+    )
 
     def __init__(self, v: WeylElement):
         self.v = v
@@ -327,6 +335,8 @@ class _ChainColumn:
         self.states: dict = {}
         self.edges: dict = {}
         self.under: dict = {}
+        self.ideals = v.rs._cache.get("ideals")
+        self.checked = v.rs._cache.setdefault("checked_covers", set())
         full = (1 << len(self.factors)) - 1
         self.expansions = {full: Polynomial.one(v.rs.rank)}
 
@@ -339,19 +349,24 @@ class _ChainColumn:
 
     def edge(self, p: WeylElement, beta, w: WeylElement) -> bool:
         """Whether the cover p -beta-> w of ``covers_above(p)`` lies below
-        v.  The first time any walk meets a cover below v, it is checked:
-        one that is not an ascending right reflection raising the length
-        by one is an internal fault."""
+        v.  The first time any walk of the system meets a cover below its
+        top element, it is checked: one that is not an ascending right
+        reflection raising the length by one is an internal fault."""
         under = self.under.get(w)
         if under is None:
-            under = self.under[w] = w == self.v or bruhat_leq(w, self.v)
-        if under and (p, beta) not in self.edges:
+            ideals = self.ideals
+            if ideals is None:
+                under = w == self.v or bruhat_leq(w, self.v)
+            else:
+                under = ideals[w] & ideals[self.v] == ideals[w]
+            self.under[w] = under
+        if under and (p, beta) not in self.checked:
             fault = _edge_fault(p, beta, w)
             if fault is None and w.length != p.length + 1:
                 fault = f"edge {p!r} -> {w!r} does not raise the length by one"
             if fault is not None:
                 raise AssertionError(fault)
-            self.edges[p, beta] = None
+            self.checked.add((p, beta))
         return under
 
     def sums(self, p: WeylElement, floor: int) -> dict:
@@ -370,7 +385,7 @@ class _ChainColumn:
             rest = _AT_TOP if w == v else self.sums(w, h)
             if not rest:
                 continue
-            term = edges[p, beta]
+            term = edges.get((p, beta))
             if term is None:
                 term = edges[p, beta] = _edge_term(p, beta, v, self.index)
             idx, ratio = term
@@ -382,6 +397,25 @@ class _ChainColumn:
                 got[mask] = got.get(mask, 0) + ratio * scalar
         self.states[key] = got
         return got
+
+    def value(self, u: WeylElement) -> Polynomial:
+        """tau_u(v) for an element u below v: the chains' scalars summed per
+        set of cancelled factors (:meth:`sums`), each group expanded once.
+        The sum is taken in integers, 2^(l(v) - l(u)) times too large, and
+        divided by that once; a restriction has integer coefficients, so a
+        remainder is a :class:`CancellationError`."""
+        v = self.v
+        total: dict = {}
+        for mask, scalar in (_AT_TOP if u == v else self.sums(u, 1)).items():
+            for key, c in self.expansion(mask).terms.items():
+                total[key] = total.get(key, 0) + scalar * c
+        shift = v.length - u.length
+        if any(c & (1 << shift) - 1 for c in total.values()):
+            raise CancellationError(
+                f"chain sum at u={u!r}, v={v!r} is not divisible by 2^{shift}"
+            )
+        terms = {key: c >> shift for key, c in total.items() if c}
+        return Polynomial._of(v.rs.rank, terms, 1)
 
     def expansion(self, mask: int) -> Polynomial:
         """The product of the factors outside ``mask``: that of one more
@@ -407,43 +441,34 @@ def tau_chain(u: WeylElement, v: WeylElement) -> Polynomial:
     """Restriction of the class of u at v via the chain formula.
 
     The same sum as that of :func:`chain_contribution` over
-    :func:`enumerate_c0`, regrouped: the chains' scalars are summed per
-    set of cancelled factors and each group is expanded once.  The sum is
-    taken in integers, 2^(l(v) - l(u)) times too large (see
-    :class:`_ChainColumn`), and divided by that once; a restriction has
-    integer coefficients, so a remainder is a :class:`CancellationError`.
-    Filling many pairs with the same v in a row reuses one column.
+    :func:`enumerate_c0`, regrouped per set of cancelled factors; the
+    column of v takes it (:meth:`_ChainColumn.value`).  Filling many pairs
+    with the same v in a row reuses one column.
     """
     _require_same_system(u, v)
-    got = Polynomial.zero(u.rs.rank)
-    if bruhat_leq(u, v):
-        column = _chain_column(v)
-        total: dict = {}
-        for mask, scalar in (_AT_TOP if u == v else column.sums(u, 1)).items():
-            for key, c in column.expansion(mask).terms.items():
-                total[key] = total.get(key, 0) + scalar * c
-        shift = v.length - u.length
-        if any(c & (1 << shift) - 1 for c in total.values()):
-            raise CancellationError(
-                f"chain sum at u={u!r}, v={v!r} is not divisible by 2^{shift}"
-            )
-        got.terms = {key: c >> shift for key, c in total.items() if c}
-    return got
+    if not bruhat_leq(u, v):
+        return Polynomial.zero(u.rs.rank)
+    return _chain_column(v).value(u)
 
 
 def _tau_table(elements, pairs=None):
-    """Restrictions as ``{u: {v: tau_chain(u, v)}}``: of every pair, each
-    row in the order of ``elements``, or of ``pairs`` only.  Filled one v
-    at a time, in the order of ``elements``, so that one column serves
-    every pair with that v."""
+    """Restrictions as ``{u: {v: tau_chain(u, v)}}``: of every pair of the
+    enumerated group ``elements``, each row in their order, or of ``pairs``
+    only.  Filled one v at a time, in the order of ``elements``, so that
+    one column serves every pair with that v.  Whether u <= v is read off
+    the group's lower ideals (:func:`lower_ideals`): a pair below is valued
+    by its column and every other pair gets the one zero of the table."""
     if pairs is None:
         pairs = itertools.product(elements, repeat=2)
     else:
         position = {v: k for k, v in enumerate(elements)}
         pairs = sorted(((v, u) for u, v in pairs), key=lambda vu: position[vu[0]])
+    ideals = lower_ideals(elements[0].rs)
+    zero = Polynomial.zero(elements[0].rs.rank)
     table = {u: {} for u in elements}
     for v, u in pairs:
-        table[u][v] = tau_chain(u, v)
+        below = ideals[u] & ideals[v] == ideals[u]
+        table[u][v] = _chain_column(v).value(u) if below else zero
     return table
 
 

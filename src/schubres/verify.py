@@ -34,6 +34,7 @@ from .weyl import (
     enumerate_elements,
     h_pair,
     identity,
+    lower_ideals,
     omega_drop,
     reflection,
     simple_reflection,
@@ -70,10 +71,16 @@ class SuiteResult:
 
 def bruhat_pairs(rs: RootSystem):
     """All ordered pairs u <= v, v-major in enumeration order, so that the
-    pairs of one v share its chain column."""
+    pairs of one v share its chain column; read off the group's lower
+    ideals (:func:`lower_ideals`), bit k of ideal(v) standing for
+    ``elements[k]``."""
     elements = enumerate_elements(rs)
+    ideals = lower_ideals(rs)
     return [
-        (u, v) for v in elements for u in elements if bruhat_leq(u, v)
+        (u, v)
+        for v in elements
+        for k, u in enumerate(elements)
+        if ideals[v] >> k & 1
     ]
 
 
@@ -129,7 +136,12 @@ def suite_oracle(rs: RootSystem) -> SuiteResult:
 
 
 def suite_characterization(rs: RootSystem) -> SuiteResult:
-    """Degree, support and normalization of every computed class value."""
+    """Degree, support and normalization of every computed class value.
+
+    The support is checked against :func:`bruhat_leq`, the descent walk,
+    on purpose: the table's zeros come from the lower ideals, so this is
+    the suite that cross-checks them with an independent test of u <= v.
+    """
     result = SuiteResult(f"characterization[{rs.lie_type}]")
     elements = enumerate_elements(rs)
     table = _tau_table(elements)
@@ -273,15 +285,19 @@ def suite_limits(rs: RootSystem) -> SuiteResult:
     result = SuiteResult(f"limits[{rs.lie_type}]")
     for u, v in bruhat_pairs(rs):
         surviving = set(enumerate_c0(u, v))
+        # h_pair(p, v) once per element p of [u, v), for all its chains.
+        h_to_v = {}
         for gamma in enumerate_max_chains(u, v):
-            edges = list(zip(gamma.elements, gamma.betas))
-            valuation = sum(
-                3 ** (h_root(beta) - 1) - 3 ** (h_pair(p, v) - 1) for p, beta in edges
-            )
+            edges = []
+            for p, beta in zip(gamma.elements, gamma.betas):
+                k = h_to_v.get(p)
+                if k is None:
+                    k = h_to_v[p] = h_pair(p, v)
+                edges.append((p, beta, h_root(beta), k))
+            valuation = sum(3 ** (h - 1) - 3 ** (k - 1) for _, _, h, k in edges)
             if valuation == 0 and gamma in surviving:
                 cleared, pairing = expand(chain_contribution(gamma, v)), 1
-                for p, beta in edges:
-                    h, k = h_root(beta), h_pair(p, v)
+                for p, beta, h, k in edges:
                     pairing *= rs.pairings(beta)[h - 1]
                     low = zip(p.omega_images[k - 1], v.omega_images[k - 1])
                     form = div_exact(tuple(a - b for a, b in low), rs.scale)

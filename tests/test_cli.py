@@ -188,8 +188,10 @@ class TestRestrict:
             ("restrict", "--type", "A", "--rank", "2", "--u", "", "--v", "1,2,1"),
             ("chains", "--type", "A", "--rank", "2", "--u", "", "--v", "1,2,1"),
             ("verify", "--suite", "gt", "--type", "A", "--rank", "2", "--samples", "1"),
+            ("table", "--type", "A", "--rank", "2"),
+            ("verify", "--suite", "oracle", "--type", "A", "--rank", "2"),
         ],
-        ids=["restrict", "chains", "verify-gt"],
+        ids=["restrict", "chains", "verify-gt", "table", "verify-oracle"],
     )
     def test_broken_chain_edge_exits_3(self, capsys, monkeypatch, argv):
         real = schubert.covers_above
@@ -225,9 +227,16 @@ class TestRestrict:
                 (beta, w) for (beta, _), (_, w) in zip(covers, covers[::-1])
             )
 
-        # The chain route is stubbed out, so the broken edge is met by the
-        # moment-map path sum alone.
-        monkeypatch.setattr(schubert, "tau_chain", lambda u, v: Polynomial.zero(2))
+        # The fill's column values are stubbed out, so the chain route walks
+        # no cover and the broken edge is met by the moment-map path sum
+        # alone.
+        valued = []
+
+        def stub(column, u):
+            valued.append((u, column.v))
+            return Polynomial.zero(2)
+
+        monkeypatch.setattr(schubert._ChainColumn, "value", stub)
         monkeypatch.setattr(schubert, "covers_above", swapped)
         code, out, err = run(
             capsys,
@@ -239,6 +248,7 @@ class TestRestrict:
         assert len(lines) == 1
         assert lines[0].startswith("error: internal error: AssertionError: ")
         assert "not a right reflection" in lines[0]
+        assert valued
 
 
 class TestChains:

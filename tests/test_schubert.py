@@ -327,6 +327,22 @@ class TestChainProgram:
         assert rows == [list(row) for row in zip(*columns)]
         assert [u.canonical_word for u in us] == [v.canonical_word for v in vs]
 
+    def test_fill_equals_tau_chain_on_another_system(self):
+        # The fill reads u <= v off the lower ideals of one fresh system and
+        # values each pair below from its column; tau_chain walks each pair
+        # of a second fresh system on its own.
+        filled = build_root_system(LieType("B", 3))
+        walked = build_root_system(LieType("B", 3))
+        table = schubert._tau_table(enumerate_elements(filled))
+        twin = dict(zip(enumerate_elements(filled), enumerate_elements(walked)))
+        assert all(u.canonical_word == w.canonical_word for u, w in twin.items())
+        pairs = 0
+        for v in twin:
+            for u in twin:
+                assert table[u][v] == tau_chain(twin[u], twin[v]), (u, v)
+                pairs += 1
+        assert pairs == 2304
+
     def test_edge_term_guards(self, a3, monkeypatch):
         u = element_from_word(a3, (1, 3))
         v = element_from_word(a3, (2, 1, 3, 2, 3))
@@ -764,6 +780,30 @@ class TestSharedColumn:
             gt_by_program(u, v, mu, alpha)
         assert len(checked) == len(edges) == len(set(checked))
         assert set(checked) == edges
+
+    @pytest.mark.parametrize("family,rank,covers", [("A", 4, 444), ("B", 3, 138)])
+    def test_a_fill_checks_each_cover_once_and_walks_no_pair(
+        self, monkeypatch, family, rank, covers
+    ):
+        # A fresh system: the fill reads u <= v off the lower ideals, and
+        # the columns of every v share the system's checked covers.
+        rs = build_root_system(LieType(family, rank))
+        elements = enumerate_elements(rs)
+        distinct = {(p, beta) for p in elements for beta, _ in covers_above(p)}
+        real = schubert._edge_fault
+        checked = []
+        walks = []
+
+        def counting(p, beta, w):
+            checked.append((p, beta))
+            return real(p, beta, w)
+
+        monkeypatch.setattr(schubert, "_edge_fault", counting)
+        monkeypatch.setattr(schubert, "bruhat_leq", lambda u, v: walks.append((u, v)))
+        schubert._tau_table(elements)
+        assert walks == []
+        assert len(checked) == len(distinct) == covers
+        assert set(checked) == distinct
 
 
 class TestFIMap:

@@ -13,6 +13,7 @@ from schubres.schubert import NonGenericPointError, _subword_sums, tau_chain
 from schubres.verify import SuiteResult, suite_lemmas, suite_oracle, suite_positivity
 from schubres.weyl import (
     all_reduced_words,
+    bruhat_leq,
     element_from_word,
     enumerate_elements,
     identity,
@@ -31,20 +32,29 @@ def test_message_is_built_only_on_failure():
     assert result.failures == ["second case fails"]
 
 
+@pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("C", 3), ("A", 4)])
+def test_bruhat_pairs_are_those_of_the_walk_in_order(family, rank):
+    rs = build_root_system(LieType(family, rank))
+    elements = enumerate_elements(rs)
+    walked = [(u, v) for v in elements for u in elements if bruhat_leq(u, v)]
+    assert verify.bruhat_pairs(rs) == walked
+
+
 def test_mutated_value_gives_exact_messages(monkeypatch):
     # Perturb the chain value at (s1, s1) the way the gkm suite's mutation
     # control does; the subword and type A routes must then disagree with it.
+    # The suite's table values each pair below v from the column of v.
     rs = root_system("A", 1)
     s1 = simple_reflection(rs, 1)
-    real = schubert.tau_chain
+    real = schubert._ChainColumn.value
 
-    def mutated(u, v):
-        value = real(u, v)
-        if (u, v) == (s1, s1):
+    def mutated(column, u):
+        value = real(column, u)
+        if (u, column.v) == (s1, s1):
             value = value + Polynomial.one(rs.rank)
         return value
 
-    monkeypatch.setattr(schubert, "tau_chain", mutated)
+    monkeypatch.setattr(schubert._ChainColumn, "value", mutated)
     result = suite_oracle(rs)
     assert result.cases == 7
     assert result.failures == [

@@ -21,6 +21,7 @@ from schubres.weyl import (
     identity,
     inversion_roots,
     longest_element,
+    lower_ideals,
     omega_drop,
     reflection,
     simple_reflection,
@@ -392,6 +393,26 @@ class TestBruhat:
                     if found:
                         break
                 assert bruhat_leq(u, v) == found
+
+
+class TestLowerIdeals:
+    @pytest.mark.parametrize(
+        "family,rank,below",
+        [("A", 3, 213), ("B", 3, 847), ("C", 3, 847), ("A", 4, 3781)],
+    )
+    def test_ideals_are_the_walked_order(self, family, rank, below):
+        rs = build_root_system(LieType(family, rank))
+        elements = enumerate_elements(rs)
+        ideals = lower_ideals(rs)
+        assert lower_ideals(rs) is ideals is rs._cache["ideals"]
+        found = 0
+        for v in elements:
+            for k, u in enumerate(elements):
+                leq = bruhat_leq(u, v)
+                assert (ideals[v] >> k & 1 == 1) == leq, (u, v)
+                assert (ideals[u] & ideals[v] == ideals[u]) == leq, (u, v)
+                found += leq
+        assert found == below
 
 
 class TestHPair:
