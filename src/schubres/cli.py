@@ -122,7 +122,7 @@ def _job(args, mismatch: str):
     error ``mismatch``).  Without one, the word is v's canonical word.
     """
     lie_type = _lie_type(args.type, args.rank)
-    word = _parse_word(args.word) if args.word else None
+    word = None if args.word is None else _parse_word(args.word)
     if lie_type.family != "A":
         if args.elements == "perm":
             raise UsageError("--elements perm requires type A")

@@ -4,7 +4,7 @@ The three computation routes:
 
 * ``tau_chain`` -- sum of contributions of the maximal ascending chains
   whose edge roots have nondecreasing h statistic, by a memoized dynamic
-  program over (element, h-floor) states, grouped by the set of
+  program over the elements below the top one, grouped by the set of
   cancelled factors of lambda_minus(v) and expanded once per group; it
   sums doubled edge ratios in integers and divides once by 2^(l(v) - l(u));
 * ``tau_billey`` -- sum of subword contributions over the reduced
@@ -45,7 +45,6 @@ from .poly import (
 )
 from .rootsys import RootSystem, div_exact, h_root, is_positive
 from .weyl import (
-    INFINITY,
     WeylElement,
     _inversions,
     bruhat_leq,
@@ -163,12 +162,12 @@ def lambda_minus(v: WeylElement) -> FactoredPoly:
 def _walk_chains(u: WeylElement, v: WeylElement, monotone: bool):
     """Maximal ascending chains from u to v, deterministically.
 
-    With ``monotone`` the h statistic of the edge roots must not decrease,
-    and branches that break it are pruned as they are generated, as are
-    covers that cannot lead to v: reflecting by beta fixes omega_j for
-    every j < h(beta), so along a chain from p whose edges all have h at
-    least h(beta), p omega_j = v omega_j for those j, and a cover
-    p -beta-> is kept only if ``floor <= h(beta) <= h_pair(p, v)``.
+    With ``monotone`` the h statistic of the edge roots must not decrease.
+    A cover p -beta-> w below v has h(beta) = h_pair(p, w) >= h_pair(p, v),
+    and reflecting by beta fixes omega_j for every j < h(beta); so an
+    h-monotone chain takes exactly the covers with h(beta) = h_pair(p, v),
+    and every chain that does is h-monotone.  The walk prunes every other
+    cover before its below-v test.
     """
     _require_same_system(u, v)
     if u == v:
@@ -178,18 +177,16 @@ def _walk_chains(u: WeylElement, v: WeylElement, monotone: bool):
     column = _chain_column(v)
     chains = []
 
-    def walk(cur, elems, betas, floor):
-        top = h_pair(cur, v) if monotone else INFINITY
+    def walk(cur, elems, betas):
+        top = h_pair(cur, v) if monotone else None
         for beta, w in covers_above(cur):
-            h = h_root(beta)
-            if h < floor or h > top or not column.edge(cur, beta, w):
-                continue
-            if w == v:
-                chains.append(Chain(elems + (w,), betas + (beta,)))
-            else:
-                walk(w, elems + (w,), betas + (beta,), h if monotone else 1)
+            if (top is None or h_root(beta) == top) and column.edge(cur, beta, w):
+                if w == v:
+                    chains.append(Chain(elems + (w,), betas + (beta,)))
+                else:
+                    walk(w, elems + (w,), betas + (beta,))
 
-    walk(u, (u,), (), 1)
+    walk(u, (u,), ())
     return tuple(chains)
 
 
@@ -205,8 +202,8 @@ def enumerate_max_chains(u: WeylElement, v: WeylElement):
 def enumerate_c0(u: WeylElement, v: WeylElement):
     """The maximal chains whose edge roots have nondecreasing h statistic.
 
-    Generated directly with h-monotone pruning; agrees with filtering
-    ``enumerate_max_chains`` (property-tested).
+    Generated directly, each edge p -beta-> with h(beta) = h_pair(p, v);
+    agrees with filtering ``enumerate_max_chains`` (property-tested).
     """
     return _walk_chains(u, v, monotone=True)
 
@@ -294,10 +291,6 @@ def chain_contribution(gamma: Chain, v: WeylElement) -> FactoredPoly:
     return FactoredPoly(Fraction(scalar, 1 << len(gamma.betas)), rest, v.rs.rank)
 
 
-#: The sums of the state at v itself: the empty chain, nothing cancelled.
-_AT_TOP = {0: 1}
-
-
 class _ChainColumn:
     """Everything kept for one top element v, shared by every walk up to
     v: the chain sum's dynamic program and its value (:meth:`value`), both
@@ -307,33 +300,27 @@ class _ChainColumn:
     ideals when the group's order is built (:func:`lower_ideals`),
     otherwise by :func:`bruhat_leq`.  :meth:`edge` checks each cover below
     v that a walk meets, once per root system: ``checked`` is the
-    system's set of checked covers, shared by every column.  ``edges``
-    holds the chain-sum term of each cover, computed when first needed.
-    ``states[(w, floor)]`` maps each set of cancelled factors (a bitmask
-    over ``factors``, the sorted factors of lambda_minus(v)) to the summed
-    scalar of the h-monotone maximal chains from w to v whose edge roots
-    all have h at least ``floor``; these are all a chain's remaining
-    edges depend on.  Reflecting by beta fixes omega_j for every
-    j < h(beta), and every edge of such a chain has h at least that of
-    its first, beta; so the chain leaves w omega_j unchanged for those j,
-    and exists only if ``h(beta) <= h_pair(w, v)``.  :meth:`sums` skips
-    every other cover before its Bruhat test and its edge check.  Each
-    chain has l(v) - l(w) edges, and its scalar is the product of its
-    doubled edge terms (:func:`_edge_term`), so every sum is an int,
-    2^(l(v) - l(w)) times the true one.  ``expansions`` holds the
-    product of the factors outside each mask.
+    system's set of checked covers, shared by every column.
+    ``states[w]`` maps each set of cancelled factors (a bitmask over
+    ``factors``, the sorted factors of lambda_minus(v)) to the summed
+    scalar of the h-monotone maximal chains from w to v; ``states[v]``
+    holds the empty chain, nothing cancelled.  Such a chain takes exactly
+    the covers p -beta-> with h(beta) = h_pair(p, v) (:func:`_walk_chains`),
+    so :meth:`sums` skips every other cover before its below-v test and
+    its edge check.  Each chain has l(v) - l(w) edges, and its scalar is
+    the product of its doubled edge terms (:func:`_edge_term`), so every
+    sum is an int, 2^(l(v) - l(w)) times the true one.  ``expansions``
+    holds the product of the factors outside each mask.
     """
 
     __slots__ = (
-        "v", "factors", "index", "states", "edges", "under", "ideals", "checked",
-        "expansions",
+        "v", "factors", "index", "states", "under", "ideals", "checked", "expansions",
     )
 
     def __init__(self, v: WeylElement):
         self.v = v
         self.factors, self.index = _factor_index(v)
-        self.states: dict = {}
-        self.edges: dict = {}
+        self.states: dict = {v: {0: 1}}
         self.under: dict = {}
         self.ideals = v.rs._cache.get("ideals")
         self.checked = v.rs._cache.setdefault("checked_covers", set())
@@ -341,11 +328,9 @@ class _ChainColumn:
         self.expansions = {full: Polynomial.one(v.rs.rank)}
 
     def __len__(self):
-        """Number of memoized states, edges and expansions; every
-        ``rs._cache`` entry reports its size so."""
-        return (
-            len(self.states) + len(self.edges) + len(self.under) + len(self.expansions)
-        )
+        """Number of memoized states, below-v answers and expansions;
+        every ``rs._cache`` entry reports its size so."""
+        return len(self.states) + len(self.under) + len(self.expansions)
 
     def edge(self, p: WeylElement, beta, w: WeylElement) -> bool:
         """Whether the cover p -beta-> w of ``covers_above(p)`` lies below
@@ -369,33 +354,27 @@ class _ChainColumn:
             self.checked.add((p, beta))
         return under
 
-    def sums(self, p: WeylElement, floor: int) -> dict:
-        key = (p, floor)
-        got = self.states.get(key)
+    def sums(self, p: WeylElement) -> dict:
+        got = self.states.get(p)
         if got is not None:
             return got
         v = self.v
-        edges = self.edges
         got = {}
         top = h_pair(p, v)
         for beta, w in covers_above(p):
-            h = h_root(beta)
-            if h < floor or h > top or not self.edge(p, beta, w):
+            if h_root(beta) != top or not self.edge(p, beta, w):
                 continue
-            rest = _AT_TOP if w == v else self.sums(w, h)
+            rest = self.sums(w)
             if not rest:
                 continue
-            term = edges.get((p, beta))
-            if term is None:
-                term = edges[p, beta] = _edge_term(p, beta, v, self.index)
-            idx, ratio = term
+            idx, ratio = _edge_term(p, beta, v, self.index)
             bit = 1 << idx
             for mask, scalar in rest.items():
                 if mask & bit:
                     raise _cancelled_twice(self.factors, idx)
                 mask |= bit
                 got[mask] = got.get(mask, 0) + ratio * scalar
-        self.states[key] = got
+        self.states[p] = got
         return got
 
     def value(self, u: WeylElement) -> Polynomial:
@@ -406,7 +385,7 @@ class _ChainColumn:
         remainder is a :class:`CancellationError`."""
         v = self.v
         total: dict = {}
-        for mask, scalar in (_AT_TOP if u == v else self.sums(u, 1)).items():
+        for mask, scalar in self.sums(u).items():
             for key, c in self.expansion(mask).terms.items():
                 total[key] = total.get(key, 0) + scalar * c
         shift = v.length - u.length

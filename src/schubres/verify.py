@@ -278,9 +278,12 @@ def suite_limits(rs: RootSystem) -> SuiteResult:
     each sum leads with its first nonzero term, at h = h(beta) and at
     k = h_pair(p, v).  The edge has t-valuation 3^(h-1) - 3^(k-1) and the
     leading coefficient <omega_h, beta^vee> over p omega_k - v omega_k, the
-    difference of omega images over scale.  A chain vanishes if its
-    valuation sum is positive; at 0 its limit is lambda_minus(v) times its
-    leading coefficients, checked against its contribution cross-multiplied.
+    difference of omega images over scale.  By the two lemmas of
+    :func:`suite_lemmas`, every cover p -beta-> below v has h >= k, so no
+    edge's valuation is negative, and it is 0 exactly when h = k.  A chain
+    vanishes if its valuation sum is positive; at 0 its limit is
+    lambda_minus(v) times its leading coefficients, checked against its
+    contribution cross-multiplied.
     """
     result = SuiteResult(f"limits[{rs.lie_type}]")
     for u, v in bruhat_pairs(rs):

@@ -579,8 +579,9 @@ class TestErrorStatus:
             ("9", "invalid word: letter 9 out of range 1..2"),
             ("1,1", "word is not reduced"),
             ("1,2", None),
+            ("", None),
         ],
-        ids=["bad-letter", "not-reduced", "other-element"],
+        ids=["bad-letter", "not-reduced", "other-element", "empty"],
     )
     def test_word_is_checked_whenever_given(self, capsys, command, word, message):
         # u is not below v, so no chain or subword would ever read the

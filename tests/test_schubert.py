@@ -35,8 +35,10 @@ from schubres.weyl import (
     covers_above,
     element_from_word,
     enumerate_elements,
+    h_pair,
     identity,
     longest_element,
+    lower_ideals,
     simple_reflection,
 )
 
@@ -59,6 +61,16 @@ def b2():
 @pytest.fixture(scope="module")
 def c2():
     return root_system("C", 2)
+
+
+def h_monotone_chains(u, v):
+    """The maximal chains from u to v with nondecreasing h, by the paper's
+    definition: the reference ``enumerate_c0`` is checked against."""
+    return {
+        gamma
+        for gamma in enumerate_max_chains(u, v)
+        if all(x <= y for x, y in zip(gamma.h_sequence(), gamma.h_sequence()[1:]))
+    }
 
 
 def chain_by_elements(chains, words):
@@ -151,18 +163,46 @@ class TestChainEnumeration:
         elements = enumerate_elements(rs)
         for u in elements:
             for v in elements:
-                sigma = enumerate_max_chains(u, v)
-                filtered = tuple(
-                    gamma
-                    for gamma in sigma
-                    if all(
-                        x <= y
-                        for x, y in zip(
-                            gamma.h_sequence(), gamma.h_sequence()[1:]
-                        )
-                    )
-                )
-                assert set(enumerate_c0(u, v)) == set(filtered)
+                assert set(enumerate_c0(u, v)) == h_monotone_chains(u, v)
+
+    @pytest.mark.parametrize("family", ["A", "B", "C"])
+    def test_c0_equals_filtered_sigma_on_seeded_rank_4_pairs(self, family):
+        # Sigma grows fast with the length of the interval (one of length
+        # 16 in B4 has millions of maximal chains), so the sample keeps
+        # intervals of length at most 8: up to 12096 chains each.
+        rs = root_system(family, 4)
+        elements = enumerate_elements(rs)
+        rng = random.Random(4)
+        sampled = 0
+        while sampled < 50:
+            v = rng.choice(elements)
+            # A subword of a word for v gives an element below v.
+            word = v.canonical_word
+            u = element_from_word(rs, [l for l in word if rng.random() < 0.5])
+            if v.length - u.length <= 8:
+                sampled += 1
+                assert set(enumerate_c0(u, v)) == h_monotone_chains(u, v), (u, v)
+
+    @pytest.mark.parametrize(
+        "family,rank,covers",
+        [("A", 3, 383), ("B", 3, 1977), ("C", 3, 1977), ("A", 4, 10780)],
+    )
+    def test_a_cover_below_v_has_h_at_least_h_pair(self, family, rank, covers):
+        # h(p, p s_beta) = h(beta) and h(p, r) <= h(p, q) for p < q < r give
+        # h(beta) >= h_pair(p, v) for every cover p -beta-> w <= v; the
+        # chain walk follows a cover exactly when the two are equal.
+        rs = root_system(family, rank)
+        ideals = lower_ideals(rs)
+        seen = 0
+        for v in enumerate_elements(rs):
+            for p in enumerate_elements(rs):
+                if p == v or ideals[p] & ideals[v] != ideals[p]:
+                    continue
+                for beta, w in covers_above(p):
+                    if ideals[w] & ideals[v] == ideals[w]:
+                        seen += 1
+                        assert h_root(beta) >= h_pair(p, v), (p, beta, v)
+        assert seen == covers
 
     def test_chains_are_saturated_and_ascending(self, b2):
         u = identity(b2)
@@ -733,7 +773,7 @@ class TestSharedColumn:
                 {(1, 0, 0): 1, (0, 1, 0): 3, (0, 0, 1): 4},
             ),
             (
-                "C", 4, 1, (1, 2, 3, 4, 3, 2, 1, 2, 3, 4), 9,
+                "C", 4, 1, (1, 2, 3, 4, 3, 2, 1, 2, 3, 4), 10,
                 {(1, 0, 0, 0): 2, (0, 1, 0, 0): 2, (0, 0, 1, 0): 2, (0, 0, 0, 1): 1},
             ),
         ],
@@ -741,14 +781,42 @@ class TestSharedColumn:
     def test_chain_sum_visits_only_states_that_can_reach_v(
         self, family, rank, u, v, states, value
     ):
-        # A cover p -beta-> is followed only if floor <= h(beta) <=
-        # h_pair(p, v); without the upper bound the same sums visit 23
-        # states in B3 and 131 in C4.
+        # One state per element, v's own included; a cover p -beta-> is
+        # followed only if h(beta) = h_pair(p, v), so the sums visit 7
+        # elements below v in B3 and 9 in C4.
         rs = build_root_system(LieType(family, rank))
         v = element_from_word(rs, v)
         got = tau_chain(simple_reflection(rs, u), v)
         assert got == Polynomial(rank, value)
         assert len(schubert._chain_column(v).states) == states
+
+    def test_a_fill_holds_one_state_per_pair_and_values_each_edge_once(
+        self, monkeypatch
+    ):
+        # A fresh A4 fill: each of the 3781 pairs u <= v gets one state in
+        # the column of v, and each cover a column follows has its term
+        # computed once.
+        rs = build_root_system(LieType("A", 4))
+        columns = []
+        terms = []
+
+        class Kept(schubert._ChainColumn):
+            __slots__ = ()
+
+            def __init__(self, v):
+                columns.append(self)
+                super().__init__(v)
+
+        def counted(*args):
+            terms.append(args[:3])
+            return real(*args)
+
+        real = schubert._edge_term
+        monkeypatch.setattr(schubert, "_ChainColumn", Kept)
+        monkeypatch.setattr(schubert, "_edge_term", counted)
+        schubert._tau_table(enumerate_elements(rs))
+        assert sum(len(column.states) for column in columns) == 3781
+        assert len(terms) == len(set(terms)) == 4652
 
     def test_every_route_checks_each_edge_of_the_interval_once(self, monkeypatch):
         # A fresh system, so the column starts empty; all four walks up to
