@@ -127,10 +127,10 @@ class RootSystem:
     and ``omegas[i]`` is ``scale * omega_{i+1}`` as an integer tuple.
 
     Instances are immutable after construction and safe to share between
-    threads.  The ``_cache`` dict is used by the group layer for
-    memoization keyed by element, and :meth:`pairings` memoizes per root;
-    entries are only ever filled idempotently, so concurrent readers at
-    worst duplicate work.
+    threads.  The ``_cache`` dict holds the group and chain layers' memos,
+    keyed by element, cover or mask and never by a pair of elements, and
+    :meth:`pairings` memoizes per root; entries are only ever filled
+    idempotently, so concurrent readers at worst duplicate work.
     """
 
     def __init__(self, lie_type: LieType):

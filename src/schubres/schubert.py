@@ -341,7 +341,7 @@ class _ChainColumn:
         if under is None:
             ideals = self.ideals
             if ideals is None:
-                under = w == self.v or bruhat_leq(w, self.v)
+                under = bruhat_leq(w, self.v)
             else:
                 under = ideals[w] & ideals[self.v] == ideals[w]
             self.under[w] = under

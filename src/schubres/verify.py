@@ -375,12 +375,17 @@ def suite_lemmas(rs: RootSystem) -> SuiteResult:
                     lambda: f"h mismatch at p={p!r}, q={q!r}: {h} vs min{word}",
                 )
 
-    # Sandwich and monotonicity statements on triples p < q < r.
+    # Sandwich and monotonicity statements on triples p < q < r, read off
+    # the lower ideals: q is a bit of ideal(r), and ideal(q) holds the bit of p.
+    ideals = lower_ideals(rs)
+    index = {w: k for k, w in enumerate(elements)}
     for p, r in strict_pairs:
+        bit = index[p]
+        inside = ideals[r] & ~(1 << bit | 1 << index[r])
         between = [
             q
-            for q in elements
-            if q != p and q != r and bruhat_leq(p, q) and bruhat_leq(q, r)
+            for k, q in enumerate(elements)
+            if inside >> k & 1 and ideals[q] >> bit & 1
         ]
         h_pr = h_pair(p, r)
         fixed = [

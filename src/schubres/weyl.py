@@ -37,8 +37,9 @@ matrix.  ``h_pair`` and ``omega_drop`` compare and subtract these images,
 and the chain route reads its weight differences from them.
 
 Elements are interned per root system, so equal elements are usually the
-same object.  Per-system caches are filled idempotently and are safe
-under the usual CPython concurrency guarantees.
+same object.  Per-system caches hold at most one entry per element,
+cover, root or mask, none per pair of elements; they are filled
+idempotently and are safe under the usual CPython concurrency guarantees.
 
 Words are tuples of 1-based simple-reflection indices.
 """
@@ -292,11 +293,11 @@ def element_from_word(rs: RootSystem, word) -> WeylElement:
 
 
 def all_reduced_words(u: WeylElement):
-    """Every reduced word for ``u``, sorted; memoized per root system."""
-    cache = u.rs._cache.setdefault("reduced_words", {})
+    """Every reduced word for ``u``, sorted; memoized within one call."""
+    memo = {}
 
     def rec(el):
-        got = cache.get(el)
+        got = memo.get(el)
         if got is not None:
             return got
         if el.is_identity():
@@ -308,7 +309,7 @@ def all_reduced_words(u: WeylElement):
                 if lower.length < el.length:
                     words.extend(w + (i,) for w in rec(lower))
             out = tuple(sorted(words))
-        cache[el] = out
+        memo[el] = out
         return out
 
     return rec(u)
@@ -343,38 +344,25 @@ def bruhat_leq(u: WeylElement, v: WeylElement) -> bool:
     """Strong Bruhat order, by descent down the right descents of v;
     agrees with cover closure.
 
-    For the first right descent s of b (:func:`_right_descent`),
-    a <= b iff a' <= b s, where a' is a s if s is a descent of a and a
-    otherwise (the lifting property).  Each step shortens b by one and a
-    by one or none, so the lengths are counted, not read.  Every pair on
-    the walked path is memoized with the answer.
+    For the first right descent s of b (:func:`_right_descent`, memoized
+    per element), a <= b iff a' <= b s, where a' is a s if s is a descent
+    of a and a otherwise (the lifting property).  Each step shortens b by
+    one and a by one or none, so the lengths are counted, not read.  No
+    pair is stored: a whole-group question reads :func:`lower_ideals`.
     """
     if u.rs.lie_type != v.rs.lie_type:
         raise ValueError("cannot compare elements of different root systems")
-    cache = u.rs._cache.setdefault("bruhat", {})
     npos = len(u.perm) >> 1
-    path = []
     a, b = u, v
     la, lb = u.length, v.length
-    while True:
-        if la >= lb:
-            # No element lies below one of its own length or shorter
-            # but itself.
-            got = a == b
-            break
-        key = (a, b)
-        got = cache.get(key)
-        if got is not None:
-            break
-        path.append(key)
+    while la < lb:
         _, k, s, b = _right_descent(b)
         lb -= 1
         if a.perm[k] >= npos:
             a = a * s
             la -= 1
-    for key in path:
-        cache[key] = got
-    return got
+    # No element lies below one of its own length or shorter but itself.
+    return a == b
 
 
 def h_pair(p: WeylElement, q: WeylElement):

@@ -9,8 +9,21 @@ import pytest
 from schubres import schubert, verify
 from schubres.poly import Polynomial
 from schubres.rootsys import LieType, build_root_system, root_system
-from schubres.schubert import NonGenericPointError, _subword_sums, tau_chain
-from schubres.verify import SuiteResult, suite_lemmas, suite_oracle, suite_positivity
+from schubres.schubert import (
+    NonGenericPointError,
+    _subword_sums,
+    _tau_table,
+    enumerate_c0,
+    tau_billey,
+    tau_chain,
+)
+from schubres.verify import (
+    SuiteResult,
+    suite_characterization,
+    suite_lemmas,
+    suite_oracle,
+    suite_positivity,
+)
 from schubres.weyl import (
     all_reduced_words,
     bruhat_leq,
@@ -257,6 +270,30 @@ def test_lemmas_case_counts(family, cases):
     result = suite_lemmas(root_system(family, 3))
     assert result.failures == []
     assert result.cases == cases
+
+
+def test_no_per_system_cache_is_keyed_by_a_pair():
+    # Single queries, a table fill and two suites leave one table per
+    # element, cover, root or mask, and the one column of the last v.
+    rs = build_root_system(LieType("B", 3))
+    u, v = element_from_word(rs, (2,)), element_from_word(rs, (1, 2, 3, 2))
+    assert tau_chain(u, v) == tau_billey(u, v)
+    assert list(enumerate_c0(u, v))
+    assert all_reduced_words(v)
+    _tau_table(enumerate_elements(rs))
+    assert suite_lemmas(rs).ok and suite_characterization(rs).ok
+    assert set(rs._cache) == {
+        "elements", "root_table", "covers_above", "all_elements", "ideals",
+        "checked_covers", "chain_column",
+    }
+
+
+def test_bruhat_leq_stores_nothing():
+    rs = build_root_system(LieType("B", 3))
+    u, v = element_from_word(rs, (2,)), element_from_word(rs, (1, 2, 3, 2))
+    assert set(rs._cache) == {"root_table", "elements"}
+    assert bruhat_leq(u, v) and not bruhat_leq(v, u)
+    assert set(rs._cache) == {"root_table", "elements"}
 
 
 @pytest.mark.parametrize("n", [4, 5])
