@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import inspect
 import math
 import os
 import sys
@@ -57,12 +58,6 @@ ENV_MAX_ORDER = "SCHUBERT_MAX_GROUP_ORDER"
 #: (at most |Phi+| = 225 in B15 and C15) fits a packed monomial
 #: (``poly.MAX_DEGREE``), and a root system builds in well under a second.
 MAX_RANK = 15
-#: The flags of ``verify`` that a suite reads, each with the keyword the
-#: suite takes it as; a suite refuses the flags it does not read.
-SUITE_FLAGS = {
-    "gt": {"samples": "samples", "pairs": "pair_sample", "seed": "seed"},
-    "equivalence-typeA": {"pairs": "pair_sample", "seed": "seed"},
-}
 
 
 class UsageError(Exception):
@@ -463,25 +458,20 @@ def cmd_verify(args) -> int:
         raise UsageError(
             f"unknown suite {name!r}; choose from {sorted(verify_mod.SUITES)}"
         )
-    reads = SUITE_FLAGS.get(name, {})
+    reads = inspect.signature(runner).parameters
     flags = {}
     for flag in ("samples", "pairs", "seed"):
         if getattr(args, flag) is not None:
             if flag not in reads:
                 raise UsageError(f"--{flag} does not apply to suite {name}")
-            flags[reads[flag]] = getattr(args, flag)
-    family = args.type
-    if name == "equivalence-typeA":
-        if family not in (None, "A"):
-            raise UsageError("--suite equivalence-typeA requires type A")
-        family = "A"
-    elif family is None:
+            flags[flag] = getattr(args, flag)
+    family = verify_mod.SUITE_TYPE.get(name, args.type)
+    if family is None:
         raise UsageError("--type is required for this suite")
-    # Desk-scale defaults: rank 4 in type A, rank 3 in types B and C; limits
-    # evaluates every maximal chain of every pair, and equivalence-typeA
-    # every pair of elements, so both stay at rank 3.
-    default = 3 if family != "A" or name in ("limits", "equivalence-typeA") else 4
-    rank = args.rank if args.rank is not None else default
+    if args.type not in (None, family):
+        raise UsageError(f"--suite {name} requires type {family}")
+    default = verify_mod.default_rank(name, family)
+    rank = default if args.rank is None else args.rank
     rs = build_root_system(_lie_type(family, rank))
     _elements(rs)
     result = runner(rs, **flags)
@@ -583,16 +573,17 @@ def build_parser():
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", required=True, help=", ".join(sorted(verify_mod.SUITES)))
     p.add_argument("--type", choices=["A", "B", "C"])
+    small = [s for s in verify_mod.SUITES if verify_mod.default_rank(s, "A") == 3]
     p.add_argument(
         "--rank",
         type=int,
-        default=None,
         help="defaults to 4 in type A and 3 in types B/C; "
-        "limits and equivalence-typeA default to 3",
+        f"{' and '.join(small)} default to 3",
     )
+    reads = {s: inspect.signature(f).parameters for s, f in verify_mod.SUITES.items()}
     for flag in ("samples", "pairs", "seed"):
         kind = int if flag == "seed" else _positive_int
-        readers = ", ".join(s for s, reads in SUITE_FLAGS.items() if flag in reads)
+        readers = ", ".join(s for s, params in reads.items() if flag in params)
         p.add_argument(f"--{flag}", type=kind, help=f"read by suites {readers}")
     p.add_argument("--out")
     p.set_defaults(func=cmd_verify)

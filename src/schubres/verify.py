@@ -4,7 +4,9 @@ Every suite in :data:`SUITES` takes the root system it checks as its
 first argument, plus keyword options of its own, and returns a
 :class:`SuiteResult` with a case count and a list of human-readable
 failure strings; an empty failure list means the suite passed.  Suites
-are deterministic: randomized ones take an explicit seed.
+are deterministic: randomized ones take an explicit seed.  The command
+line passes a suite exactly those of its flags ``--samples``, ``--pairs``
+and ``--seed`` that the suite's function names as keyword parameters.
 """
 
 from __future__ import annotations
@@ -115,7 +117,8 @@ def suite_oracle(rs: RootSystem) -> SuiteResult:
     """
     result = SuiteResult(f"oracle[{rs.lie_type}]")
     elements = enumerate_elements(rs)
-    table = _tau_table(elements, bruhat_pairs(rs))
+    pairs = bruhat_pairs(rs)
+    table = _tau_table(elements, pairs)
     zero = Polynomial.zero(rs.rank)
     for word, v, sums in _reduced_word_trie(rs):
         for u in elements:
@@ -127,7 +130,7 @@ def suite_oracle(rs: RootSystem) -> SuiteResult:
                 f"billey {got!r} vs chain {expected!r}",
             )
     if rs.lie_type.family == "A":
-        for u, v in bruhat_pairs(rs):
+        for u, v in pairs:
             result.check(
                 _tau_typea(u, v) == table[u][v],
                 lambda: f"typea mismatch at u={u!r}, v={v!r}",
@@ -247,17 +250,17 @@ def suite_gt(
     rs: RootSystem,
     samples: int = 20,
     seed: int = DEFAULT_SEED,
-    pair_sample: int | None = None,
+    pairs: int | None = None,
 ) -> SuiteResult:
     """Moment-map evaluation equals the chain polynomial, exactly, at
     random points."""
     result = SuiteResult(f"gt[{rs.lie_type}]")
     rng = random.Random(seed)
-    pairs = bruhat_pairs(rs)
-    if pair_sample is not None and pair_sample < len(pairs):
-        pairs = rng.sample(pairs, pair_sample)
-    table = _tau_table(enumerate_elements(rs), pairs)
-    for u, v in pairs:
+    drawn = bruhat_pairs(rs)
+    if pairs is not None and pairs < len(drawn):
+        drawn = rng.sample(drawn, pairs)
+    table = _tau_table(enumerate_elements(rs), drawn)
+    for u, v in drawn:
         value_poly = table[u][v]
         for _ in range(samples):
             alpha, _, total = gt_eval_resampling(u, v, rng)
@@ -318,7 +321,7 @@ def suite_limits(rs: RootSystem) -> SuiteResult:
 
 def suite_equivalence_typea(
     rs: RootSystem,
-    pair_sample: int | None = None,
+    pairs: int | None = None,
     seed: int = DEFAULT_SEED,
 ) -> SuiteResult:
     """Chain-to-subword bijection with termwise equal contributions, in type A."""
@@ -330,8 +333,8 @@ def suite_equivalence_typea(
     # They are visited v-major, so that the pairs of one v share its
     # chain column.
     indices = range(n * n)
-    if pair_sample is not None and pair_sample < len(indices):
-        indices = random.Random(seed).sample(indices, pair_sample)
+    if pairs is not None and pairs < len(indices):
+        indices = random.Random(seed).sample(indices, pairs)
     for k in sorted(indices, key=lambda k: (k % n, k // n)):
         a, b = divmod(k, n)
         report = _verify_equivalence(elements[a], elements[b])
@@ -519,3 +522,12 @@ SUITES = {
     "lemmas": suite_lemmas,
     "equivalence-typeA": suite_equivalence_typea,
 }
+#: The one type a suite runs in, for a suite that runs in one type only.
+SUITE_TYPE = {"equivalence-typeA": "A"}
+
+
+def default_rank(name: str, family: str) -> int:
+    """The desk-scale default rank of suite ``name`` in type ``family``: 4 in A,
+    3 in B and C.  limits evaluates every maximal chain of every pair (986008
+    in A4), and equivalence-typeA every pair, so both stay at 3."""
+    return 3 if family != "A" or name in ("limits", "equivalence-typeA") else 4

@@ -459,10 +459,6 @@ def lower_ideals(rs: RootSystem) -> dict:
     return got
 
 
-def longest_element(rs: RootSystem) -> WeylElement:
-    return enumerate_elements(rs)[-1]
-
-
 def inversion_roots(v: WeylElement):
     """Positive roots beta with v^{-1} beta negative, in lexicographic order."""
     table = root_table(v.rs)

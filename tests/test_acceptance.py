@@ -158,7 +158,7 @@ def test_criterion_6_gt_numeric():
         suite_gt(root_system(family, rank), samples=20)
         for family, rank in [("A", 2), ("B", 2), ("C", 2)]
     ]
-    results.append(suite_gt(root_system("A", 3), samples=20, pair_sample=50))
+    results.append(suite_gt(root_system("A", 3), samples=20, pairs=50))
     run_suites(6, "moment-map evaluation equals chain polynomial", results)
 
 
@@ -173,7 +173,7 @@ def test_criterion_7_limits():
 def test_criterion_8_typea_equivalence():
     results = [
         suite_equivalence_typea(root_system("A", 3)),
-        suite_equivalence_typea(root_system("A", 4), pair_sample=200),
+        suite_equivalence_typea(root_system("A", 4), pairs=200),
     ]
     run_suites(8, "chain-subword equivalence on S4 and S5", results)
 

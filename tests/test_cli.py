@@ -425,6 +425,8 @@ class TestTypeAOnlyFlags:
 
 
 class TestVerify:
+    PROBE_JSON = json.dumps(verify.SuiteResult("probe").to_json(), indent=2) + "\n"
+
     def test_oracle_suite_passes(self, capsys):
         code, out, _ = run(
             capsys, "verify", "--suite", "oracle", "--type", "A", "--rank", "2",
@@ -465,6 +467,53 @@ class TestVerify:
         monkeypatch.setitem(verify.SUITES, suite, recorder)
         code, _, _ = run(capsys, "verify", "--suite", suite, "--type", family)
         assert (code, seen) == (0, [rank])
+
+    @pytest.fixture
+    def probe(self, monkeypatch):
+        """Put a suite ``probe`` taking ``seed`` into ``verify.SUITES``; it
+        records the type, rank and seed of each run."""
+        seen = []
+
+        def probe(rs, seed=0):
+            seen.append((str(rs.lie_type), seed))
+            return verify.SuiteResult("probe")
+
+        monkeypatch.setitem(verify.SUITES, "probe", probe)
+        return seen
+
+    def test_new_suite_reads_the_flags_it_takes(self, capsys, probe):
+        # No edit to the CLI: the suite's keyword parameters are its flags.
+        argv = ("verify", "--suite", "probe", "--type", "B", "--rank", "2")
+        assert run(capsys, *argv, "--seed", "3") == (0, self.PROBE_JSON, "")
+        assert probe == [("B2", 3)]
+
+    def test_new_suite_refuses_a_flag_it_does_not_take(self, capsys, monkeypatch):
+        monkeypatch.setitem(verify.SUITES, "probe", lambda rs, samples=1: None)
+        assert run(
+            capsys, "verify", "--suite", "probe", "--type", "A", "--rank", "2",
+            "--seed", "3",
+        ) == (2, "", "error: --seed does not apply to suite probe\n")
+
+    def test_suite_type_lets_the_type_be_left_out(self, capsys, monkeypatch, probe):
+        monkeypatch.setitem(verify.SUITE_TYPE, "probe", "C")
+        assert run(capsys, "verify", "--suite", "probe", "--rank", "2") == (
+            0, self.PROBE_JSON, ""
+        )
+        assert run(
+            capsys, "verify", "--suite", "probe", "--type", "A", "--rank", "2"
+        ) == (2, "", "error: --suite probe requires type C\n")
+        assert probe == [("C2", 0)]
+
+    def test_flag_help_names_the_suites_that_read_each_flag(self, capsys):
+        # A parser of its own: the cached one may have been built while a
+        # test had patched the suites.
+        with pytest.raises(SystemExit):
+            cli.build_parser.__wrapped__().parse_args(["verify", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert "--samples SAMPLES read by suites gt --pairs" in text
+        assert "--pairs PAIRS read by suites gt, equivalence-typeA --seed" in text
+        assert "--seed SEED read by suites gt, equivalence-typeA --out" in text
+        assert "limits and equivalence-typeA default to 3" in text
 
     @pytest.mark.parametrize(
         "argv",

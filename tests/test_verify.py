@@ -182,7 +182,7 @@ def test_suites_build_one_column_per_top_element(
     "options,cases,columns",
     [
         pytest.param({}, 576, 23, id="every-pair"),
-        pytest.param({"pair_sample": 50, "seed": 3}, 50, 8, id="sampled"),
+        pytest.param({"pairs": 50, "seed": 3}, 50, 8, id="sampled"),
     ],
 )
 def test_equivalence_builds_one_column_per_top_element(
@@ -311,7 +311,7 @@ def test_equivalence_sample_draws_the_pairs_of_the_full_list(monkeypatch, n, see
 
     monkeypatch.setattr(verify, "_verify_equivalence", recording)
     rs = build_root_system(LieType("A", n - 1))
-    result = verify.suite_equivalence_typea(rs, pair_sample=10, seed=seed)
+    result = verify.suite_equivalence_typea(rs, pairs=10, seed=seed)
     elements = enumerate_elements(rs)
     pairs = [(u, v) for u in elements for v in elements]
     position = {el: k for k, el in enumerate(elements)}
