@@ -23,6 +23,12 @@ right descent s and the element ``w s``, so the Bruhat test walks each
 descent chain with products built once, and the canonical word of w is
 read off the descents of ``w^-1``.
 
+Each element memoizes its right neighbours, the products ``w s_i``: at
+most ``rank`` entries, each composed on first use.  Every walk along the
+Cayley graph (descents, reduced words, subwords, enumeration) goes
+through ``w * s_i``, so it composes each edge once per system and then
+reads it back.
+
 A group that is already enumerated holds its whole order as data
 (:func:`lower_ideals`): one bitmask per element, its lower ideal, built
 in one length-ordered pass over the covers.  Whole-group fills read it;
@@ -92,7 +98,9 @@ class RootTable:
                 image[i0] -= sum(b * c for b, c in zip(beta, column))
                 perm.append(self.index[tuple(image)])
             perm += [(k + npos) % (2 * npos) for k in perm]
-            simple.append(_element(rs, tuple(perm)))
+            s = _element(rs, tuple(perm))
+            s._letter = i0
+            simple.append(s)
         self.simple_reflections = tuple(simple)
         # Close the simple roots under simple reflections, keeping positive
         # images: when beta' = s_i beta is positive, s_beta' = s_i s_beta s_i.
@@ -123,12 +131,14 @@ class WeylElement:
     """A Weyl group element; immutable, hashable, interned per system.
 
     ``perm`` is the permutation of root indices (see :class:`RootTable`)
-    that identifies the element; ``matrix`` is derived from it.
+    that identifies the element; ``matrix`` is derived from it.  A simple
+    reflection s_i carries ``_letter = i - 1``; ``_right[i - 1]`` is the
+    product by s_i, filled on first use (:meth:`__mul__`).
     """
 
     __slots__ = (
         "rs", "perm", "_hash", "_inversions", "_descent", "_canonical",
-        "_omega_images",
+        "_omega_images", "_letter", "_right",
     )
 
     def __init__(self, rs: RootSystem, perm):
@@ -139,6 +149,8 @@ class WeylElement:
         self._descent = None
         self._canonical = None
         self._omega_images = None
+        self._letter = None
+        self._right = None
 
     def __eq__(self, other):
         if self is other:
@@ -155,7 +167,19 @@ class WeylElement:
             return NotImplemented
         if self.rs is not other.rs and self.rs.lie_type != other.rs.lie_type:
             raise ValueError("cannot compose elements of different root systems")
-        return _element(self.rs, tuple(map(self.perm.__getitem__, other.perm)))
+        i = other._letter
+        if i is None:
+            return _element(self.rs, tuple(map(self.perm.__getitem__, other.perm)))
+        # A step along the Cayley graph: composed once, then read back.
+        right = self._right
+        if right is None:
+            right = self._right = [None] * self.rs.rank
+        got = right[i]
+        if got is None:
+            got = right[i] = _element(
+                self.rs, tuple(map(self.perm.__getitem__, other.perm))
+            )
+        return got
 
     def inverse(self) -> "WeylElement":
         inv = [0] * len(self.perm)
@@ -254,7 +278,9 @@ def _right_descent(w: WeylElement):
 
 
 def _element(rs: RootSystem, perm) -> WeylElement:
-    table = rs._cache.setdefault("elements", {})
+    table = rs._cache.get("elements")
+    if table is None:
+        table = rs._cache["elements"] = {}
     el = table.get(perm)
     if el is None:
         el = WeylElement(rs, perm)
@@ -322,7 +348,9 @@ def covers_above(u: WeylElement):
     the others l(u s_beta) - l(u) = l(s_beta) - 2 |N(u) & N(s_beta)| on
     the inversion masks, and only the covers are built.
     """
-    cache = u.rs._cache.setdefault("covers_above", {})
+    cache = u.rs._cache.get("covers_above")
+    if cache is None:
+        cache = u.rs._cache["covers_above"] = {}
     got = cache.get(u)
     if got is None:
         table = root_table(u.rs)

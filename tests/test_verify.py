@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from schubres import schubert, verify
+from schubres import schubert, verify, weyl
 from schubres.poly import Polynomial
 from schubres.rootsys import LieType, build_root_system, root_system
 from schubres.schubert import (
@@ -130,6 +130,26 @@ def test_trie_visits_each_reduced_word_once(family):
     for word, v, states in visited:
         assert element_from_word(rs, word) == v
         assert states == _subword_sums(rs, word), word
+
+
+def test_trie_composes_each_right_neighbour_once(monkeypatch):
+    # Every step of the trie and of its subword states is a product
+    # v * s_i, and each one met before is read back from v: on a fresh B3
+    # system (48 elements, rank 3) at most |W| * rank = 144 permutations
+    # are composed, against 3896 when every product is composed anew.
+    rs = build_root_system(LieType("B", 3))
+    identity(rs)  # builds the root table, whose products are not counted
+    composed = []
+    real = weyl._element
+
+    def counted(rs, perm):
+        composed.append(perm)
+        return real(rs, perm)
+
+    monkeypatch.setattr(weyl, "_element", counted)
+    # 209 reduced words: the oracle's 10032 cases are 209 words x 48 u.
+    assert len(list(verify._reduced_word_trie(rs))) == 209
+    assert len(composed) <= 48 * 3
 
 
 @pytest.fixture

@@ -72,10 +72,26 @@ class TestRepresentation:
 
     @pytest.mark.parametrize("family,rank", GROUPS_RANK_3)
     def test_product_matches_matrix_product(self, family, rank):
-        elements = enumerate_elements(root_system(family, rank))
+        rs = root_system(family, rank)
+        elements = enumerate_elements(rs)
         for u in elements:
             for v in elements:
                 assert (u * v).matrix == mat_mul(u.matrix, v.matrix)
+        # A product by s_i is read back from u after its first use: the same
+        # object, still the matrix product, interned in u's system even when
+        # s_i is taken from another system of the same type.  B3 and C3
+        # permute root sets of one size, so a mixed product must still fail.
+        twin = build_root_system(LieType(family, rank))
+        mixed = root_system({"A": "B", "B": "C", "C": "B"}[family], rank)
+        for i in range(1, rank + 1):
+            s, t = simple_reflection(rs, i), simple_reflection(twin, i)
+            assert identity(twin) * s is t
+            for u in elements:
+                assert u * s is u * s
+                assert (u * s).matrix == mat_mul(u.matrix, s.matrix)
+                assert u * t is u * s
+                with pytest.raises(ValueError, match="different root systems"):
+                    u * simple_reflection(mixed, i)
 
     @pytest.mark.parametrize("family,rank", GROUPS_RANK_3)
     def test_inverse_length_and_action(self, family, rank):
