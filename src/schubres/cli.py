@@ -271,15 +271,25 @@ def _dumps(obj) -> str:
 
 @contextlib.contextmanager
 def _output(out: str | None):
-    """The stream a command writes to: the file ``out``, or stdout."""
-    if not out:
-        yield sys.stdout
+    """The stream a command writes to: the file ``out``, or stdout, flushed
+    here.  A closed stdout is a usage error, and fd 1 then points at the
+    null device, so that the flush at exit cannot fail again."""
+    if out:
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                yield fh
+        except OSError as exc:
+            raise UsageError(f"cannot write {out!r}: {exc.strerror}") from None
         return
     try:
-        with open(out, "w", encoding="utf-8") as fh:
-            yield fh
-    except OSError as exc:
-        raise UsageError(f"cannot write {out!r}: {exc.strerror}") from None
+        yield sys.stdout
+        sys.stdout.flush()
+    except BrokenPipeError as exc:
+        with contextlib.suppress(AttributeError, OSError, ValueError):
+            fd = sys.stdout.fileno()
+            with open(os.devnull, "w") as null:
+                os.dup2(null.fileno(), fd)
+        raise UsageError(f"cannot write to standard output: {exc.strerror}") from None
 
 
 def _emit(text: str, out: str | None):

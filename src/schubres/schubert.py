@@ -23,7 +23,7 @@ enumerators and the moment-map path sum -- reads one column per v
 v, and each cover is checked once per root system, whichever walk meets
 it first.  Tables are filled one v at a time (:func:`_tau_table`), so
 the one column kept per root system serves a whole column of the table;
-the fill reads the group's lower ideals instead of testing each pair.
+the fill values only the pairs u <= v of :func:`bruhat_pairs`.
 """
 
 from __future__ import annotations
@@ -47,13 +47,14 @@ from .rootsys import RootSystem, div_exact, h_root, is_positive
 from .weyl import (
     WeylElement,
     _inversions,
+    _mask_roots,
     bruhat_leq,
+    bruhat_pairs,
     covers_above,
     enumerate_elements,
     h_pair,
     identity,
     inversion_roots,
-    lower_ideals,
     reflection,
     root_table,
     simple_reflection,
@@ -208,19 +209,12 @@ def enumerate_c0(u: WeylElement, v: WeylElement):
     return _walk_chains(u, v, monotone=True)
 
 
-def _factor_index(v: WeylElement):
-    """The factors of lambda_minus(v), sorted as :func:`inversion_roots`
-    gives them, and the position of each."""
-    factors = inversion_roots(v)
-    return factors, {f: j for j, f in enumerate(factors)}
-
-
-def _edge_term(p: WeylElement, beta, v: WeylElement, index):
+def _edge_term(p: WeylElement, beta, v: WeylElement, factors: int):
     """What the edge p -> p s_beta of an h-monotone chain ending at v
-    contributes: the position in ``index`` (from :func:`_factor_index`)
-    of the factor of lambda_minus(v) it cancels, and twice its coroot
-    pairing times the ratio of that factor to its denominator form, an
-    int: the ratios are integers in types A and C and halves in type B.
+    contributes: the root-table index of the factor of lambda_minus(v) it
+    cancels, a bit of ``factors`` (N(v^-1)), and twice its coroot pairing
+    times the ratio of that factor to its denominator form, an int: the
+    ratios are integers in types A and C and halves in type B.
 
     The denominator is (p omega_i - v omega_i) for i = h(beta), from the
     integer omega images.  Roots of types A, B and C are primitive
@@ -243,8 +237,8 @@ def _edge_term(p: WeylElement, beta, v: WeylElement, index):
         raise CancellationError(f"edge {p!r} -{beta}-> has a zero denominator")
     sign = 1 if next(c for c in denom if c) > 0 else -1
     root = tuple(c // (sign * g) for c in denom)
-    idx = index.get(root)
-    if idx is None:
+    k = root_table(rs).index.get(root)
+    if k is None or not factors >> k & 1:
         raise CancellationError(
             f"no factor of lambda_minus({v!r}) is proportional to {denom}"
         )
@@ -253,12 +247,12 @@ def _edge_term(p: WeylElement, beta, v: WeylElement, index):
     doubled, remainder = divmod(2 * numerator, g)
     if remainder:
         raise CancellationError(f"edge {p!r} -{beta}-> has the ratio {numerator}/{g}")
-    return idx, doubled
+    return k, doubled
 
 
-def _cancelled_twice(factors, idx):
+def _cancelled_twice(rs: RootSystem, k):
     return CancellationError(
-        f"factor {factors[idx]} of lambda_minus is cancelled twice"
+        f"factor {root_table(rs).roots[k]} of lambda_minus is cancelled twice"
     )
 
 
@@ -269,11 +263,11 @@ def chain_contribution(gamma: Chain, v: WeylElement) -> FactoredPoly:
     the coroot pairing of each edge, and cancels each denominator form
     against a proportional factor; the m doubled edge terms
     (:func:`_edge_term`) are multiplied in integers and divided by 2^m.
-    """
+    The cancelled factors are a mask of the bits of N(v^-1)."""
     if gamma.end != v:
         raise ValueError("chain does not end at v")
     _validate_saturated(gamma)
-    factors, index = _factor_index(v)
+    factors = _inversions(v.inverse())
     cancelled = 0
     scalar = 1
     prev_h = 0
@@ -282,12 +276,12 @@ def chain_contribution(gamma: Chain, v: WeylElement) -> FactoredPoly:
         if i < prev_h:
             raise ValueError("chain edge roots are not h-monotone")
         prev_h = i
-        idx, term = _edge_term(gamma.elements[k], beta, v, index)
-        if cancelled >> idx & 1:
-            raise _cancelled_twice(factors, idx)
-        cancelled |= 1 << idx
+        j, term = _edge_term(gamma.elements[k], beta, v, factors)
+        if cancelled >> j & 1:
+            raise _cancelled_twice(v.rs, j)
+        cancelled |= 1 << j
         scalar *= term
-    rest = [f for j, f in enumerate(factors) if not cancelled >> j & 1]
+    rest = _mask_roots(v.rs, factors & ~cancelled)
     return FactoredPoly(Fraction(scalar, 1 << len(gamma.betas)), rest, v.rs.rank)
 
 
@@ -301,9 +295,9 @@ class _ChainColumn:
     otherwise by :func:`bruhat_leq`.  :meth:`edge` checks each cover below
     v that a walk meets, once per root system: ``checked`` is the
     system's set of checked covers, shared by every column.
-    ``states[w]`` maps each set of cancelled factors (a bitmask over
-    ``factors``, the sorted factors of lambda_minus(v)) to the summed
-    scalar of the h-monotone maximal chains from w to v; ``states[v]``
+    ``states[w]`` maps each set of cancelled factors (a mask of the bits
+    of ``factors``, N(v^-1): bit k is root k of the root table) to the
+    summed scalar of the h-monotone maximal chains from w to v; ``states[v]``
     holds the empty chain, nothing cancelled.  Such a chain takes exactly
     the covers p -beta-> with h(beta) = h_pair(p, v) (:func:`_walk_chains`),
     so :meth:`sums` skips every other cover before its below-v test and
@@ -313,19 +307,16 @@ class _ChainColumn:
     holds the product of the factors outside each mask.
     """
 
-    __slots__ = (
-        "v", "factors", "index", "states", "under", "ideals", "checked", "expansions",
-    )
+    __slots__ = ("v", "factors", "states", "under", "ideals", "checked", "expansions")
 
     def __init__(self, v: WeylElement):
         self.v = v
-        self.factors, self.index = _factor_index(v)
+        self.factors = _inversions(v.inverse())
         self.states: dict = {v: {0: 1}}
         self.under: dict = {}
         self.ideals = v.rs._cache.get("ideals")
         self.checked = v.rs._cache.setdefault("checked_covers", set())
-        full = (1 << len(self.factors)) - 1
-        self.expansions = {full: Polynomial.one(v.rs.rank)}
+        self.expansions = {self.factors: Polynomial.one(v.rs.rank)}
 
     def __len__(self):
         """Number of memoized states, below-v answers and expansions;
@@ -367,11 +358,11 @@ class _ChainColumn:
             rest = self.sums(w)
             if not rest:
                 continue
-            idx, ratio = _edge_term(p, beta, v, self.index)
-            bit = 1 << idx
+            k, ratio = _edge_term(p, beta, v, self.factors)
+            bit = 1 << k
             for mask, scalar in rest.items():
                 if mask & bit:
-                    raise _cancelled_twice(self.factors, idx)
+                    raise _cancelled_twice(v.rs, k)
                 mask |= bit
                 got[mask] = got.get(mask, 0) + ratio * scalar
         self.states[p] = got
@@ -398,11 +389,13 @@ class _ChainColumn:
 
     def expansion(self, mask: int) -> Polynomial:
         """The product of the factors outside ``mask``: that of one more
-        cancelled factor, its lowest, times that factor."""
+        cancelled factor, the lowest outside ``mask``, times that factor."""
         got = self.expansions.get(mask)
         if got is None:
-            j = (~mask & (mask + 1)).bit_length() - 1
-            got = self.expansion(mask | 1 << j).times_linear(self.factors[j])
+            rest = self.factors & ~mask
+            low = rest & -rest
+            root = root_table(self.v.rs).roots[low.bit_length() - 1]
+            got = self.expansion(mask | low).times_linear(root)
             self.expansions[mask] = got
         return got
 
@@ -430,24 +423,17 @@ def tau_chain(u: WeylElement, v: WeylElement) -> Polynomial:
     return _chain_column(v).value(u)
 
 
-def _tau_table(elements, pairs=None):
-    """Restrictions as ``{u: {v: tau_chain(u, v)}}``: of every pair of the
-    enumerated group ``elements``, each row in their order, or of ``pairs``
-    only.  Filled one v at a time, in the order of ``elements``, so that
-    one column serves every pair with that v.  Whether u <= v is read off
-    the group's lower ideals (:func:`lower_ideals`): a pair below is valued
-    by its column and every other pair gets the one zero of the table."""
-    if pairs is None:
-        pairs = itertools.product(elements, repeat=2)
-    else:
-        position = {v: k for k, v in enumerate(elements)}
-        pairs = sorted(((v, u) for u, v in pairs), key=lambda vu: position[vu[0]])
-    ideals = lower_ideals(elements[0].rs)
-    zero = Polynomial.zero(elements[0].rs.rank)
-    table = {u: {} for u in elements}
-    for v, u in pairs:
-        below = ideals[u] & ideals[v] == ideals[u]
-        table[u][v] = _chain_column(v).value(u) if below else zero
+def _tau_table(elements):
+    """Restrictions as ``{u: {v: tau_chain(u, v)}}`` of every pair of the
+    enumerated group ``elements``, each row in their order.  Every entry
+    starts as the one zero of the table; then the pairs u <= v read off
+    the group's lower ideals (:func:`bruhat_pairs`) are valued one v at a
+    time, so that one column serves every pair with that v."""
+    rs = elements[0].rs
+    zero = Polynomial.zero(rs.rank)
+    table = {u: dict.fromkeys(elements, zero) for u in elements}
+    for u, v in bruhat_pairs(rs):
+        table[u][v] = _chain_column(v).value(u)
     return table
 
 

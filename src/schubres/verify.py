@@ -7,6 +7,8 @@ failure strings; an empty failure list means the suite passed.  Suites
 are deterministic: randomized ones take an explicit seed.  The command
 line passes a suite exactly those of its flags ``--samples``, ``--pairs``
 and ``--seed`` that the suite's function names as keyword parameters.
+The pairs u <= v come v-major from :func:`bruhat_pairs`, the bits of
+the lower ideals, so the pairs of one v share its chain column.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .typea import _tau_typea, _verify_equivalence, element_to_perm
 from .weyl import (
     INFINITY,
     bruhat_leq,
+    bruhat_pairs,
     enumerate_elements,
     h_pair,
     identity,
@@ -71,21 +74,6 @@ class SuiteResult:
         }
 
 
-def bruhat_pairs(rs: RootSystem):
-    """All ordered pairs u <= v, v-major in enumeration order, so that the
-    pairs of one v share its chain column; read off the group's lower
-    ideals (:func:`lower_ideals`), bit k of ideal(v) standing for
-    ``elements[k]``."""
-    elements = enumerate_elements(rs)
-    ideals = lower_ideals(rs)
-    return [
-        (u, v)
-        for v in elements
-        for k, u in enumerate(elements)
-        if ideals[v] >> k & 1
-    ]
-
-
 def _reduced_word_trie(rs: RootSystem):
     """Every reduced word of the group, depth first in lexicographic
     order, as (word, element, subword states).
@@ -117,12 +105,11 @@ def suite_oracle(rs: RootSystem) -> SuiteResult:
     """
     result = SuiteResult(f"oracle[{rs.lie_type}]")
     elements = enumerate_elements(rs)
-    pairs = bruhat_pairs(rs)
-    table = _tau_table(elements, pairs)
+    table = _tau_table(elements)
     zero = Polynomial.zero(rs.rank)
     for word, v, sums in _reduced_word_trie(rs):
         for u in elements:
-            expected = table[u].get(v, zero)
+            expected = table[u][v]
             got = sums.get(u, zero)
             result.check(
                 got == expected,
@@ -130,7 +117,7 @@ def suite_oracle(rs: RootSystem) -> SuiteResult:
                 f"billey {got!r} vs chain {expected!r}",
             )
     if rs.lie_type.family == "A":
-        for u, v in pairs:
+        for u, v in bruhat_pairs(rs):
             result.check(
                 _tau_typea(u, v) == table[u][v],
                 lambda: f"typea mismatch at u={u!r}, v={v!r}",
@@ -253,15 +240,15 @@ def suite_gt(
     pairs: int | None = None,
 ) -> SuiteResult:
     """Moment-map evaluation equals the chain polynomial, exactly, at
-    random points."""
+    random points, on every pair u <= v or ``pairs`` drawn ones; a pair's
+    :func:`tau_chain` and moment-map sums both read the one column of v."""
     result = SuiteResult(f"gt[{rs.lie_type}]")
     rng = random.Random(seed)
     drawn = bruhat_pairs(rs)
     if pairs is not None and pairs < len(drawn):
         drawn = rng.sample(drawn, pairs)
-    table = _tau_table(enumerate_elements(rs), drawn)
     for u, v in drawn:
-        value_poly = table[u][v]
+        value_poly = tau_chain(u, v)
         for _ in range(samples):
             alpha, _, total = gt_eval_resampling(u, v, rng)
             result.check(
@@ -378,18 +365,16 @@ def suite_lemmas(rs: RootSystem) -> SuiteResult:
                     lambda: f"h mismatch at p={p!r}, q={q!r}: {h} vs min{word}",
                 )
 
-    # Sandwich and monotonicity statements on triples p < q < r, read off
-    # the lower ideals: q is a bit of ideal(r), and ideal(q) holds the bit of p.
+    # Sandwich and monotonicity statements on triples p < q < r: q runs
+    # over the strict pairs (q, r), and ideal(q) holds the bit of p.
     ideals = lower_ideals(rs)
     index = {w: k for k, w in enumerate(elements)}
+    below = {r: [] for r in elements}
+    for q, r in strict_pairs:
+        below[r].append(q)
     for p, r in strict_pairs:
         bit = index[p]
-        inside = ideals[r] & ~(1 << bit | 1 << index[r])
-        between = [
-            q
-            for k, q in enumerate(elements)
-            if inside >> k & 1 and ideals[q] >> bit & 1
-        ]
+        between = [q for q in below[r] if q != p and ideals[q] >> bit & 1]
         h_pr = h_pair(p, r)
         fixed = [
             i

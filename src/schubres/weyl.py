@@ -31,9 +31,9 @@ reads it back.
 
 A group that is already enumerated holds its whole order as data
 (:func:`lower_ideals`): one bitmask per element, its lower ideal, built
-in one length-ordered pass over the covers.  Whole-group fills read it;
-:func:`bruhat_leq` stays the single-pair test of the walks that never
-enumerate the group.
+in one length-ordered pass over the covers.  Whole-group fills read its
+set bits as the pairs u <= v (:func:`bruhat_pairs`); :func:`bruhat_leq`
+stays the single-pair test of the walks that never enumerate the group.
 
 Weights stay in integers too.  The root system holds ``scale``, the
 least common denominator of the fundamental weights, and ``omegas``,
@@ -487,9 +487,27 @@ def lower_ideals(rs: RootSystem) -> dict:
     return got
 
 
+def bruhat_pairs(rs: RootSystem):
+    """All ordered pairs u <= v, v-major in enumeration order, so that the
+    pairs of one v share its chain column: the set bits of each lower
+    ideal (:func:`lower_ideals`), low bit first, bit k standing for
+    ``enumerate_elements(rs)[k]``.  The one decoder of the ideal bits."""
+    elements = enumerate_elements(rs)
+    ideals = lower_ideals(rs)
+    return [
+        (u, v)
+        for v in elements
+        for u, bit in zip(elements, bin(ideals[v])[:1:-1])  # low bit first
+        if bit == "1"
+    ]
+
+
+def _mask_roots(rs: RootSystem, mask: int):
+    """The roots at the set bits of ``mask``, low bit first."""
+    roots = root_table(rs).roots
+    return tuple(roots[k] for k in range(mask.bit_length()) if mask >> k & 1)
+
+
 def inversion_roots(v: WeylElement):
-    """Positive roots beta with v^{-1} beta negative, in lexicographic order."""
-    table = root_table(v.rs)
-    npos = table.npos
-    vinv = v.inverse().perm
-    return tuple(table.roots[k] for k in range(npos) if vinv[k] >= npos)
+    """Positive roots beta with v^{-1} beta negative, sorted: the bits of N(v^-1)."""
+    return _mask_roots(v.rs, _inversions(v.inverse()))

@@ -1,7 +1,9 @@
 """Command-line interface: output formats, agreement verdicts, exit codes."""
 
+import errno
 import hashlib
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -1060,6 +1062,33 @@ class TestTableAndPlumbing:
         target = str(path)
         assert run(capsys, *command, "--out", target) == (
             2, "", f"error: cannot write {target!r}: {reason}\n"
+        )
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["restrict", "--type", "A", "--rank", "2", "--u", "1", "--v", "1,2,1"],
+            ["table", "--type", "A", "--rank", "2", "--format", "json"],
+            ["verify", "--suite", "gkm", "--type", "A", "--rank", "2"],
+        ],
+    )
+    @pytest.mark.parametrize("failing", ["write", "flush"])
+    def test_closed_stdout_is_usage_error(self, capsys, monkeypatch, command, failing):
+        # A reader that closes the pipe early: the write, or the flush of a
+        # payload small enough to sit in the buffer, raises BrokenPipeError.
+        # The stream has no file descriptor, so fd 1 is left alone.
+        class Closed:
+            def write(self, text):
+                if failing == "write":
+                    raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+            def flush(self):
+                raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", Closed())
+        assert main(command) == 2
+        assert capsys.readouterr().err == (
+            "error: cannot write to standard output: Broken pipe\n"
         )
 
 

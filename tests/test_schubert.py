@@ -14,7 +14,6 @@ from schubres.schubert import (
     NonGenericPointError,
     Subword,
     _edge_term,
-    _factor_index,
     _subword_sums,
     chain_contribution,
     enumerate_c0,
@@ -30,6 +29,7 @@ from schubres.schubert import (
     tau_gt_eval,
 )
 from schubres.weyl import (
+    _inversions,
     all_reduced_words,
     bruhat_leq,
     covers_above,
@@ -387,14 +387,15 @@ class TestChainProgram:
         v = element_from_word(a3, (2, 1, 3, 2, 3))
         gamma = enumerate_c0(u, v)[0]
         p, beta = gamma.elements[0], gamma.betas[0]
-        _, index = _factor_index(v)
+        # The factors of lambda_minus(v) are the bits of N(v^-1).
+        factors = _inversions(v.inverse())
         # The doubled ratio: its ratio is 1.
-        assert _edge_term(p, beta, v, index)[1] == 2
+        assert _edge_term(p, beta, v, factors)[1] == 2
         with pytest.raises(CancellationError, match="no factor .* is proportional"):
-            _edge_term(p, beta, v, {})
+            _edge_term(p, beta, v, 0)
         # With p and v exchanged the denominator is the factor's negative.
         with pytest.raises(CancellationError, match="nonpositive multiple"):
-            _edge_term(v, beta, p, index)
+            _edge_term(v, beta, p, factors)
         real_div = schubert.div_exact
 
         def quadrupled(vec, d):
@@ -405,14 +406,15 @@ class TestChainProgram:
         with monkeypatch.context() as m:
             m.setattr(schubert, "div_exact", quadrupled)
             with pytest.raises(CancellationError, match="has the ratio 1/4"):
-                _edge_term(p, beta, v, index)
-        real = schubert._factor_index
+                _edge_term(p, beta, v, factors)
+        # Every edge of the chain claims the factor of its first edge.
+        real = schubert._edge_term
+        first = real(p, beta, v, factors)[0]
 
-        def collapsed(top):
-            factors, _ = real(top)
-            return factors, {f: 0 for f in factors}
+        def collapsed(q, b, top, mask):
+            return first, real(q, b, top, mask)[1]
 
-        monkeypatch.setattr(schubert, "_factor_index", collapsed)
+        monkeypatch.setattr(schubert, "_edge_term", collapsed)
         with pytest.raises(CancellationError, match="cancelled twice"):
             chain_contribution(gamma, v)
 

@@ -51,6 +51,8 @@ def test_bruhat_pairs_are_those_of_the_walk_in_order(family, rank):
     elements = enumerate_elements(rs)
     walked = [(u, v) for v in elements for u in elements if bruhat_leq(u, v)]
     assert verify.bruhat_pairs(rs) == walked
+    # One decoder of the ideal bits: verify reads the order layer's.
+    assert verify.bruhat_pairs is weyl.bruhat_pairs
 
 
 def test_mutated_value_gives_exact_messages(monkeypatch):
@@ -178,7 +180,15 @@ def built_columns(monkeypatch):
             verify.suite_limits, {}, 51630, 47, 47, id="suite_limits-51630-47"
         ),
         pytest.param(
-            verify.suite_gt, {"samples": 1}, 847, 96, 48, id="suite_gt-847-48"
+            verify.suite_gt, {"samples": 1}, 847, 48, 48, id="suite_gt-847-48"
+        ),
+        pytest.param(
+            verify.suite_gt,
+            {"samples": 1, "pairs": 50, "seed": 3},
+            50,
+            49,
+            24,
+            id="suite_gt-sampled-50-49",
         ),
     ],
 )
@@ -189,8 +199,8 @@ def test_suites_build_one_column_per_top_element(
     # together builds the column of each of the 48 elements at most once
     # a pass.  The chain walks of limits need none for the identity, whose
     # only pair is (e, e); positivity's tau_chain(e, e) reads its column.
-    # gt makes two passes over its pairs: one fills their chain values,
-    # the other sums the moment-map paths at its points.
+    # gt values each pair and sums its moment-map paths in one pass, so
+    # it builds at most one column per pair it draws, in the drawn order.
     rs = build_root_system(LieType("B", 3))
     result = suite(rs, **options)
     assert (result.cases, result.failures) == (cases, [])
