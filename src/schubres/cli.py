@@ -30,7 +30,7 @@ from json.encoder import encode_basestring_ascii
 
 from . import verify as verify_mod
 from .poly import FactoredPoly, Polynomial, expand, unpack
-from .rootsys import LieType, build_root_system
+from .rootsys import FAMILIES, LieType, build_root_system
 from .schubert import (
     _prefix_roots,
     _tau_table,
@@ -523,7 +523,7 @@ def cmd_table(args) -> int:
 
 
 def _add_common_element_args(parser, need_uv=True, formats=("text", "json", "latex")):
-    parser.add_argument("--type", required=True, choices=["A", "B", "C"])
+    parser.add_argument("--type", required=True, choices=FAMILIES)
     parser.add_argument("--rank", required=True, type=int)
     if need_uv:
         parser.add_argument("--u", required=True, help="bottom element")
@@ -582,7 +582,7 @@ def build_parser():
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", required=True, help=", ".join(sorted(verify_mod.SUITES)))
-    p.add_argument("--type", choices=["A", "B", "C"])
+    p.add_argument("--type", choices=FAMILIES)
     small = [s for s in verify_mod.SUITES if verify_mod.default_rank(s, "A") == 3]
     p.add_argument(
         "--rank",

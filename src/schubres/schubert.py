@@ -18,12 +18,12 @@ All of them produce exact rational data and must agree; the ``verify``
 module wires the cross-checks together.
 
 Every walk up to a top element v -- the chain sum, both chain
-enumerators and the moment-map path sum -- reads one column per v
-(:class:`_ChainColumn`): it decides once whether an element lies below
-v, and each cover is checked once per root system, whichever walk meets
-it first.  Tables are filled one v at a time (:func:`_tau_table`), so
-the one column kept per root system serves a whole column of the table;
-the fill values only the pairs u <= v of :func:`bruhat_pairs`.
+enumerators and the moment-map path sum -- lists the covers below v from
+one column per v (:meth:`_ChainColumn.covers`), which decides once
+whether an element lies below v and checks each cover once per root
+system.  Tables are filled one v at a time (:func:`_tau_table`), so the
+one column kept per root system serves a whole column of the table; the
+fill values only the pairs u <= v of :func:`bruhat_pairs`.
 """
 
 from __future__ import annotations
@@ -163,12 +163,9 @@ def lambda_minus(v: WeylElement) -> FactoredPoly:
 def _walk_chains(u: WeylElement, v: WeylElement, monotone: bool):
     """Maximal ascending chains from u to v, deterministically.
 
-    With ``monotone`` the h statistic of the edge roots must not decrease.
-    A cover p -beta-> w below v has h(beta) = h_pair(p, w) >= h_pair(p, v),
-    and reflecting by beta fixes omega_j for every j < h(beta); so an
-    h-monotone chain takes exactly the covers with h(beta) = h_pair(p, v),
-    and every chain that does is h-monotone.  The walk prunes every other
-    cover before its below-v test.
+    With ``monotone`` the h statistic of the edge roots must not decrease:
+    the walk then takes exactly the covers with h(beta) = h_pair(p, v)
+    (:meth:`_ChainColumn.covers` says why).
     """
     _require_same_system(u, v)
     if u == v:
@@ -179,13 +176,11 @@ def _walk_chains(u: WeylElement, v: WeylElement, monotone: bool):
     chains = []
 
     def walk(cur, elems, betas):
-        top = h_pair(cur, v) if monotone else None
-        for beta, w in covers_above(cur):
-            if (top is None or h_root(beta) == top) and column.edge(cur, beta, w):
-                if w == v:
-                    chains.append(Chain(elems + (w,), betas + (beta,)))
-                else:
-                    walk(w, elems + (w,), betas + (beta,))
+        for beta, w in column.covers(cur, monotone):
+            if w == v:
+                chains.append(Chain(elems + (w,), betas + (beta,)))
+            else:
+                walk(w, elems + (w,), betas + (beta,))
 
     walk(u, (u,), ())
     return tuple(chains)
@@ -290,21 +285,20 @@ class _ChainColumn:
     v: the chain sum's dynamic program and its value (:meth:`value`), both
     chain enumerators and the moment-map path sum.
 
-    ``under`` memoizes whether an element is below v: read off the lower
-    ideals when the group's order is built (:func:`lower_ideals`),
-    otherwise by :func:`bruhat_leq`.  :meth:`edge` checks each cover below
-    v that a walk meets, once per root system: ``checked`` is the
-    system's set of checked covers, shared by every column.
+    Every walk lists the covers below v by :meth:`covers`; ``under``
+    memoizes whether an element is below v (read off the lower ideals when
+    the group's order is built, :func:`lower_ideals`, otherwise by
+    :func:`bruhat_leq`), and ``checked`` is the root system's set of
+    checked covers, shared by every column.
     ``states[w]`` maps each set of cancelled factors (a mask of the bits
     of ``factors``, N(v^-1): bit k is root k of the root table) to the
     summed scalar of the h-monotone maximal chains from w to v; ``states[v]``
     holds the empty chain, nothing cancelled.  Such a chain takes exactly
-    the covers p -beta-> with h(beta) = h_pair(p, v) (:func:`_walk_chains`),
-    so :meth:`sums` skips every other cover before its below-v test and
-    its edge check.  Each chain has l(v) - l(w) edges, and its scalar is
-    the product of its doubled edge terms (:func:`_edge_term`), so every
-    sum is an int, 2^(l(v) - l(w)) times the true one.  ``expansions``
-    holds the product of the factors outside each mask.
+    the monotone covers of :meth:`covers`, which :meth:`sums` follows.
+    Each chain has l(v) - l(w) edges, and its scalar is the product of its
+    doubled edge terms (:func:`_edge_term`), so every sum is an int,
+    2^(l(v) - l(w)) times the true one.  ``expansions`` holds the product
+    of the factors outside each mask.
     """
 
     __slots__ = ("v", "factors", "states", "under", "ideals", "checked", "expansions")
@@ -323,27 +317,39 @@ class _ChainColumn:
         every ``rs._cache`` entry reports its size so."""
         return len(self.states) + len(self.under) + len(self.expansions)
 
-    def edge(self, p: WeylElement, beta, w: WeylElement) -> bool:
-        """Whether the cover p -beta-> w of ``covers_above(p)`` lies below
-        v.  The first time any walk of the system meets a cover below its
-        top element, it is checked: one that is not an ascending right
+    def covers(self, p: WeylElement, monotone: bool) -> list:
+        """The covers (beta, w) of ``covers_above(p)`` below v, in that order;
+        with ``monotone``, only those with h(beta) = h_pair(p, v), tested
+        first.  A cover p -beta-> w below v has h(beta) = h_pair(p, w) >=
+        h_pair(p, v), and reflecting by beta fixes omega_j for every
+        j < h(beta); so an h-monotone chain takes exactly these covers, and
+        every chain that does is h-monotone.  Each cover met below v is
+        checked once per root system: one that is not an ascending right
         reflection raising the length by one is an internal fault."""
-        under = self.under.get(w)
-        if under is None:
-            ideals = self.ideals
-            if ideals is None:
-                under = bruhat_leq(w, self.v)
-            else:
-                under = ideals[w] & ideals[self.v] == ideals[w]
-            self.under[w] = under
-        if under and (p, beta) not in self.checked:
-            fault = _edge_fault(p, beta, w)
-            if fault is None and w.length != p.length + 1:
-                fault = f"edge {p!r} -> {w!r} does not raise the length by one"
-            if fault is not None:
-                raise AssertionError(fault)
-            self.checked.add((p, beta))
-        return under
+        v, ideals = self.v, self.ideals
+        top = h_pair(p, v) if monotone else None
+        got = []
+        for beta, w in covers_above(p):
+            if monotone and h_root(beta) != top:
+                continue
+            under = self.under.get(w)
+            if under is None:
+                if ideals is None:
+                    under = bruhat_leq(w, v)
+                else:
+                    under = ideals[w] & ideals[v] == ideals[w]
+                self.under[w] = under
+            if not under:
+                continue
+            if (p, beta) not in self.checked:
+                fault = _edge_fault(p, beta, w)
+                if fault is None and w.length != p.length + 1:
+                    fault = f"edge {p!r} -> {w!r} does not raise the length by one"
+                if fault is not None:
+                    raise AssertionError(fault)
+                self.checked.add((p, beta))
+            got.append((beta, w))
+        return got
 
     def sums(self, p: WeylElement) -> dict:
         got = self.states.get(p)
@@ -351,10 +357,7 @@ class _ChainColumn:
             return got
         v = self.v
         got = {}
-        top = h_pair(p, v)
-        for beta, w in covers_above(p):
-            if h_root(beta) != top or not self.edge(p, beta, w):
-                continue
+        for beta, w in self.covers(p, True):
             rest = self.sums(w)
             if not rest:
                 continue
@@ -679,14 +682,14 @@ def tau_gt_eval(u: WeylElement, v: WeylElement, mu, alpha_values) -> Fraction:
     :func:`gt_term_eval` over every maximal chain from u to v, as a path
     sum over the Bruhat interval [u, v].
 
-    The edge ratio's denominator depends only on the edge's lower end p,
-    so the sum over the maximal chains from p to v is the sum, over the
-    covers p -s_beta-> w below v, of <mu, beta^vee> times the sum from w,
-    divided by <mu, (p omega - v omega)(alpha)>.  Each element's sum is
-    computed once, as a reduced pair of integers; the covers below v come
-    from the column of v, which checks each of them once for every point
-    and every other walk up to v.  The interval is graded, so every element of [u, v) lies on a
-    maximal chain, and a vanishing denominator raises
+    The edge ratio's denominator depends only on the edge's lower end p, so
+    the sum over the maximal chains from p to v is the sum, over the covers
+    p -s_beta-> w below v, of <mu, beta^vee> times the sum from w, divided
+    by <mu, (p omega - v omega)(alpha)>.  Each element's sum is computed
+    once, as a reduced pair of integers; the covers below v come from
+    :meth:`_ChainColumn.covers`, which checks each once for every point and
+    every other walk up to v.  The interval is graded, so every element of
+    [u, v) lies on a maximal chain, and a vanishing denominator raises
     :class:`NonGenericPointError` at exactly the points where some chain's
     term does.
     """
@@ -702,9 +705,7 @@ def tau_gt_eval(u: WeylElement, v: WeylElement, mu, alpha_values) -> Fraction:
         if got is not None:
             return got
         numerator, denominator = 0, 1
-        for beta, w in covers_above(p):
-            if not column.edge(p, beta, w):
-                continue
+        for beta, w in column.covers(p, False):
             w_numerator, w_denominator = total(w)
             term = point.numerator(beta) * w_numerator
             if w_denominator == denominator:

@@ -366,15 +366,14 @@ def suite_lemmas(rs: RootSystem) -> SuiteResult:
                 )
 
     # Sandwich and monotonicity statements on triples p < q < r: q runs
-    # over the strict pairs (q, r), and ideal(q) holds the bit of p.
+    # over the strict pairs (q, r), and p < q when ideal(p) lies in ideal(q).
     ideals = lower_ideals(rs)
-    index = {w: k for k, w in enumerate(elements)}
     below = {r: [] for r in elements}
     for q, r in strict_pairs:
         below[r].append(q)
     for p, r in strict_pairs:
-        bit = index[p]
-        between = [q for q in below[r] if q != p and ideals[q] >> bit & 1]
+        ideal = ideals[p]
+        between = [q for q in below[r] if q != p and ideals[q] & ideal == ideal]
         h_pr = h_pair(p, r)
         fixed = [
             i

@@ -428,6 +428,28 @@ class TestChainProgram:
         # The column is the only chain memo: no table of results per pair.
         assert "tau_chain" not in rs._cache
 
+    @pytest.mark.parametrize("ideals", [False, True], ids=["walk", "ideals"])
+    @pytest.mark.parametrize("family", ["A", "B", "C"])
+    def test_covers_lists_the_covers_below_v_in_order(self, family, ideals):
+        # A fresh system, with or without the lower ideals, so that the
+        # column tests w <= v by each of its two paths.
+        rs = root_system(family, 3)
+        if ideals:
+            lower_ideals(rs)
+        elements = enumerate_elements(rs)
+        for v in elements:
+            column = schubert._chain_column(v)
+            assert (column.ideals is not None) == ideals
+            for p in elements:
+                if p == v or not bruhat_leq(p, v):
+                    continue
+                below = [(b, w) for b, w in covers_above(p) if bruhat_leq(w, v)]
+                top = h_pair(p, v)
+                assert column.covers(p, False) == below, (p, v)
+                assert column.covers(p, True) == [
+                    (b, w) for b, w in below if h_root(b) == top
+                ], (p, v)
+
 
 class TestSubwords:
     def test_golden_masks(self, a3):
