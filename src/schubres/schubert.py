@@ -127,7 +127,7 @@ class Subword:
 
 
 def _require_same_system(u: WeylElement, v: WeylElement):
-    if u.rs.lie_type != v.rs.lie_type:
+    if u.rs is not v.rs:
         raise ValueError("elements belong to different root systems")
 
 
@@ -407,7 +407,7 @@ def _chain_column(v: WeylElement) -> _ChainColumn:
     """The column of v; it replaces that of any other top element, so
     ``rs._cache`` holds one column at a time."""
     column = v.rs._cache.get("chain_column")
-    if column is None or column.v != v:
+    if column is None or column.v is not v:
         column = v.rs._cache["chain_column"] = _ChainColumn(v)
     return column
 
@@ -663,8 +663,7 @@ def gt_term_eval(gamma: Chain, v: WeylElement, mu, alpha_values) -> Fraction:
 
     ``mu`` gives the strictly positive fundamental-weight coordinates of
     the point; ``alpha_values`` are the simple-root variable values.  A
-    vanishing denominator raises :class:`NonGenericPointError` so the
-    caller can resample.
+    vanishing denominator raises :class:`NonGenericPointError`.
     """
     if gamma.end != v:
         raise ValueError("chain does not end at v")

@@ -20,7 +20,6 @@ from fractions import Fraction
 from .poly import Polynomial, expand
 from .rootsys import RootSystem, div_exact, h_root, is_positive
 from .schubert import (
-    NonGenericPointError,
     _subword_step,
     _tau_table,
     chain_contribution,
@@ -217,22 +216,6 @@ def _random_mu(rng, rank):
     return tuple(Fraction(rng.randint(1, 1000)) for _ in range(rank))
 
 
-def gt_eval_resampling(u, v, rng, max_attempts=100):
-    """Evaluate the moment-map sum at a random point, resampling off the
-    vanishing locus; returns (alpha, mu, value)."""
-    rank = u.rs.rank
-    for _ in range(max_attempts):
-        alpha = _random_alpha(rng, rank)
-        mu = _random_mu(rng, rank)
-        try:
-            return alpha, mu, tau_gt_eval(u, v, mu, alpha)
-        except NonGenericPointError:
-            continue
-    raise NonGenericPointError(
-        f"no generic point found in {max_attempts} attempts for u={u!r}, v={v!r}"
-    )
-
-
 def suite_gt(
     rs: RootSystem,
     samples: int = 20,
@@ -240,19 +223,35 @@ def suite_gt(
     pairs: int | None = None,
 ) -> SuiteResult:
     """Moment-map evaluation equals the chain polynomial, exactly, at
-    random points, on every pair u <= v or ``pairs`` drawn ones; a pair's
-    :func:`tau_chain` and moment-map sums both read the one column of v."""
+    random points, on every pair u <= v or ``pairs`` drawn ones.
+
+    The pairs are visited v-major, so a pair's :func:`tau_chain` and
+    moment-map sums read the one column of v; their points (alpha, then
+    mu, per sample) are drawn pair by pair in the drawn order, each pair's
+    kept until it is visited.  No point is redrawn: for p < v every
+    p omega_i - v omega_i has nonnegative coordinates (:func:`suite_lemmas`),
+    nonzero at i = h_pair(p, v), and alpha and mu are positive, so no
+    denominator of :func:`tau_gt_eval` vanishes."""
     result = SuiteResult(f"gt[{rs.lie_type}]")
     rng = random.Random(seed)
     drawn = bruhat_pairs(rs)
     if pairs is not None and pairs < len(drawn):
         drawn = rng.sample(drawn, pairs)
-    for u, v in drawn:
+    rank = rs.rank
+    position = {v: k for k, v in enumerate(enumerate_elements(rs))}
+    points = {}
+    undrawn = iter(range(len(drawn)))
+    for k in sorted(range(len(drawn)), key=lambda k: position[drawn[k][1]]):
+        while k not in points:
+            points[next(undrawn)] = [
+                (_random_alpha(rng, rank), _random_mu(rng, rank))
+                for _ in range(samples)
+            ]
+        u, v = drawn[k]
         value_poly = tau_chain(u, v)
-        for _ in range(samples):
-            alpha, _, total = gt_eval_resampling(u, v, rng)
+        for alpha, mu in points.pop(k):
             result.check(
-                total == value_poly.evaluate(alpha),
+                tau_gt_eval(u, v, mu, alpha) == value_poly.evaluate(alpha),
                 lambda: f"moment-map sum disagrees at u={u!r}, v={v!r}, alpha={alpha}",
             )
     return result

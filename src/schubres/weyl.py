@@ -42,10 +42,12 @@ least common denominator of the fundamental weights, and ``omegas``,
 matrix.  ``h_pair`` and ``omega_drop`` compare and subtract these images,
 and the chain route reads its weight differences from them.
 
-Elements are interned per root system, so equal elements are usually the
-same object.  Per-system caches hold at most one entry per element,
-cover, root or mask, none per pair of elements; they are filled
-idempotently and are safe under the usual CPython concurrency guarantees.
+Elements are interned per root system, so equality is identity;
+elements of two systems never meet: every operation on two elements
+refuses elements of two ``RootSystem`` objects.  Per-system caches hold
+at most one entry per element, cover, root or mask, none per pair of
+elements; they are filled idempotently and are safe under the usual
+CPython concurrency guarantees.
 
 Words are tuples of 1-based simple-reflection indices.
 """
@@ -128,7 +130,8 @@ def root_table(rs: RootSystem) -> RootTable:
 
 
 class WeylElement:
-    """A Weyl group element; immutable, hashable, interned per system.
+    """A Weyl group element; immutable and interned per system, so it
+    compares and hashes by identity.
 
     ``perm`` is the permutation of root indices (see :class:`RootTable`)
     that identifies the element; ``matrix`` is derived from it.  A simple
@@ -137,14 +140,13 @@ class WeylElement:
     """
 
     __slots__ = (
-        "rs", "perm", "_hash", "_inversions", "_descent", "_canonical",
+        "rs", "perm", "_inversions", "_descent", "_canonical",
         "_omega_images", "_letter", "_right",
     )
 
     def __init__(self, rs: RootSystem, perm):
         self.rs = rs
         self.perm = perm
-        self._hash = hash(perm)
         self._inversions = None
         self._descent = None
         self._canonical = None
@@ -152,20 +154,10 @@ class WeylElement:
         self._letter = None
         self._right = None
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, WeylElement):
-            return NotImplemented
-        return self.perm == other.perm and self.rs.lie_type == other.rs.lie_type
-
-    def __hash__(self):
-        return self._hash
-
     def __mul__(self, other):
         if not isinstance(other, WeylElement):
             return NotImplemented
-        if self.rs is not other.rs and self.rs.lie_type != other.rs.lie_type:
+        if self.rs is not other.rs:
             raise ValueError("cannot compose elements of different root systems")
         i = other._letter
         if i is None:
@@ -378,7 +370,7 @@ def bruhat_leq(u: WeylElement, v: WeylElement) -> bool:
     one and a by one or none, so the lengths are counted, not read.  No
     pair is stored: a whole-group question reads :func:`lower_ideals`.
     """
-    if u.rs.lie_type != v.rs.lie_type:
+    if u.rs is not v.rs:
         raise ValueError("cannot compare elements of different root systems")
     npos = len(u.perm) >> 1
     a, b = u, v
@@ -390,12 +382,12 @@ def bruhat_leq(u: WeylElement, v: WeylElement) -> bool:
             a = a * s
             la -= 1
     # No element lies below one of its own length or shorter but itself.
-    return a == b
+    return a is b
 
 
 def h_pair(p: WeylElement, q: WeylElement):
     """Smallest i with p omega_i != q omega_i; INFINITY when p == q."""
-    if p.rs.lie_type != q.rs.lie_type:
+    if p.rs is not q.rs:
         raise ValueError("cannot compare elements of different root systems")
     for i, (a, b) in enumerate(zip(p.omega_images, q.omega_images)):
         if a != b:

@@ -252,6 +252,26 @@ class TestRestrict:
         assert "not a right reflection" in lines[0]
         assert valued
 
+    def test_non_generic_point_in_gt_exits_3(self, capsys, monkeypatch):
+        # The suite draws no point on which a denominator can vanish, so it
+        # redraws none: a NonGenericPointError from the moment-map sum is an
+        # internal fault, raised out of the first call.
+        calls = []
+
+        def vanishing(u, v, mu, alpha_values):
+            calls.append((u, v))
+            raise schubert.NonGenericPointError("a denominator vanishes")
+
+        monkeypatch.setattr(verify, "tau_gt_eval", vanishing)
+        code, out, err = run(
+            capsys,
+            "verify", "--suite", "gt", "--type", "A", "--rank", "2", "--samples", "1",
+        )
+        assert (code, out, len(calls)) == (3, "", 1)
+        assert err == (
+            "error: internal error: NonGenericPointError: a denominator vanishes\n"
+        )
+
 
 class TestChains:
     def test_c2_counts_and_subword_images(self, capsys):

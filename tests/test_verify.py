@@ -10,7 +10,6 @@ from schubres import schubert, verify, weyl
 from schubres.poly import Polynomial
 from schubres.rootsys import LieType, build_root_system, root_system
 from schubres.schubert import (
-    NonGenericPointError,
     _subword_sums,
     _tau_table,
     enumerate_c0,
@@ -186,9 +185,9 @@ def built_columns(monkeypatch):
             verify.suite_gt,
             {"samples": 1, "pairs": 50, "seed": 3},
             50,
-            49,
             24,
-            id="suite_gt-sampled-50-49",
+            24,
+            id="suite_gt-sampled-50-24",
         ),
     ],
 )
@@ -199,8 +198,8 @@ def test_suites_build_one_column_per_top_element(
     # together builds the column of each of the 48 elements at most once
     # a pass.  The chain walks of limits need none for the identity, whose
     # only pair is (e, e); positivity's tau_chain(e, e) reads its column.
-    # gt values each pair and sums its moment-map paths in one pass, so
-    # it builds at most one column per pair it draws, in the drawn order.
+    # gt keeps the points of each sampled pair as drawn, but values the
+    # pairs and sums their moment-map paths v-major: each column once.
     rs = build_root_system(LieType("B", 3))
     result = suite(rs, **options)
     assert (result.cases, result.failures) == (cases, [])
@@ -350,33 +349,27 @@ def test_equivalence_sample_draws_the_pairs_of_the_full_list(monkeypatch, n, see
     assert (result.cases, result.failures) == (10, [])
 
 
-class ScriptedRng:
-    """Stands in for ``random.Random``: ``randint`` returns the next
-    scripted value, whatever the range."""
+def test_gt_keeps_the_drawn_points_and_walks_v_major(monkeypatch):
+    # The points are drawn pair by pair in the drawn order, alpha then mu
+    # per sample; each pair keeps its points while the pairs are visited
+    # v-major, in a stable sort by v's position in the enumeration.
+    seen = []
+    real = verify.tau_gt_eval
 
-    def __init__(self, values):
-        self.values = iter(values)
+    def recording(u, v, mu, alpha_values):
+        seen.append((u, v, mu, alpha_values))
+        return real(u, v, mu, alpha_values)
 
-    def randint(self, low, high):
-        return next(self.values)
-
-
-def test_resampling_passes_a_non_generic_point():
-    rs = root_system("A", 2)
-    u = simple_reflection(rs, 1)
-    v = element_from_word(rs, (1, 2, 1))
-    # alpha = (1, 0), mu = (1, 1) makes a denominator vanish; the second
-    # draw is generic.
-    rng = ScriptedRng([1, 0, 1, 1, 5, 7, 2, 3])
-    alpha, mu, value = verify.gt_eval_resampling(u, v, rng)
-    assert (alpha, mu) == ((5, 7), (2, 3))
-    assert value == tau_chain(u, v).evaluate(alpha) == 12
-
-
-def test_resampling_gives_up_after_max_attempts():
-    rs = root_system("A", 2)
-    u = simple_reflection(rs, 1)
-    v = element_from_word(rs, (1, 2, 1))
-    rng = ScriptedRng([1, 0, 1, 1] * 3)
-    with pytest.raises(NonGenericPointError, match="no generic point found in 3"):
-        verify.gt_eval_resampling(u, v, rng, max_attempts=3)
+    monkeypatch.setattr(verify, "tau_gt_eval", recording)
+    rs = build_root_system(LieType("B", 3))
+    result = verify.suite_gt(rs, samples=2, pairs=20, seed=3)
+    rng = random.Random(3)
+    expected = []
+    for u, v in rng.sample(weyl.bruhat_pairs(rs), 20):
+        for _ in range(2):
+            alpha = tuple(Fraction(rng.randint(1, 10**6)) for _ in range(3))
+            mu = tuple(Fraction(rng.randint(1, 1000)) for _ in range(3))
+            expected.append((u, v, mu, alpha))
+    position = {el: k for k, el in enumerate(enumerate_elements(rs))}
+    assert seen == sorted(expected, key=lambda call: position[call[1]])
+    assert (result.cases, result.failures) == (40, [])

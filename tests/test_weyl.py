@@ -8,7 +8,14 @@ from schubres.rootsys import (
     reflect,
     root_system,
 )
-from schubres.schubert import chain_contribution, enumerate_c0
+from schubres.schubert import (
+    chain_contribution,
+    enumerate_c0,
+    enumerate_max_chains,
+    tau_billey,
+    tau_chain,
+    tau_gt_eval,
+)
 from schubres.weyl import (
     INFINITY,
     WeylElement,
@@ -78,20 +85,25 @@ class TestRepresentation:
             for v in elements:
                 assert (u * v).matrix == mat_mul(u.matrix, v.matrix)
         # A product by s_i is read back from u after its first use: the same
-        # object, still the matrix product, interned in u's system even when
-        # s_i is taken from another system of the same type.  B3 and C3
-        # permute root sets of one size, so a mixed product must still fail.
+        # object, still the matrix product.  An s_i of another system is
+        # refused, of the same type or not (B3 and C3 permute root sets of
+        # one size), on a miss and on a hit of u's memo.
         twin = build_root_system(LieType(family, rank))
         mixed = root_system({"A": "B", "B": "C", "C": "B"}[family], rank)
         for i in range(1, rank + 1):
-            s, t = simple_reflection(rs, i), simple_reflection(twin, i)
-            assert identity(twin) * s is t
+            s = simple_reflection(rs, i)
+            others = (simple_reflection(twin, i), simple_reflection(mixed, i))
+            with pytest.raises(ValueError, match="different root systems"):
+                identity(twin) * s
             for u in elements:
+                for t in others:
+                    with pytest.raises(ValueError, match="different root systems"):
+                        u * t
                 assert u * s is u * s
                 assert (u * s).matrix == mat_mul(u.matrix, s.matrix)
-                assert u * t is u * s
-                with pytest.raises(ValueError, match="different root systems"):
-                    u * simple_reflection(mixed, i)
+                for t in others:
+                    with pytest.raises(ValueError, match="different root systems"):
+                        u * t
 
     @pytest.mark.parametrize("family,rank", GROUPS_RANK_3)
     def test_inverse_length_and_action(self, family, rank):
@@ -162,6 +174,46 @@ def h_pair_by_fractions(p, q):
         if p.act(omega) != q.act(omega):
             return i + 1
     return INFINITY
+
+
+#: Every entry point that takes two elements, as a call on (u, v).
+TWO_ELEMENT_CALLS = {
+    "tau_chain": tau_chain,
+    "tau_billey": tau_billey,
+    "tau_gt_eval": lambda u, v: tau_gt_eval(u, v, (1, 2, 3), (4, 5, 6)),
+    "enumerate_c0": enumerate_c0,
+    "enumerate_max_chains": enumerate_max_chains,
+    "bruhat_leq": bruhat_leq,
+    "h_pair": h_pair,
+    "u * s": lambda u, v: u * v,
+}
+
+
+class TestOneSystem:
+    """Elements compare by identity, and elements of two root systems of
+    one type never meet."""
+
+    def test_equality_is_identity(self):
+        rs, twin = build_root_system(LieType("B", 3)), build_root_system(LieType("B", 3))
+        word = (1, 2, 3, 2)
+        assert element_from_word(rs, word) is element_from_word(rs, word)
+        assert element_from_word(rs, word) != element_from_word(twin, word)
+        assert WeylElement.__eq__ is object.__eq__
+        assert WeylElement.__hash__ is object.__hash__
+
+    @pytest.mark.parametrize("name", list(TWO_ELEMENT_CALLS))
+    def test_elements_of_two_systems_are_refused(self, name):
+        call = TWO_ELEMENT_CALLS[name]
+        rs, twin = build_root_system(LieType("B", 3)), build_root_system(LieType("B", 3))
+        # u = s2 against v = u, and against v = s1 s2 s3 s2 s1 above it (s1
+        # for "u * s"): a walk that ends at once must refuse a pair too.
+        top = (1,) if name == "u * s" else (1, 2, 3, 2, 1)
+        for low, high in ((rs, twin), (twin, rs)):
+            u = element_from_word(low, (2,))
+            for word in ((2,), top):
+                assert call(u, element_from_word(low, word)) is not None
+                with pytest.raises(ValueError, match="different root systems"):
+                    call(u, element_from_word(high, word))
 
 
 class TestWeightImages:
