@@ -12,6 +12,8 @@ integers by their closed forms (there is no Cartan inverse), and the
 integer coroot pairings <omega_i, beta> of each root, memoized on first
 use, so that the chain route runs in integer arithmetic.  The rational
 Gram matrix and fundamental weights are derived from these integers.
+One closure finds the positive roots, their images under the simple
+reflections and its tree, from which :mod:`weyl` builds the group table.
 
 Simple roots are ordered along the Dynkin chain, with the special bond
 between the last two nodes: in type B the last simple root is short, in
@@ -101,23 +103,29 @@ def div_exact(vec, d: int):
     return tuple(c // d for c in vec)
 
 
-def _generate_positive_roots(cart):
-    """Closure of the simple roots under simple reflections, positives only."""
-    n = len(cart)
-    simple = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    seen = set(simple)
-    frontier = list(simple)
-    while frontier:
-        beta = frontier.pop()
-        for i in range(n):
-            pair = sum(beta[a] * cart[a][i] for a in range(n))
-            img = list(beta)
-            img[i] -= pair
-            img = tuple(img)
-            if img not in seen and any(img) and all(c >= 0 for c in img):
-                seen.add(img)
-                frontier.append(img)
-    return tuple(sorted(seen))
+def _close_simple_roots(simple, cart):
+    """Close the ``simple`` roots under the simple reflections, positives
+    only: the sorted positive roots; ``images[k][i]``, which is s_{i+1} beta
+    = beta - <beta, alpha_{i+1}^vee> alpha_{i+1} for beta the k-th root; and
+    the tree walked, ``(beta, i, parent)`` with beta = s_{i+1} parent once
+    per non-simple root, each parent simple or listed before it."""
+    images = dict.fromkeys(simple)  # each root's images, set when it is visited
+    queue = list(simple)
+    tree = []
+    for beta in queue:  # breadth first: the queue grows as roots are found
+        row = []
+        for i, column in enumerate(zip(*cart)):
+            pair = sum(b * c for b, c in zip(beta, column))
+            img = beta[:i] + (beta[i] - pair,) + beta[i + 1 :]
+            # s_i permutes the positive roots but alpha_i; only -alpha_i has img[i] < 0.
+            if img[i] >= 0 and img not in images:
+                images[img] = None
+                queue.append(img)
+                tree.append((img, i, beta))
+            row.append(img)
+        images[beta] = tuple(row)
+    positive = tuple(sorted(images))
+    return positive, tuple(images[beta] for beta in positive), tuple(tree)
 
 
 class RootSystem:
@@ -125,6 +133,7 @@ class RootSystem:
 
     ``scale`` is the least common denominator of the fundamental weights
     and ``omegas[i]`` is ``scale * omega_{i+1}`` as an integer tuple.
+    ``_images`` and ``_tree`` are the rest of :func:`_close_simple_roots`.
 
     Instances are immutable after construction and safe to share between
     threads.  The ``_cache`` dict holds the group and chain layers' memos,
@@ -149,7 +158,9 @@ class RootSystem:
         self.simple_roots = tuple(
             tuple(int(i == j) for j in range(n)) for i in range(n)
         )
-        self.positive_roots = _generate_positive_roots(self.cartan)
+        self.positive_roots, self._images, self._tree = _close_simple_roots(
+            self.simple_roots, self.cartan
+        )
         self.roots = frozenset(self.positive_roots) | frozenset(
             tuple(-c for c in beta) for beta in self.positive_roots
         )

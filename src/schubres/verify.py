@@ -20,6 +20,7 @@ from fractions import Fraction
 from .poly import Polynomial, expand
 from .rootsys import RootSystem, div_exact, h_root, is_positive
 from .schubert import (
+    _chain_column,
     _subword_step,
     _tau_table,
     chain_contribution,
@@ -225,10 +226,11 @@ def suite_gt(
     """Moment-map evaluation equals the chain polynomial, exactly, at
     random points, on every pair u <= v or ``pairs`` drawn ones.
 
-    The pairs are visited v-major, so a pair's :func:`tau_chain` and
-    moment-map sums read the one column of v; their points (alpha, then
-    mu, per sample) are drawn pair by pair in the drawn order, each pair's
-    kept until it is visited.  No point is redrawn: for p < v every
+    The pairs come from :func:`bruhat_pairs` and are visited v-major, so
+    each pair's chain value (with no walk of the order) and moment-map
+    sums read the one column of v; their points (alpha, then mu, per
+    sample) are drawn pair by pair in the drawn order, each pair's kept
+    until it is visited.  No point is redrawn: for p < v every
     p omega_i - v omega_i has nonnegative coordinates (:func:`suite_lemmas`),
     nonzero at i = h_pair(p, v), and alpha and mu are positive, so no
     denominator of :func:`tau_gt_eval` vanishes."""
@@ -237,18 +239,17 @@ def suite_gt(
     drawn = bruhat_pairs(rs)
     if pairs is not None and pairs < len(drawn):
         drawn = rng.sample(drawn, pairs)
-    rank = rs.rank
     position = {v: k for k, v in enumerate(enumerate_elements(rs))}
     points = {}
     undrawn = iter(range(len(drawn)))
     for k in sorted(range(len(drawn)), key=lambda k: position[drawn[k][1]]):
         while k not in points:
             points[next(undrawn)] = [
-                (_random_alpha(rng, rank), _random_mu(rng, rank))
+                (_random_alpha(rng, rs.rank), _random_mu(rng, rs.rank))
                 for _ in range(samples)
             ]
         u, v = drawn[k]
-        value_poly = tau_chain(u, v)
+        value_poly = _chain_column(v).value(u)
         for alpha, mu in points.pop(k):
             result.check(
                 tau_gt_eval(u, v, mu, alpha) == value_poly.evaluate(alpha),

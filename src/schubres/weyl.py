@@ -2,7 +2,8 @@
 
 An element is identified by the permutation it induces on the finite
 root set, the standard faithful representation of a Weyl group.  Each
-root system gets a root table, built on first use: its positive roots in
+root system gets a root table, built on first use from the closure data
+of :mod:`rootsys`, with no root arithmetic: its positive roots in
 ``rs.positive_roots`` order, then their negatives in the same order, a
 dict from root to index, and the group table of the identity, the simple
 reflections and one reflection s_beta per positive root beta (s_{-beta}
@@ -74,7 +75,9 @@ class RootTable:
     ``rs.positive_roots`` order; ``roots[k + npos]`` is ``-roots[k]``.
     ``identity`` and ``simple_reflections`` (s_1, ..., s_n) are built with
     it, and ``positive[k]`` is ``(s_beta, N(s_beta))`` for positive root k:
-    one reflection per positive root, since s_{-beta} = s_beta.
+    one reflection per positive root, since s_{-beta} = s_beta.  s_i maps
+    root indices as ``rs._images`` maps roots, and along ``rs._tree``
+    each beta = s_i(parent) gives s_beta = s_i s_parent s_i.
     """
 
     __slots__ = (
@@ -90,32 +93,19 @@ class RootTable:
         #: Index of alpha_j for j = 1..n, in order.
         self.simple = tuple(self.index[alpha] for alpha in rs.simple_roots)
         self.identity = _element(rs, tuple(range(len(self.roots))))
-        # s_i(beta) = beta - <beta, alpha_i^vee> alpha_i on the positive roots,
-        # in integers; s_i(-beta) = -s_i(beta) fills the negative half.
+        # s_i(-beta) = -s_i(beta) fills the negative half.
         simple = []
-        for i0, column in enumerate(zip(*rs.cartan)):
-            perm = []
-            for beta in positive:
-                image = list(beta)
-                image[i0] -= sum(b * c for b, c in zip(beta, column))
-                perm.append(self.index[tuple(image)])
+        for i0, images in enumerate(zip(*rs._images)):
+            perm = [self.index[image] for image in images]
             perm += [(k + npos) % (2 * npos) for k in perm]
             s = _element(rs, tuple(perm))
             s._letter = i0
             simple.append(s)
         self.simple_reflections = tuple(simple)
-        # Close the simple roots under simple reflections, keeping positive
-        # images: when beta' = s_i beta is positive, s_beta' = s_i s_beta s_i.
-        found = dict(zip(self.simple, simple))
-        frontier = list(found)
-        while frontier:
-            k = frontier.pop()
-            for s in simple:
-                image = s.perm[k]
-                if image < npos and image not in found:
-                    found[image] = s * found[k] * s
-                    frontier.append(image)
-        self.positive = tuple((found[k], _inversions(found[k])) for k in range(npos))
+        found = dict(zip(rs.simple_roots, simple))
+        for beta, i0, parent in rs._tree:
+            found[beta] = simple[i0] * found[parent] * simple[i0]
+        self.positive = tuple((found[b], _inversions(found[b])) for b in positive)
 
     def __len__(self):
         """Number of roots; every ``rs._cache`` entry reports its size so."""
@@ -296,9 +286,7 @@ def reflection(rs: RootSystem, beta) -> WeylElement:
     table = root_table(rs)
     k = table.index.get(beta)
     if k is None:
-        raise ValueError(
-            f"invalid reflection: {beta} is not a root of {rs.lie_type}"
-        )
+        raise ValueError(f"invalid reflection: {beta} is not a root of {rs.lie_type}")
     return table.positive[k % table.npos][0]
 
 

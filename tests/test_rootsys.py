@@ -253,3 +253,35 @@ class TestWeightTable:
         assert len(rs._pairings) == 1
         rs.pairings((1, 1, 0))
         assert len(rs._pairings) == 2
+
+
+#: Every family at ranks 1 to 6 (B1 and C1 are not supported).
+CLOSURE_RANKS = [
+    (family, n) for family in ("A", "B", "C") for n in range(1, 7)
+    if family == "A" or n >= 2
+]
+
+
+class TestClosure:
+    """The one closure of the simple roots: the group table of ``weyl``
+    reads its images and its tree and does no root arithmetic."""
+
+    @pytest.mark.parametrize("family,rank", CLOSURE_RANKS)
+    def test_images_are_the_simple_reflections(self, family, rank):
+        rs = build_root_system(LieType(family, rank))
+        assert len(rs._images) == len(rs.positive_roots)
+        for beta, images in zip(rs.positive_roots, rs._images):
+            expected = tuple(reflect(rs, alpha, beta) for alpha in rs.simple_roots)
+            assert images == expected, beta
+
+    @pytest.mark.parametrize("family,rank", CLOSURE_RANKS)
+    def test_tree_reaches_each_non_simple_root_once(self, family, rank):
+        rs = build_root_system(LieType(family, rank))
+        reached = [beta for beta, _, _ in rs._tree]
+        assert len(reached) == len(set(reached))
+        assert set(reached) == set(rs.positive_roots) - set(rs.simple_roots)
+        earlier = set(rs.simple_roots)
+        for beta, i, parent in rs._tree:
+            assert parent in earlier, (beta, parent)
+            assert reflect(rs, rs.simple_roots[i], parent) == beta
+            earlier.add(beta)

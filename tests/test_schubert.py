@@ -14,6 +14,7 @@ from schubres.schubert import (
     NonGenericPointError,
     Subword,
     _edge_term,
+    _subword_step,
     _subword_sums,
     chain_contribution,
     enumerate_c0,
@@ -629,6 +630,23 @@ class TestSubwordProgram:
                         assert (u.inverse() * w).length == u.length - w.length, (
                             u, v, w,
                         )
+
+    @pytest.mark.parametrize("family", ["A", "B", "C"])
+    def test_one_step_per_right_descent(self, family):
+        # Billey's sums B(w) do not depend on the reduced word: for every
+        # right descent s of v, one step from B(vs) by s with the factor
+        # (vs)(alpha_s) gives B(v).
+        rs = root_system(family, 3)
+        sums = {v: _subword_sums(rs, v.canonical_word) for v in enumerate_elements(rs)}
+        steps = 0
+        for v in sums:
+            for i, alpha in enumerate(rs.simple_roots, 1):
+                s = simple_reflection(rs, i)
+                vs = v * s
+                if vs.length < v.length:
+                    assert _subword_step(sums[vs], s, vs.act(alpha)) == sums[v], (v, i)
+                    steps += 1
+        assert steps == {"A": 36, "B": 72, "C": 72}[family]
 
     def test_target_outside_the_interval(self, a3):
         u = element_from_word(a3, (3,))

@@ -373,3 +373,27 @@ def test_gt_keeps_the_drawn_points_and_walks_v_major(monkeypatch):
     position = {el: k for k, el in enumerate(enumerate_elements(rs))}
     assert seen == sorted(expected, key=lambda call: position[call[1]])
     assert (result.cases, result.failures) == (40, [])
+
+
+@pytest.mark.parametrize(
+    "family,options,cases",
+    [
+        pytest.param("A", {"samples": 1}, 213, id="A3-every-pair"),
+        pytest.param("B", {"samples": 2, "pairs": 50, "seed": 3}, 100, id="B3-sampled"),
+    ],
+)
+def test_gt_walks_the_order_once_per_case(monkeypatch, family, options, cases):
+    # Every pair comes from bruhat_pairs, so its chain value is read off the
+    # column of v with no walk of the order; only the moment-map sum tests
+    # u <= v, once per point.
+    walks = []
+    real = schubert.bruhat_leq
+
+    def counting(u, v):
+        walks.append((u, v))
+        return real(u, v)
+
+    monkeypatch.setattr(schubert, "bruhat_leq", counting)
+    result = verify.suite_gt(build_root_system(LieType(family, 3)), **options)
+    assert (result.cases, result.failures) == (cases, [])
+    assert len(walks) == cases
