@@ -20,9 +20,9 @@ module wires the cross-checks together.
 Every walk up to a top element v -- the chain sum, both chain
 enumerators and the moment-map path sum -- lists the covers below v from
 one column per v (:meth:`_ChainColumn.covers`), which decides once
-whether an element lies below v and checks each cover once per root
-system.  Tables are filled one v at a time (:func:`_tau_table`), so the
-one column kept per root system serves a whole column of the table; the
+whether an element lies below v, the walk's own start included, and
+checks each cover once per root system.  Tables are filled one v at a
+time (:func:`_tau_table`), so the one column kept per root system serves a whole column of the table; the
 fill values only the pairs u <= v of :func:`bruhat_pairs`.
 """
 
@@ -164,14 +164,12 @@ def _walk_chains(u: WeylElement, v: WeylElement, monotone: bool):
     """Maximal ascending chains from u to v, deterministically.
 
     With ``monotone`` the h statistic of the edge roots must not decrease:
-    the walk then takes exactly the covers with h(beta) = h_pair(p, v)
-    (:meth:`_ChainColumn.covers` says why).
+    the walk then takes exactly the covers with h(beta) = h_pair(p, v).
+    :meth:`_ChainColumn.covers` says why, and why u not below v gives none.
     """
     _require_same_system(u, v)
     if u == v:
         return (Chain((u,), ()),)
-    if not bruhat_leq(u, v):
-        return ()
     column = _chain_column(v)
     chains = []
 
@@ -325,7 +323,10 @@ class _ChainColumn:
         j < h(beta); so an h-monotone chain takes exactly these covers, and
         every chain that does is h-monotone.  Each cover met below v is
         checked once per root system: one that is not an ascending right
-        reflection raising the length by one is an internal fault."""
+        reflection raising the length by one is an internal fault.  A cover
+        p -beta-> w <= v gives p < w <= v, so for p not below v the list is
+        empty: the column decides the support, and no walk tests its own
+        pair."""
         v, ideals = self.v, self.ideals
         top = h_pair(p, v) if monotone else None
         got = []
@@ -372,7 +373,7 @@ class _ChainColumn:
         return got
 
     def value(self, u: WeylElement) -> Polynomial:
-        """tau_u(v) for an element u below v: the chains' scalars summed per
+        """tau_u(v), zero for u not below v: the chains' scalars summed per
         set of cancelled factors (:meth:`sums`), each group expanded once.
         The sum is taken in integers, 2^(l(v) - l(u)) times too large, and
         divided by that once; a restriction has integer coefficients, so a
@@ -417,12 +418,10 @@ def tau_chain(u: WeylElement, v: WeylElement) -> Polynomial:
 
     The same sum as that of :func:`chain_contribution` over
     :func:`enumerate_c0`, regrouped per set of cancelled factors; the
-    column of v takes it (:meth:`_ChainColumn.value`).  Filling many pairs
-    with the same v in a row reuses one column.
+    column of v takes it (:meth:`_ChainColumn.value`) and decides the
+    support.  Filling many pairs with the same v in a row reuses one column.
     """
     _require_same_system(u, v)
-    if not bruhat_leq(u, v):
-        return Polynomial.zero(u.rs.rank)
     return _chain_column(v).value(u)
 
 
@@ -500,32 +499,33 @@ def enumerate_reduced_subwords(u: WeylElement, word):
     return tuple(sorted(found, key=lambda s: s.mask))
 
 
-def _subword_step(states, s: WeylElement, form, target=None, remaining=0):
-    """One position of the subword dynamic program: the states after a
-    letter with simple reflection ``s`` and factor the linear form
-    ``form`` (an int tuple), from the states before it.
+def _subword_step(states, w: WeylElement, i: int, target=None, remaining=0):
+    """One position of the subword dynamic program: the states of a reduced
+    word of w s_i from the states of a reduced word of w.  The letter's
+    factor is the root w(alpha_i).
 
     Each state either skips the letter or, when that lengthens it, selects
     it and takes the factor.  ``target``, a pair (N(u^-1), l(u)), drops
     the states that cannot end at u with ``remaining`` letters left after
-    this one (too few letters left, or not a left prefix w of u:
-    N(w^-1) inside N(u^-1)) without changing the sum at u.
+    this one (too few letters left, or not a left prefix of u:
+    N(x^-1) inside N(u^-1)) without changing the sum at u.
 
     Both tests read the permutation of a state ``cur``: with k the index
-    of alpha_s, ``cur s`` is longer than ``cur`` exactly when
+    of alpha_i, ``cur s_i`` is longer than ``cur`` exactly when
     ``cur.perm[k]`` is a positive root, and then
-    N((cur s)^-1) = N(cur^-1) + {cur alpha_s}, so a left prefix of u
+    N((cur s_i)^-1) = N(cur^-1) + {cur alpha_i}, so a left prefix of u
     stays one exactly when bit ``cur.perm[k]`` is set in N(u^-1).  A
     selection adds ``total * form`` straight into the term dict of
-    ``cur s`` (:func:`_add_times_linear`).  A skipped state keeps its
+    ``cur s_i`` (:func:`_add_times_linear`).  A skipped state keeps its
     input polynomial, whose dict is copied only the first time something
     is added into it, so the input states never change.  States hold
     integer polynomials (denominator 1), homogeneous of degree l(cur).
     """
-    rank = s.rs.rank
-    npos = len(s.perm) >> 1
-    # N(s) = {alpha_s}: its one bit is the index of alpha_s.
-    k = _inversions(s).bit_length() - 1
+    s = simple_reflection(w.rs, i)  # checks the letter first
+    table = root_table(w.rs)
+    rank, npos = w.rs.rank, table.npos
+    k = table.simple[i - 1]
+    form = table.roots[w.perm[k]]
     if target is None:
         nxt = dict(states)
     else:
@@ -543,41 +543,35 @@ def _subword_step(states, s: WeylElement, form, target=None, remaining=0):
         degree = cur.length + 1
         if degree > MAX_DEGREE:
             raise OverflowError(f"degree {degree} exceeds the bound {MAX_DEGREE}")
-        w = cur * s
-        terms = selected.get(w)
+        x = cur * s
+        terms = selected.get(x)
         if terms is None:
-            skipped = nxt.get(w)
+            skipped = nxt.get(x)
             terms = None if skipped is None else dict(skipped.terms)
-        selected[w] = _add_times_linear(terms, total.terms, form, rank)
-    for w, terms in selected.items():
-        nxt[w] = Polynomial._of(rank, terms, 1)
+        selected[x] = _add_times_linear(terms, total.terms, form, rank)
+    for x, terms in selected.items():
+        nxt[x] = Polynomial._of(rank, terms, 1)
     return nxt
 
 
-def _subword_sums(rs: RootSystem, word, u: WeylElement | None = None, roots=None):
-    """Sums of expanded subword contributions of ``word``, grouped by the
-    element the selected letters evaluate to.
+def _subword_sums(rs: RootSystem, word, u: WeylElement | None = None):
+    """Sums of expanded subword contributions of the reduced ``word``,
+    grouped by the element the selected letters evaluate to.
 
-    A forward dynamic program of :func:`_subword_step`: after each
-    position, every element reached by a reduced selection of the letters
-    so far holds the sum of their contributions, so the work is positions
-    times elements, not 2^m subwords.  A target ``u`` keeps only the
-    states that can still end at it.  ``roots`` are :func:`_prefix_roots`'s,
-    the linear form each letter contributes when selected.
+    A forward dynamic program of :func:`_subword_step`, with the element
+    of the word's prefix walked along it: after each position, every
+    element reached by a reduced selection of the letters so far holds the
+    sum of their contributions, so the work is positions times elements,
+    not 2^m subwords.  A target ``u`` keeps only the states that can still
+    end at it.
     """
     word = tuple(word)
-    if roots is None:
-        roots, _ = _prefix_roots(rs, word)
     target = None if u is None else (_inversions(u.inverse()), u.length)
-    states = {identity(rs): Polynomial.one(rs.rank)}
-    for pos, root in enumerate(roots):
-        states = _subword_step(
-            states,
-            simple_reflection(rs, word[pos]),
-            root,
-            target,
-            len(word) - pos - 1,
-        )
+    prefix = identity(rs)
+    states = {prefix: Polynomial.one(rs.rank)}
+    for pos, letter in enumerate(word):
+        states = _subword_step(states, prefix, letter, target, len(word) - pos - 1)
+        prefix = prefix * simple_reflection(rs, letter)
     return states
 
 
@@ -593,10 +587,10 @@ def tau_billey(u: WeylElement, v: WeylElement, word=None) -> Polynomial:
     if word is None:
         word = v.canonical_word
     word = tuple(word)
-    roots, top = _prefix_roots(u.rs, word)
+    _, top = _prefix_roots(u.rs, word)
     if top != v:
         raise ValueError("word does not evaluate to v")
-    return _subword_sums(u.rs, word, u, roots).get(u, Polynomial.zero(u.rs.rank))
+    return _subword_sums(u.rs, word, u).get(u, Polynomial.zero(u.rs.rank))
 
 
 class _MomentPoint:
@@ -690,12 +684,11 @@ def tau_gt_eval(u: WeylElement, v: WeylElement, mu, alpha_values) -> Fraction:
     every other walk up to v.  The interval is graded, so every element of
     [u, v) lies on a maximal chain, and a vanishing denominator raises
     :class:`NonGenericPointError` at exactly the points where some chain's
-    term does.
+    term does.  A u not below v has no cover below v: its sum is 0, and no
+    denominator, which may vanish there, is evaluated.
     """
     _require_same_system(u, v)
     point = _MomentPoint(v, mu, alpha_values)
-    if not bruhat_leq(u, v):
-        return Fraction(0)
     column = _chain_column(v)
     sums = {v: (1, 1)}
 
@@ -703,8 +696,11 @@ def tau_gt_eval(u: WeylElement, v: WeylElement, mu, alpha_values) -> Fraction:
         got = sums.get(p)
         if got is not None:
             return got
+        covers = column.covers(p, False)
+        if not covers:
+            return 0, 1
         numerator, denominator = 0, 1
-        for beta, w in column.covers(p, False):
+        for beta, w in covers:
             w_numerator, w_denominator = total(w)
             term = point.numerator(beta) * w_numerator
             if w_denominator == denominator:

@@ -20,7 +20,6 @@ from fractions import Fraction
 from .poly import Polynomial, expand
 from .rootsys import RootSystem, div_exact, h_root, is_positive
 from .schubert import (
-    _chain_column,
     _subword_step,
     _tau_table,
     chain_contribution,
@@ -79,10 +78,9 @@ def _reduced_word_trie(rs: RootSystem):
     order, as (word, element, subword states).
 
     The states are those of ``_subword_sums(rs, word)``; the states of a
-    word w i are one :func:`_subword_step` from those of w, with the
-    linear form w(alpha_i) as the factor, so each is computed once for
-    all the words that share it as a prefix.  A step never changes the
-    states it reads, so siblings share their parent's.
+    word w i are one :func:`_subword_step` from those of w, so each is
+    computed once for all the words that share it as a prefix.  A step
+    never changes the states it reads, so siblings share their parent's.
     """
     e = identity(rs)
     stack = [((), e, {e: Polynomial.one(rs.rank)})]
@@ -90,11 +88,9 @@ def _reduced_word_trie(rs: RootSystem):
         word, v, states = stack.pop()
         yield word, v, states
         for i in range(rs.rank, 0, -1):
-            s = simple_reflection(rs, i)
-            w = v * s
+            w = v * simple_reflection(rs, i)
             if w.length == v.length + 1:
-                form = v.act(rs.simple_roots[i - 1])
-                stack.append((word + (i,), w, _subword_step(states, s, form)))
+                stack.append((word + (i,), w, _subword_step(states, v, i)))
 
 
 def suite_oracle(rs: RootSystem) -> SuiteResult:
@@ -227,10 +223,10 @@ def suite_gt(
     random points, on every pair u <= v or ``pairs`` drawn ones.
 
     The pairs come from :func:`bruhat_pairs` and are visited v-major, so
-    each pair's chain value (with no walk of the order) and moment-map
-    sums read the one column of v; their points (alpha, then mu, per
-    sample) are drawn pair by pair in the drawn order, each pair's kept
-    until it is visited.  No point is redrawn: for p < v every
+    each pair's chain value and moment-map sums read the one column of v,
+    which decides u <= v with no walk of the order; their points (alpha,
+    then mu, per sample) are drawn pair by pair in the drawn order, each
+    pair's kept until it is visited.  No point is redrawn: for p < v every
     p omega_i - v omega_i has nonnegative coordinates (:func:`suite_lemmas`),
     nonzero at i = h_pair(p, v), and alpha and mu are positive, so no
     denominator of :func:`tau_gt_eval` vanishes."""
@@ -249,7 +245,7 @@ def suite_gt(
                 for _ in range(samples)
             ]
         u, v = drawn[k]
-        value_poly = _chain_column(v).value(u)
+        value_poly = tau_chain(u, v)
         for alpha, mu in points.pop(k):
             result.check(
                 tau_gt_eval(u, v, mu, alpha) == value_poly.evaluate(alpha),

@@ -34,7 +34,7 @@ A group that is already enumerated holds its whole order as data
 (:func:`lower_ideals`): one bitmask per element, its lower ideal, built
 in one length-ordered pass over the covers.  Whole-group fills read its
 set bits as the pairs u <= v (:func:`bruhat_pairs`); :func:`bruhat_leq`
-stays the single-pair test of the walks that never enumerate the group.
+tests only the covers met by walks that never enumerate the group.
 
 Weights stay in integers too.  The root system holds ``scale``, the
 least common denominator of the fundamental weights, and ``omegas``,

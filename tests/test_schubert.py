@@ -634,17 +634,16 @@ class TestSubwordProgram:
     @pytest.mark.parametrize("family", ["A", "B", "C"])
     def test_one_step_per_right_descent(self, family):
         # Billey's sums B(w) do not depend on the reduced word: for every
-        # right descent s of v, one step from B(vs) by s with the factor
-        # (vs)(alpha_s) gives B(v).
+        # right descent s_i of v, one step from B(vs) by the letter i gives
+        # B(v).
         rs = root_system(family, 3)
         sums = {v: _subword_sums(rs, v.canonical_word) for v in enumerate_elements(rs)}
         steps = 0
         for v in sums:
-            for i, alpha in enumerate(rs.simple_roots, 1):
-                s = simple_reflection(rs, i)
-                vs = v * s
+            for i in range(1, rs.rank + 1):
+                vs = v * simple_reflection(rs, i)
                 if vs.length < v.length:
-                    assert _subword_step(sums[vs], s, vs.act(alpha)) == sums[v], (v, i)
+                    assert _subword_step(sums[vs], vs, i) == sums[v], (v, i)
                     steps += 1
         assert steps == {"A": 36, "B": 72, "C": 72}[family]
 
@@ -672,6 +671,9 @@ class TestGtEvaluation:
         s1 = simple_reflection(a2, 1)
         s2 = simple_reflection(a2, 2)
         assert tau_gt_eval(s1, s2, (1, 1), (5, 7)) == 0
+        # The denominator of s1 vanishes here, but s1 is not below s2: the
+        # sum is 0, with no denominator evaluated.
+        assert tau_gt_eval(s1, s2, (1, 1), (1, 1)) == 0
 
     def test_a3_golden_at_ones(self, a3):
         u = element_from_word(a3, (1, 3))
@@ -806,6 +808,38 @@ class TestGtProgram:
 
 
 class TestSharedColumn:
+    @pytest.mark.parametrize("ideals", [False, True], ids=["walk", "ideals"])
+    @pytest.mark.parametrize("family", ["A", "B", "C"])
+    def test_every_route_reads_its_support_off_the_column(
+        self, monkeypatch, family, ideals
+    ):
+        # A fresh system, with or without the lower ideals.  u has a cover
+        # below v exactly when u < v, so the column of v decides the support
+        # of every route, and none tests its own pair; the walks test only
+        # covers, and with the ideals built not even those.
+        rs = build_root_system(LieType(family, 3))
+        if ideals:
+            lower_ideals(rs)
+        elements = enumerate_elements(rs)
+        below = {(u, v): bruhat_leq(u, v) for v in elements for u in elements}
+        walks = []
+        real = schubert.bruhat_leq
+
+        def recording(u, v):
+            walks.append((u, v))
+            return real(u, v)
+
+        monkeypatch.setattr(schubert, "bruhat_leq", recording)
+        for (u, v), expected in below.items():
+            start = len(walks)
+            assert bool(tau_chain(u, v)) == expected, (u, v)
+            assert bool(enumerate_max_chains(u, v)) == expected, (u, v)
+            assert bool(enumerate_c0(u, v)) == expected, (u, v)
+            gt = tau_gt_eval(u, v, (1, 2, 3), (5, 7, 11))
+            assert (gt != 0) == expected, (u, v)
+            assert (u, v) not in walks[start:], (u, v)
+        assert (walks == []) == ideals
+
     @pytest.mark.parametrize(
         "family,rank,u,v,states,value",
         [
