@@ -46,6 +46,7 @@ from .schubert import (
 from .typea import (
     _tau_typea,
     element_to_perm,
+    format_oneline,
     parse_oneline,
     perm_to_element,
     root_to_xdiff,
@@ -151,7 +152,7 @@ def _header(args, u: WeylElement, v: WeylElement) -> dict:
 
 def _element_label(u: WeylElement, elements: str) -> str:
     if elements == "perm":
-        return "".join(str(x) for x in element_to_perm(u))
+        return format_oneline(element_to_perm(u))
     return ",".join(map(str, u.canonical_word)) or "e"
 
 

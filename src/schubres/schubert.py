@@ -441,13 +441,14 @@ def _tau_table(elements):
 
 def _prefix_roots(rs: RootSystem, word):
     """The factor each letter of the reduced ``word`` contributes when
-    selected (its simple root moved by the product of the letters before),
-    and the element of the word."""
+    selected, read as :func:`_subword_step` reads it (the image of its simple
+    root under the product of the letters before), and the element of the word."""
+    table = root_table(rs)
     roots = []
     prefix = identity(rs)
     for letter in word:
         s = simple_reflection(rs, letter)  # checks the letter first
-        roots.append(prefix.act(rs.simple_roots[letter - 1]))
+        roots.append(table.roots[prefix.perm[table.simple[letter - 1]]])
         prefix = prefix * s
     if prefix.length != len(word):
         raise ValueError("word is not reduced")

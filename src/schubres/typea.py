@@ -5,6 +5,9 @@ the rank n-1 root system; right multiplication by the transposition
 (i, j) swaps the one-line entries at positions i and j.  The x <-> alpha
 translation x_a - x_b = alpha_a + ... + alpha_{b-1} lives entirely in
 this module; the core stays in the simple-root basis.
+
+The canonical word of v has at index j a descending run of c_j letters,
+c the Lehmer code of v; the chain edge of root x_a - x_b deletes (p(a), v(a)).
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .poly import FactoredPoly, Polynomial, expand
-from .rootsys import RootSystem, root_system
+from .rootsys import RootSystem, h_root, root_system
 from .schubert import (
     Chain,
     chain_contribution,
@@ -43,6 +46,17 @@ def parse_oneline(text: str) -> Permutation:
         values = tuple(int(ch) for ch in text)
     _check_permutation(values)
     return values
+
+
+def format_oneline(p: Permutation) -> str:
+    """One-line notation as :func:`parse_oneline` reads it back.
+
+    >>> format_oneline((3, 4, 2, 1))
+    '3421'
+    >>> parse_oneline(format_oneline(tuple(range(1, 11))))[-1]
+    10
+    """
+    return ("," if len(p) > 9 else "").join(map(str, p))
 
 
 def _check_permutation(values):
@@ -114,16 +128,13 @@ def root_to_xdiff(beta):
 
 
 def chain_deleted_pairs(gamma: Chain):
-    """The inversion value pairs removed by the edges of an h-monotone chain."""
-    perms = [element_to_perm(el) for el in gamma.elements]
-    v = perms[-1]
-    pairs = []
-    for k, beta in enumerate(gamma.betas):
-        i = next(
-            pos for pos in range(len(v)) if perms[k][pos] != perms[k + 1][pos]
-        ) + 1
-        pairs.append((perms[k][i - 1], v[i - 1]))
-    return tuple(pairs)
+    """The inversion value pairs removed by the edges of an h-monotone chain
+    to v: the edge p -> p (a b), a < b, of root x_a - x_b removes (p(a), v(a))."""
+    v = element_to_perm(gamma.end)
+    return tuple(
+        (element_to_perm(p)[a - 1], v[a - 1])
+        for p, a in zip(gamma.elements, map(h_root, gamma.betas))
+    )
 
 
 def tau_typea(u: Permutation, v: Permutation) -> Polynomial:
@@ -169,9 +180,10 @@ def _tau_typea(U: WeylElement, V: WeylElement) -> Polynomial:
 def canonical_word_iv(v: Permutation):
     """The reduced word built from descending runs, one per left index.
 
-    Peels the permutation by repeatedly locating the smallest moved
-    position j, emitting the run [v(j)-1, ..., j+1, j], and multiplying
-    it off on the left.
+    The run at index j is [j + c_j - 1, ..., j], c the Lehmer code of v:
+    c_j = #{k > j : v(k) < v(j)}, and no run where c_j = 0.  Multiplying it
+    off on the left moves v(j) down to position j and keeps the order of
+    the values to its right, so the rest of the word uses letters above j.
 
     >>> canonical_word_iv((3, 4, 2, 1))
     (2, 1, 3, 2, 3)
@@ -182,25 +194,10 @@ def canonical_word_iv(v: Permutation):
 def canonical_word_iv_segments(v: Permutation):
     """The per-index descending runs of the canonical word, low index first."""
     _check_permutation(v)
-    n = len(v)
-    cur = list(v)
-    segments = [() for _ in range(n - 1)]
-    while True:
-        j = next((i + 1 for i in range(n) if cur[i] != i + 1), None)
-        if j is None:
-            break
-        k = cur[j - 1] - 1
-        segments[j - 1] = tuple(range(k, j - 1, -1))
-        # Multiply s_j s_{j+1} ... s_k off on the left (value swaps),
-        # applying s_k first.
-        for a in range(k, j - 1, -1):
-            pos_a = cur.index(a)
-            pos_b = cur.index(a + 1)
-            cur[pos_a], cur[pos_b] = cur[pos_b], cur[pos_a]
-        remaining_min = next((i + 1 for i in range(n) if cur[i] != i + 1), None)
-        if remaining_min is not None and remaining_min <= j:
-            raise AssertionError("residual word does not stay above the peeled index")
-    return tuple(segments)
+    return tuple(
+        tuple(range(i + sum(x < v[i] for x in v[i + 1:]), i, -1))
+        for i in range(len(v) - 1)
+    )
 
 
 @dataclass(frozen=True)

@@ -157,6 +157,52 @@ class TestRestrict:
         )
         assert "Traceback" not in err
 
+    def test_repeated_deleted_pair_exits_3(self, capsys, monkeypatch):
+        real = typea.chain_deleted_pairs
+
+        def repeat_first(gamma):
+            pairs = real(gamma)
+            return pairs[:1] + pairs
+
+        monkeypatch.setattr(typea, "chain_deleted_pairs", repeat_first)
+        code, out, err = run(
+            capsys,
+            "restrict", "--type", "A", "--rank", "3",
+            "--u", "2143", "--v", "3421", "--elements", "perm", "--method", "typea",
+        )
+        assert (code, out) == (3, "")
+        assert err == (
+            "error: internal error: ArithmeticError: "
+            "edge pair (2, 3) is not an unused inversion of (3, 4, 2, 1)\n"
+        )
+
+    A9_PAIR = ("--u", "1,2,3,4,5,6,7,8,9,10", "--v", "1,2,3,4,5,6,7,8,10,9")
+
+    def test_perm_labels_above_nine_values_use_commas(self, capsys):
+        # "12345678910" would not read back: one-line labels follow
+        # parse_oneline's rule, digits up to n = 9 and commas above.
+        argv = ("restrict", "--type", "A", "--rank", "9", "--elements", "perm",
+                "--method", "all", "--format", "json")
+        code, out, _ = run(capsys, *argv, *self.A9_PAIR)
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["u"], payload["v"]) == (self.A9_PAIR[1], self.A9_PAIR[3])
+        assert payload["agree"] is True
+        # The labels read back through --elements perm to the same elements.
+        rs = build_root_system(LieType("A", 9))
+        assert cli._parse_element(rs, payload["u"], "perm").is_identity()
+        v = element_from_word(rs, (9,))
+        assert cli._parse_element(rs, payload["v"], "perm") == v
+        code, out, _ = run(
+            capsys,
+            "chains", "--type", "A", "--rank", "9", "--elements", "perm", *self.A9_PAIR,
+        )
+        assert code == 0
+        assert out.splitlines()[0] == (
+            "1 maximal chain(s) from 1,2,3,4,5,6,7,8,9,10 "
+            "to 1,2,3,4,5,6,7,8,10,9 (1 h-monotone)"
+        )
+
     def test_odd_doubled_edge_term_exits_3(self, capsys, monkeypatch):
         # The one h-monotone chain from s1 to s1s2s1 in A2 has two edges,
         # so its doubled edge terms must multiply to a multiple of 2^2.

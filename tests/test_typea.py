@@ -1,6 +1,7 @@
 """Permutation codec, inversion sets, the explicit formula and equivalence."""
 
 import doctest
+import random
 
 import pytest
 
@@ -13,6 +14,7 @@ from schubres.typea import (
     canonical_word_iv_segments,
     chain_deleted_pairs,
     element_to_perm,
+    format_oneline,
     inv_set,
     parse_oneline,
     perm_to_element,
@@ -46,6 +48,18 @@ class TestParsing:
     def test_invalid(self):
         with pytest.raises(ValueError):
             parse_oneline("1224")
+
+    @pytest.mark.parametrize("n", [3, 9, 10, 16])
+    def test_format_roundtrip(self, n):
+        # Digits up to n = 9, commas above, so every label reads back.
+        rng = random.Random(n)
+        perms = [tuple(range(n, 0, -1))]
+        for _ in range(20):
+            perms.append(tuple(rng.sample(range(1, n + 1), n)))
+        for p in perms:
+            text = format_oneline(p)
+            assert ("," in text) == (n > 9)
+            assert parse_oneline(text) == p
 
 
 class TestCodec:
@@ -200,6 +214,16 @@ class TestTauTypeA:
         with pytest.raises(ValueError):
             tau_typea((1, 2), (1, 2, 3))
 
+    def test_repeated_deleted_pair_is_an_arithmetic_error(self, monkeypatch):
+        # A chain whose edges delete one inversion twice cannot be valued.
+        def repeat_first(gamma):
+            pairs = chain_deleted_pairs(gamma)
+            return pairs[:1] + pairs
+
+        monkeypatch.setattr(schubres.typea, "chain_deleted_pairs", repeat_first)
+        with pytest.raises(ArithmeticError, match="is not an unused inversion of"):
+            tau_typea((2, 1, 4, 3), (3, 4, 2, 1))
+
 
 class TestCanonicalWord:
     def test_identity(self):
@@ -212,7 +236,7 @@ class TestCanonicalWord:
         assert canonical_word_iv_segments((3, 4, 2, 1)) == ((2, 1), (3, 2), (3,))
         assert canonical_word_iv((3, 4, 2, 1)) == (2, 1, 3, 2, 3)
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_is_a_reduced_word_with_descending_runs(self, n):
         rs = typea_system(n)
         for el in enumerate_elements(rs):
@@ -227,7 +251,7 @@ class TestCanonicalWord:
                     assert segment[-1] == j
                     assert all(x - 1 == y for x, y in zip(segment, segment[1:]))
 
-    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_residual_property(self, n):
         # After the first j segments, the residual word uses letters > j.
         rs = typea_system(n)
@@ -239,6 +263,21 @@ class TestCanonicalWord:
                 consumed += len(segment)
                 rest = word[consumed:]
                 assert all(letter > j for letter in rest)
+
+    @pytest.mark.parametrize("n", [10, 16])
+    def test_seeded_permutations_up_to_the_rank_cap(self, n):
+        # S16 is A15, the largest supported rank.
+        rs = typea_system(n)
+        rng = random.Random(n)
+        perms = [tuple(range(n, 0, -1))]
+        for _ in range(50):
+            perms.append(tuple(rng.sample(range(1, n + 1), n)))
+        for p in perms:
+            assert element_to_perm(perm_to_element(rs, p)) == p
+            word = canonical_word_iv(p)
+            assert element_from_word(rs, word).length == len(word) == len(inv_set(p))
+            for j, segment in enumerate(canonical_word_iv_segments(p), start=1):
+                assert segment == tuple(range(j + len(segment) - 1, j - 1, -1))
 
 
 class TestEquivalence:
