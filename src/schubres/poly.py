@@ -34,8 +34,9 @@ is taken between two ints.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+
+from .record import Record
 
 #: A linear form sum_i c_i alpha_i as a coordinate tuple.
 LinearForm = tuple
@@ -425,24 +426,23 @@ class Polynomial:
         return f"Polynomial({self.to_text()})"
 
 
-@dataclass(frozen=True)
-class FactoredPoly:
+class FactoredPoly(Record):
     """A rational scalar times a multiset of nonzero linear forms."""
 
-    scalar: Fraction
-    factors: tuple
-    rank: int
+    __slots__ = ("scalar", "factors", "rank")
 
-    def __post_init__(self):
-        if type(self.scalar) is not Fraction:
-            object.__setattr__(self, "scalar", _rational(self.scalar))
-        factors = tuple(sorted(tuple(f) for f in self.factors))
+    def __init__(self, scalar: Fraction, factors: tuple, rank: int):
+        if type(scalar) is not Fraction:
+            scalar = _rational(scalar)
+        factors = tuple(sorted(tuple(f) for f in factors))
         for f in factors:
-            if len(f) != self.rank:
+            if len(f) != rank:
                 raise ValueError("factor length does not match rank")
             if not any(f):
                 raise ValueError("zero linear form cannot be a factor")
+        object.__setattr__(self, "scalar", scalar)
         object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "rank", rank)
 
     def evaluate(self, values) -> Fraction:
         values = tuple(_rational(v) for v in values)

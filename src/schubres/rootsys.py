@@ -22,9 +22,10 @@ type C it is long.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
+
+from .record import Record
 
 #: A coordinate tuple over the simple-root basis.
 Vector = tuple
@@ -32,22 +33,22 @@ Vector = tuple
 FAMILIES = ("A", "B", "C")
 
 
-@dataclass(frozen=True)
-class LieType:
+class LieType(Record):
     """A classical family label together with the rank."""
 
-    family: str
-    rank: int
+    __slots__ = ("family", "rank")
 
-    def __post_init__(self):
-        if self.family not in FAMILIES:
+    def __init__(self, family: str, rank: int):
+        if family not in FAMILIES:
             raise ValueError(
-                f"unsupported family {self.family!r}; expected one of {FAMILIES}"
+                f"unsupported family {family!r}; expected one of {FAMILIES}"
             )
-        if self.rank < 1:
+        if rank < 1:
             raise ValueError("rank must be at least 1")
-        if self.family in ("B", "C") and self.rank < 2:
-            raise ValueError(f"degenerate family: {self.family}1 is not supported")
+        if family in ("B", "C") and rank < 2:
+            raise ValueError(f"degenerate family: {family}1 is not supported")
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "rank", rank)
 
     def __str__(self):
         return f"{self.family}{self.rank}"

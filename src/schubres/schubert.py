@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
@@ -43,6 +42,7 @@ from .poly import (
     _cleared,
     divide_linear,
 )
+from .record import Record
 from .rootsys import RootSystem, div_exact, h_root, is_positive
 from .weyl import (
     WeylElement,
@@ -65,18 +65,18 @@ class NonGenericPointError(ArithmeticError):
     """A denominator linear form vanishes at the chosen evaluation point."""
 
 
-@dataclass(frozen=True)
-class Chain:
+class Chain(Record):
     """An ascending path u_0 -> ... -> u_m with right-reflection roots."""
 
-    elements: tuple
-    betas: tuple
+    __slots__ = ("elements", "betas")
 
-    def __post_init__(self):
-        object.__setattr__(self, "elements", tuple(self.elements))
-        object.__setattr__(self, "betas", tuple(tuple(b) for b in self.betas))
-        if len(self.elements) != len(self.betas) + 1:
+    def __init__(self, elements: tuple, betas: tuple):
+        elements = tuple(elements)
+        betas = tuple(tuple(b) for b in betas)
+        if len(elements) != len(betas) + 1:
             raise ValueError("a chain needs exactly one more element than edges")
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "betas", betas)
 
     @property
     def end(self):
@@ -100,20 +100,20 @@ class Chain:
         return "Chain(" + " ".join(arrows) + ")"
 
 
-@dataclass(frozen=True)
-class Subword:
+class Subword(Record):
     """A reduced word together with a 0/1 selection mask."""
 
-    word: tuple
-    mask: tuple
+    __slots__ = ("word", "mask")
 
-    def __post_init__(self):
-        object.__setattr__(self, "word", tuple(self.word))
-        object.__setattr__(self, "mask", tuple(self.mask))
-        if len(self.word) != len(self.mask):
+    def __init__(self, word: tuple, mask: tuple):
+        word = tuple(word)
+        mask = tuple(mask)
+        if len(word) != len(mask):
             raise ValueError("mask length must equal word length")
-        if any(m not in (0, 1) for m in self.mask):
+        if any(m not in (0, 1) for m in mask):
             raise ValueError("mask entries must be 0 or 1")
+        object.__setattr__(self, "word", word)
+        object.__setattr__(self, "mask", mask)
 
     def selected(self):
         return tuple(l for l, m in zip(self.word, self.mask) if m)
@@ -754,21 +754,25 @@ def f_i_map(gamma: Chain, word) -> Subword:
     return Subword(word, tuple(mask))
 
 
-@dataclass(frozen=True)
-class GkmFailure:
-    bottom: WeylElement
-    top: WeylElement
-    label: tuple
+class GkmFailure(Record):
+    __slots__ = ("bottom", "top", "label")
+
+    def __init__(self, bottom: WeylElement, top: WeylElement, label: tuple):
+        object.__setattr__(self, "bottom", bottom)
+        object.__setattr__(self, "top", top)
+        object.__setattr__(self, "label", label)
 
     def describe(self):
         lbl = Polynomial.from_linear(self.label).to_text()
         return f"edge {self.bottom!r} -- {self.top!r} with label {lbl}"
 
 
-@dataclass(frozen=True)
-class GkmReport:
-    edges_checked: int
-    failures: tuple
+class GkmReport(Record):
+    __slots__ = ("edges_checked", "failures")
+
+    def __init__(self, edges_checked: int, failures: tuple):
+        object.__setattr__(self, "edges_checked", edges_checked)
+        object.__setattr__(self, "failures", failures)
 
     @property
     def ok(self):

@@ -12,10 +12,10 @@ c the Lehmer code of v; the chain edge of root x_a - x_b deletes (p(a), v(a)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .poly import FactoredPoly, Polynomial, expand
+from .record import Record
 from .rootsys import RootSystem, h_root, root_system
 from .schubert import (
     Chain,
@@ -25,7 +25,7 @@ from .schubert import (
     f_i_map,
     subword_contribution,
 )
-from .weyl import WeylElement, element_from_word
+from .weyl import WeylElement, element_from_word, root_table
 
 #: A permutation in one-line notation (the images u(1), ..., u(n)).
 Permutation = tuple
@@ -83,14 +83,20 @@ def perm_to_element(rs: RootSystem, p: Permutation) -> WeylElement:
 
 
 def element_to_perm(u: WeylElement) -> Permutation:
-    """Inverse codec, by replaying the canonical word on positions."""
+    """Inverse codec, read off the root table.
+
+    The coordinate sum of x_a - x_b = alpha_a + ... + alpha_{b-1} is
+    b - a, so the root u(alpha_j) = x_{u(j)} - x_{u(j+1)} gives the step
+    u(j+1) - u(j) whatever its sign; the least value is 1.
+    """
     if u.rs.lie_type.family != "A":
         raise ValueError("only type A elements correspond to permutations")
-    n = u.rs.rank + 1
-    cur = list(range(1, n + 1))
-    for i in u.canonical_word:
-        cur[i - 1], cur[i] = cur[i], cur[i - 1]
-    return tuple(cur)
+    table = root_table(u.rs)
+    values = [0]
+    for k in table.simple:
+        values.append(values[-1] + sum(table.roots[u.perm[k]]))
+    low = min(values) - 1
+    return tuple([x - low for x in values])
 
 
 def inv_set(v: Permutation) -> frozenset:
@@ -129,11 +135,14 @@ def root_to_xdiff(beta):
 
 def chain_deleted_pairs(gamma: Chain):
     """The inversion value pairs removed by the edges of an h-monotone chain
-    to v: the edge p -> p (a b), a < b, of root x_a - x_b removes (p(a), v(a))."""
+    to v: the edge p -> p (a b), a < b, of root beta = x_a - x_b removes
+    (p(a), v(a)).  So a = h(beta), and as the edge ascends, p(beta) =
+    x_{p(a)} - x_{p(b)} is positive: p(a) = h(p(beta))."""
     v = element_to_perm(gamma.end)
+    table = root_table(gamma.end.rs)
     return tuple(
-        (element_to_perm(p)[a - 1], v[a - 1])
-        for p, a in zip(gamma.elements, map(h_root, gamma.betas))
+        (h_root(table.roots[p.perm[table.index[beta]]]), v[h_root(beta) - 1])
+        for p, beta in zip(gamma.elements, gamma.betas)
     )
 
 
@@ -200,19 +209,31 @@ def canonical_word_iv_segments(v: Permutation):
     )
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
+class EquivalenceReport(Record):
     """Outcome of matching h-monotone chains with reduced subwords."""
 
-    u: Permutation
-    v: Permutation
-    word: tuple
-    chain_count: int
-    subword_count: int
-    duplicate_images: tuple
-    images_outside: tuple
-    missed_subwords: tuple
-    contribution_mismatches: tuple
+    __slots__ = (
+        "u", "v", "word", "chain_count", "subword_count", "duplicate_images",
+        "images_outside", "missed_subwords", "contribution_mismatches",
+    )
+
+    def __init__(
+        self,
+        u: Permutation,
+        v: Permutation,
+        word: tuple,
+        chain_count: int,
+        subword_count: int,
+        duplicate_images: tuple,
+        images_outside: tuple,
+        missed_subwords: tuple,
+        contribution_mismatches: tuple,
+    ):
+        for name, value in zip(self.__slots__, (
+            u, v, word, chain_count, subword_count, duplicate_images,
+            images_outside, missed_subwords, contribution_mismatches,
+        )):
+            object.__setattr__(self, name, value)
 
     @property
     def bijection_ok(self):

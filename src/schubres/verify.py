@@ -14,10 +14,10 @@ the lower ideals, so the pairs of one v share its chain column.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .poly import Polynomial, expand
+from .record import Record
 from .rootsys import RootSystem, div_exact, h_root, is_positive
 from .schubert import (
     _subword_step,
@@ -46,11 +46,21 @@ from .weyl import (
 
 DEFAULT_SEED = 20260810
 
-@dataclass
-class SuiteResult:
-    suite: str
-    cases: int = 0
-    failures: list = field(default_factory=list)
+
+class SuiteResult(Record):
+    """A suite's name, case count and failure messages; unlike the other
+    records it is filled in as the suite runs, so it is mutable and has no
+    hash."""
+
+    __slots__ = ("suite", "cases", "failures")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, suite: str, cases: int = 0, failures: list | None = None):
+        self.suite = suite
+        self.cases = cases
+        self.failures = [] if failures is None else failures
 
     @property
     def ok(self):

@@ -8,6 +8,7 @@ import pytest
 import schubres.poly
 import schubres.typea
 from schubres.poly import FactoredPoly, Polynomial, expand
+from schubres.rootsys import h_root
 from schubres.schubert import enumerate_c0, lambda_minus, tau_chain
 from schubres.typea import (
     canonical_word_iv,
@@ -96,6 +97,18 @@ class TestCodec:
                 pb = element_to_perm(other)
                 composed = tuple(pa[pb[i] - 1] for i in range(4))
                 assert lhs == composed
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_read_off_the_roots_equals_the_word_replay(self, n):
+        # element_to_perm reads the steps u(j+1) - u(j) off the roots
+        # u(alpha_j); replaying the canonical word on positions is the
+        # reference, on every element of A1 to A5.
+        rs = typea_system(n)
+        for el in enumerate_elements(rs):
+            cur = list(range(1, n + 1))
+            for i in el.canonical_word:
+                cur[i - 1], cur[i] = cur[i], cur[i - 1]
+            assert element_to_perm(el) == tuple(cur)
 
     def test_size_mismatch(self):
         rs = typea_system(3)
@@ -188,6 +201,23 @@ class TestTauTypeA:
         for gamma in enumerate_c0(u, v):
             assert element_to_perm(gamma.elements[1]) == (3, 1, 4, 2)
             assert chain_deleted_pairs(gamma)[0] == (2, 3)
+
+    def test_deleted_pairs_equal_those_of_the_converted_elements(self):
+        # chain_deleted_pairs reads p(a) off the edge label p(beta); the
+        # reference converts every chain element, over all C0 chains of A3.
+        rs = typea_system(4)
+        elements = enumerate_elements(rs)
+        chains = 0
+        for u in elements:
+            for v in elements:
+                v_perm = element_to_perm(v)
+                for gamma in enumerate_c0(u, v):
+                    chains += 1
+                    assert chain_deleted_pairs(gamma) == tuple(
+                        (element_to_perm(p)[h_root(beta) - 1], v_perm[h_root(beta) - 1])
+                        for p, beta in zip(gamma.elements, gamma.betas)
+                    )
+        assert chains == 261
 
     def test_matches_chain_formula_on_s4(self):
         rs = typea_system(4)
