@@ -6,7 +6,9 @@ or a precondition failed inside the library).  Element inputs are words of
 simple-reflection indices ("1,2,1") by default; in type A, pass
 ``--elements perm`` to use one-line permutations instead.
 Disambiguation is always by flag, never by guessing at the string shape.
-Ranks above ``MAX_RANK`` are refused as usage errors.
+Ranks above ``MAX_RANK`` are refused as usage errors, and so are ``table``
+and ``verify`` on a group whose order exceeds ``weyl.MAX_GROUP_ORDER``,
+before any element is built; the cap is a constant with no override.
 
 JSON output is byte-identical to ``json.dumps``: with an indent of 2
 for the pair payloads of restrict, the listings of chains and subwords and
@@ -22,7 +24,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import inspect
 import math
 import os
 import sys
@@ -53,8 +54,6 @@ from .typea import (
 )
 from .weyl import WeylElement, element_from_word, enumerate_elements
 
-SCHEMA = "v1"
-ENV_MAX_ORDER = "SCHUBERT_MAX_GROUP_ORDER"
 #: Largest rank a command accepts: up to it, every value's degree
 #: (at most |Phi+| = 225 in B15 and C15) fits a packed monomial
 #: (``poly.MAX_DEGREE``), and a root system builds in well under a second.
@@ -109,13 +108,13 @@ def _lie_type(family: str, rank: int) -> LieType:
     return lie_type
 
 
-def _job(args, mismatch: str):
+def _job(args):
     """The reduced word for v and the elements u and v of a restrict,
     chains or subwords command, in a newly built root system.
 
     A ``--word`` is checked whether or not the command goes on to use it:
-    its letters in range, reduced, and evaluating to v (else the usage
-    error ``mismatch``).  Without one, the word is v's canonical word.
+    its letters in range, reduced, and evaluating to v.  Without one, the
+    word is v's canonical word.
     """
     lie_type = _lie_type(args.type, args.rank)
     word = None if args.word is None else _parse_word(args.word)
@@ -136,14 +135,14 @@ def _job(args, mismatch: str):
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     if target != v:
-        raise UsageError(mismatch)
+        raise UsageError("--word does not evaluate to v")
     return word, u, v
 
 
 def _header(args, u: WeylElement, v: WeylElement) -> dict:
     """The leading keys of every JSON payload about one pair."""
     return {
-        "schema": SCHEMA,
+        "schema": verify_mod.SCHEMA,
         "type": str(u.rs.lie_type),
         "u": _element_label(u, args.elements),
         "v": _element_label(v, args.elements),
@@ -310,32 +309,25 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _max_order():
-    """The group order cap set in the environment, or None for the
-    library's default."""
-    raw = os.environ.get(ENV_MAX_ORDER)
-    if raw is None:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        value = None
-    if value is None or value < 1:
-        raise UsageError(f"{ENV_MAX_ORDER} must be a positive integer, got {raw!r}")
-    return value
-
-
 def _elements(rs):
-    """Every element of ``rs``, refused over the group order cap."""
-    max_order = _max_order()
+    """Every element of ``rs``; a group over ``weyl.MAX_GROUP_ORDER`` is
+    a usage error."""
     try:
-        return enumerate_elements(rs, max_order)
+        return enumerate_elements(rs)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
 
+def _suite_options(suite) -> tuple:
+    """The names of a suite function's parameters after the root system,
+    read off its code, through any wrapper that sets ``__wrapped__``."""
+    suite = getattr(suite, "__wrapped__", suite)
+    code = suite.__code__
+    return code.co_varnames[1 : code.co_argcount + code.co_kwonlyargcount]
+
+
 def cmd_restrict(args) -> int:
-    word, u, v = _job(args, "word does not evaluate to v")
+    word, u, v = _job(args)
     methods = (
         ["chain", "billey"] + (["typea"] if u.rs.lie_type.family == "A" else [])
         if args.method == "all"
@@ -372,7 +364,7 @@ def cmd_restrict(args) -> int:
 
 
 def cmd_chains(args) -> int:
-    word, u, v = _job(args, "chain does not end at the element of the word")
+    word, u, v = _job(args)
     chains = enumerate_max_chains(u, v)
     in_c0 = set(enumerate_c0(u, v))
     records = []
@@ -427,7 +419,7 @@ def cmd_chains(args) -> int:
 
 
 def cmd_subwords(args) -> int:
-    word, u, v = _job(args, "--word does not evaluate to v")
+    word, u, v = _job(args)
     rs = u.rs
     records = []
     for sub in enumerate_reduced_subwords(u, word):
@@ -469,7 +461,7 @@ def cmd_verify(args) -> int:
         raise UsageError(
             f"unknown suite {name!r}; choose from {sorted(verify_mod.SUITES)}"
         )
-    reads = inspect.signature(runner).parameters
+    reads = _suite_options(runner)
     flags = {}
     for flag in ("samples", "pairs", "seed"):
         if getattr(args, flag) is not None:
@@ -500,7 +492,7 @@ def cmd_table(args) -> int:
     with _output(args.out) as fh:
         if args.format == "json":
             payload = {
-                "schema": SCHEMA,
+                "schema": verify_mod.SCHEMA,
                 "type": str(lie_type),
                 "elements": labels,
                 "values": rows,
@@ -591,7 +583,7 @@ def build_parser():
         help="defaults to 4 in type A and 3 in types B/C; "
         f"{' and '.join(small)} default to 3",
     )
-    reads = {s: inspect.signature(f).parameters for s, f in verify_mod.SUITES.items()}
+    reads = {s: _suite_options(f) for s, f in verify_mod.SUITES.items()}
     for flag in ("samples", "pairs", "seed"):
         kind = int if flag == "seed" else _positive_int
         readers = ", ".join(s for s, params in reads.items() if flag in params)

@@ -45,6 +45,8 @@ from .weyl import (
 )
 
 DEFAULT_SEED = 20260810
+#: The format version every JSON payload carries as ``"schema"``.
+SCHEMA = "v1"
 
 
 class SuiteResult(Record):
@@ -76,7 +78,7 @@ class SuiteResult(Record):
 
     def to_json(self):
         return {
-            "schema": "v1",
+            "schema": SCHEMA,
             "suite": self.suite,
             "cases": self.cases,
             "failures": list(self.failures),

@@ -59,8 +59,10 @@ import math
 
 from .rootsys import RootSystem, Vector, div_exact
 
-#: Default cap on the group order for exhaustive enumeration.
-DEFAULT_MAX_GROUP_ORDER = 100_000
+#: Cap on the group order for exhaustive enumeration.  The smallest
+#: groups above it would need 16.5 GB (A8) and 52 GB (B7, C7) for their
+#: lower ideals alone.
+MAX_GROUP_ORDER = 100_000
 
 #: Value of h(p, p); compares above every index.
 INFINITY = math.inf
@@ -406,24 +408,20 @@ def omega_drop(u: WeylElement, j: int):
     )
 
 
-def enumerate_elements(rs: RootSystem, max_order: int | None = None):
+def enumerate_elements(rs: RootSystem):
     """All group elements, sorted by length then canonical word.
 
-    Refuses when the group order exceeds the cap.  The default cap is
-    checked only before a system is first enumerated, so a larger cap
-    passed once, as the command line does, holds for later calls that
-    pass none; an explicit cap is always checked.
+    Refuses, before it builds any element, when the group order exceeds
+    ``MAX_GROUP_ORDER``.  Memoized per root system.
     """
     got = rs._cache.get("all_elements")
-    if got is not None and max_order is None:
-        return got
-    bound = DEFAULT_MAX_GROUP_ORDER if max_order is None else max_order
-    order = rs.lie_type.group_order
-    if order > bound:
-        raise ValueError(
-            f"group order {order} of {rs.lie_type} exceeds the enumeration cap {bound}"
-        )
     if got is None:
+        order = rs.lie_type.group_order
+        if order > MAX_GROUP_ORDER:
+            raise ValueError(
+                f"group order {order} of {rs.lie_type} exceeds the enumeration "
+                f"cap {MAX_GROUP_ORDER}"
+            )
         layer = [identity(rs)]
         seen = {identity(rs)}
         while layer:

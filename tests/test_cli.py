@@ -1,6 +1,7 @@
 """Command-line interface: output formats, agreement verdicts, exit codes."""
 
 import errno
+import functools
 import hashlib
 import json
 import sys
@@ -22,6 +23,12 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+#: The refusals of the smallest groups over ``weyl.MAX_GROUP_ORDER``.
+CAP_A8 = "group order 362880 of A8 exceeds the enumeration cap 100000"
+CAP_B7 = "group order 645120 of B7 exceeds the enumeration cap 100000"
+CAP_C7 = "group order 645120 of C7 exceeds the enumeration cap 100000"
 
 
 class TestRestrict:
@@ -555,6 +562,22 @@ class TestVerify:
         assert run(capsys, *argv, "--seed", "3") == (0, self.PROBE_JSON, "")
         assert probe == [("B2", 3)]
 
+    def test_wrapped_suite_reads_the_flags_of_the_function_it_wraps(
+        self, capsys, monkeypatch, probe
+    ):
+        # A wrapper that sets __wrapped__ (functools.wraps, or perfbench's
+        # tracer) takes *args; its flags are those of the suite it wraps.
+        inner = verify.SUITES["probe"]
+
+        @functools.wraps(inner)
+        def wrapper(*args, **kwargs):
+            return inner(*args, **kwargs)
+
+        monkeypatch.setitem(verify.SUITES, "probe", wrapper)
+        argv = ("verify", "--suite", "probe", "--type", "B", "--rank", "2")
+        assert run(capsys, *argv, "--seed", "3") == (0, self.PROBE_JSON, "")
+        assert probe == [("B2", 3)]
+
     def test_new_suite_refuses_a_flag_it_does_not_take(self, capsys, monkeypatch):
         monkeypatch.setitem(verify.SUITES, "probe", lambda rs, samples=1: None)
         assert run(
@@ -612,52 +635,43 @@ class TestErrorStatus:
     with the library's message; any other ``ValueError`` is internal."""
 
     A2_CHAIN = ("chains", "--type", "A", "--rank", "2", "--u", "1", "--v", "1,2,1")
-    CAP_A2 = "group order 6 of A2 exceeds the enumeration cap 5"
 
     @pytest.mark.parametrize(
-        "argv,cap,message",
+        "argv,message",
         [
             (
                 ("restrict", "--type", "A", "--rank", "0", "--u", "1", "--v", "1"),
-                None,
                 "rank must be at least 1",
             ),
             (
                 ("subwords", "--type", "B", "--rank", "1", "--u", "1", "--v", "1"),
-                None,
                 "degenerate family: B1 is not supported",
             ),
             (
                 ("verify", "--suite", "gkm", "--type", "C", "--rank", "1"),
-                None,
                 "degenerate family: C1 is not supported",
             ),
             (
                 ("table", "--type", "A", "--rank", "0"),
-                None,
                 "rank must be at least 1",
             ),
-            (("verify", "--suite", "oracle", "--type", "A", "--rank", "2"), "5", CAP_A2),
-            (("table", "--type", "A", "--rank", "2"), "5", CAP_A2),
+            (("verify", "--suite", "oracle", "--type", "B", "--rank", "7"), CAP_B7),
+            (("table", "--type", "A", "--rank", "8"), CAP_A8),
             (
                 ("verify", "--suite", "equivalence-typeA", "--rank", "0"),
-                None,
                 "rank must be at least 1",
             ),
-            (("verify", "--suite", "equivalence-typeA", "--rank", "2"), "5", CAP_A2),
+            (("verify", "--suite", "equivalence-typeA", "--rank", "8"), CAP_A8),
             (
                 A2_CHAIN + ("--map-to-subwords", "--word", "1,1"),
-                None,
                 "word is not reduced",
             ),
             (
                 A2_CHAIN + ("--map-to-subwords", "--word", "1,2"),
-                None,
-                "chain does not end at the element of the word",
+                "--word does not evaluate to v",
             ),
             (
                 A2_CHAIN + ("--map-to-subwords", "--word", "1,2,9"),
-                None,
                 "invalid word: letter 9 out of range 1..2",
             ),
         ],
@@ -675,19 +689,11 @@ class TestErrorStatus:
             "map-word-bad-letter",
         ],
     )
-    def test_user_input_is_usage_error(self, capsys, monkeypatch, argv, cap, message):
-        if cap is None:
-            monkeypatch.delenv("SCHUBERT_MAX_GROUP_ORDER", raising=False)
-        else:
-            monkeypatch.setenv("SCHUBERT_MAX_GROUP_ORDER", cap)
+    def test_user_input_is_usage_error(self, capsys, argv, message):
         assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
-    #: What each command says when --word is reduced but not a word for v.
-    MISMATCH = {
-        "restrict": "word does not evaluate to v",
-        "chains": "chain does not end at the element of the word",
-        "subwords": "--word does not evaluate to v",
-    }
+    #: What every command says when --word is reduced but not a word for v.
+    MISMATCH = "--word does not evaluate to v"
 
     @pytest.mark.parametrize("command", ["restrict", "chains", "subwords"])
     @pytest.mark.parametrize(
@@ -706,7 +712,7 @@ class TestErrorStatus:
         argv = (command, "--type", "A", "--rank", "2", "--u", "1,2", "--v", "2,1")
         if command == "restrict":
             argv += ("--method", "chain")
-        message = message or self.MISMATCH[command]
+        message = message or self.MISMATCH
         assert run(capsys, *argv, "--word", word) == (2, "", f"error: {message}\n")
 
 
@@ -716,142 +722,132 @@ A2_PAIR = ("--u", "1", "--v", "1,2,1")
 
 class TestExitStatus:
     """Every ``UsageError`` raise site of ``cli.py`` (exit 2) and one
-    internal error (exit 3): argv -> (exit status, stderr prefix).  ``cap``
-    is the value of SCHUBERT_MAX_GROUP_ORDER (None: unset); ``broken``
-    names a ``schubert`` function replaced by one raising a ValueError."""
+    internal error (exit 3): argv -> (exit status, stderr prefix).
+    ``broken`` names a ``schubert`` function replaced by one raising a
+    ValueError."""
 
     @pytest.mark.parametrize(
-        "argv,cap,broken,status,prefix",
+        "argv,broken,status,prefix",
         [
             pytest.param(
-                A2_RESTRICT + ("--u", "1,x", "--v", "1"), None, None,
+                A2_RESTRICT + ("--u", "1,x", "--v", "1"), None,
                 2, "error: cannot parse word '1,x': ", id="word-syntax",
             ),
             pytest.param(
                 A2_RESTRICT + ("--elements", "perm", "--u", "113", "--v", "321"),
-                None, None,
+                None,
                 2, "error: (1, 1, 3) is not a permutation of 1..3", id="perm-syntax",
             ),
             pytest.param(
                 A2_RESTRICT + ("--elements", "perm", "--u", "12", "--v", "321"),
-                None, None,
+                None,
                 2, "error: permutation '12' has 2 values; type A rank 2 needs 3",
                 id="perm-size",
             ),
             pytest.param(
-                A2_RESTRICT + ("--u", "5", "--v", "1"), None, None,
+                A2_RESTRICT + ("--u", "5", "--v", "1"), None,
                 2, "error: invalid word: letter 5 out of range 1..2",
                 id="element-letter",
             ),
             pytest.param(
-                A2_RESTRICT + ("--u", "", "--v", "2,1,2,1"), None, None,
+                A2_RESTRICT + ("--u", "", "--v", "2,1,2,1"), None,
                 2, "error: word '2,1,2,1' is not reduced", id="element-not-reduced",
             ),
             pytest.param(
                 ("restrict", "--type", "A", "--rank", "0", "--u", "1", "--v", "1"),
-                None, None,
+                None,
                 2, "error: rank must be at least 1", id="type-label",
             ),
             pytest.param(
                 ("restrict", "--type", "A", "--rank", "80", "--u", "1", "--v", "1"),
-                None, None,
+                None,
                 2, "error: rank 80 exceeds the largest supported rank 15",
                 id="rank-cap",
             ),
             pytest.param(
-                ("table", "--type", "C", "--rank", "16"), None, None,
+                ("table", "--type", "C", "--rank", "16"), None,
                 2, "error: rank 16 exceeds the largest supported rank 15",
                 id="rank-cap-table",
             ),
             pytest.param(
                 ("verify", "--suite", "equivalence-typeA", "--rank", "16"),
-                None, None,
+                None,
                 2, "error: rank 16 exceeds the largest supported rank 15",
                 id="rank-cap-verify",
             ),
             pytest.param(
                 ("restrict", "--type", "B", "--rank", "2", "--u", "12", "--v", "21",
-                 "--elements", "perm"), None, None,
+                 "--elements", "perm"), None,
                 2, "error: --elements perm requires type A", id="perm-needs-type-a",
             ),
             pytest.param(
                 ("restrict", "--type", "C", "--rank", "2", "--u", "1", "--v", "1,2",
-                 "--method", "typea"), None, None,
+                 "--method", "typea"), None,
                 2, "error: --method typea requires type A", id="typea-needs-type-a",
             ),
             pytest.param(
                 ("chains", "--type", "B", "--rank", "2", "--u", "1", "--v", "1,2,1",
-                 "--basis", "x"), None, None,
+                 "--basis", "x"), None,
                 2, "error: --basis x requires type A", id="basis-x-needs-type-a",
             ),
             pytest.param(
-                A2_RESTRICT + A2_PAIR + ("--word", "1,1"), None, None,
+                A2_RESTRICT + A2_PAIR + ("--word", "1,1"), None,
                 2, "error: word is not reduced", id="word-not-reduced",
             ),
             pytest.param(
                 ("subwords", "--type", "A", "--rank", "2") + A2_PAIR
-                + ("--word", "1,2"), None, None,
+                + ("--word", "1,2"), None,
                 2, "error: --word does not evaluate to v", id="word-not-v",
             ),
             pytest.param(
-                A2_RESTRICT + A2_PAIR + ("--out", "."), None, None,
+                A2_RESTRICT + A2_PAIR + ("--out", "."), None,
                 2, "error: cannot write '.': ", id="out-unwritable",
             ),
             pytest.param(
-                ("table", "--type", "A", "--rank", "2"), "abc", None,
-                2, "error: SCHUBERT_MAX_GROUP_ORDER must be a positive integer, "
-                "got 'abc'", id="cap-syntax",
-            ),
-            pytest.param(
-                ("table", "--type", "A", "--rank", "2"), "5", None,
-                2, "error: group order 6 of A2 exceeds the enumeration cap 5",
-                id="cap-exceeded",
+                ("table", "--type", "C", "--rank", "7"), None,
+                2, f"error: {CAP_C7}", id="cap-exceeded",
             ),
             pytest.param(
                 ("verify", "--suite", "equivalence-typeA", "--type", "B", "--rank", "2"),
-                None, None,
+                None,
                 2, "error: --suite equivalence-typeA requires type A",
                 id="equivalence-needs-type-a",
             ),
             pytest.param(
                 ("verify", "--suite", "oracle", "--type", "A", "--rank", "2",
-                 "--pairs", "1"), None, None,
+                 "--pairs", "1"), None,
                 2, "error: --pairs does not apply to suite oracle",
                 id="pairs-not-read",
             ),
             pytest.param(
                 ("verify", "--suite", "equivalence-typeA", "--rank", "2",
-                 "--samples", "3"), None, None,
+                 "--samples", "3"), None,
                 2, "error: --samples does not apply to suite equivalence-typeA",
                 id="samples-not-read",
             ),
             pytest.param(
                 ("verify", "--suite", "gkm", "--type", "B", "--rank", "2",
-                 "--seed", "5"), None, None,
+                 "--seed", "5"), None,
                 2, "error: --seed does not apply to suite gkm",
                 id="seed-not-read",
             ),
             pytest.param(
-                ("verify", "--suite", "nope", "--rank", "2"), None, None,
+                ("verify", "--suite", "nope", "--rank", "2"), None,
                 2, "error: unknown suite 'nope'; choose from ", id="unknown-suite",
             ),
             pytest.param(
-                ("verify", "--suite", "gkm", "--rank", "2"), None, None,
+                ("verify", "--suite", "gkm", "--rank", "2"), None,
                 2, "error: --type is required for this suite", id="suite-needs-type",
             ),
             pytest.param(
                 ("restrict", "--type", "B", "--rank", "2", "--u", "2", "--v", "1,2,1"),
-                None, "_edge_term",
+                "_edge_term",
                 3, "error: internal error: ValueError: edge out of step",
                 id="internal-value-error",
             ),
         ],
     )
-    def test_exit_status(self, capsys, monkeypatch, argv, cap, broken, status, prefix):
-        if cap is None:
-            monkeypatch.delenv("SCHUBERT_MAX_GROUP_ORDER", raising=False)
-        else:
-            monkeypatch.setenv("SCHUBERT_MAX_GROUP_ORDER", cap)
+    def test_exit_status(self, capsys, monkeypatch, argv, broken, status, prefix):
         if broken is not None:
 
             def raising(*args):
@@ -875,51 +871,36 @@ class TestTableAndPlumbing:
         assert len(payload["values"]) == 6
 
     @pytest.mark.parametrize(
-        "suite",
-        ["gkm", "characterization", "oracle", "lemmas", "positivity",
-         "equivalence-typeA"],
+        "argv",
+        [("table",), ("verify", "--suite", "gkm")],
+        ids=["table", "verify"],
     )
-    def test_group_order_cap_above_default_reaches_suites(
-        self, capsys, monkeypatch, suite
-    ):
-        # A cap raised through the environment holds for the suite's own
-        # enumeration of the group too, not only for the command's.
-        monkeypatch.setattr(weyl, "DEFAULT_MAX_GROUP_ORDER", 10)
-        monkeypatch.setenv("SCHUBERT_MAX_GROUP_ORDER", "100")
-        code, out, _ = run(
-            capsys, "verify", "--suite", suite, "--type", "A", "--rank", "3"
+    @pytest.mark.parametrize(
+        "family,rank,message",
+        [("A", "8", CAP_A8), ("B", "7", CAP_B7), ("C", "7", CAP_C7)],
+        ids=["A8", "B7", "C7"],
+    )
+    def test_groups_over_the_cap_are_refused(self, capsys, argv, family, rank, message):
+        assert run(capsys, *argv, "--type", family, "--rank", rank) == (
+            2, "", f"error: {message}\n"
         )
-        assert code == 0
-        assert json.loads(out)["failures"] == []
 
     def test_group_order_cap_below_the_order_stops_a_suite(self, capsys, monkeypatch):
-        monkeypatch.setenv("SCHUBERT_MAX_GROUP_ORDER", "23")
+        # The suite reads the one constant; the command builds a new A3.
+        monkeypatch.setattr(weyl, "MAX_GROUP_ORDER", 23)
         assert run(
             capsys, "verify", "--suite", "gkm", "--type", "A", "--rank", "3"
         ) == (2, "", "error: group order 24 of A3 exceeds the enumeration cap 23\n")
 
     @pytest.mark.parametrize("command", ["restrict", "chains", "subwords"])
-    def test_group_order_cap_leaves_interval_commands_alone(
-        self, capsys, monkeypatch, command
-    ):
+    def test_group_order_cap_leaves_interval_commands_alone(self, capsys, command):
         # Only table and verify enumerate the group; a command on one
-        # interval runs under a cap below the order of A2, which is 6.
-        monkeypatch.setenv("SCHUBERT_MAX_GROUP_ORDER", "5")
+        # interval runs in A8, whose order 362880 is over the cap.
         code, out, err = run(
-            capsys, command, "--type", "A", "--rank", "2", "--u", "1", "--v", "1,2,1"
+            capsys, command, "--type", "A", "--rank", "8", "--u", "1", "--v", "1,2,1"
         )
         assert (code, err) == (0, "")
         assert out
-
-    @pytest.mark.parametrize("raw", ["0", "-5"])
-    def test_group_order_cap_must_be_positive(self, capsys, monkeypatch, raw):
-        monkeypatch.setenv("SCHUBERT_MAX_GROUP_ORDER", raw)
-        code, _, err = run(capsys, "table", "--type", "A", "--rank", "2")
-        assert code == 2
-        assert err == (
-            "error: SCHUBERT_MAX_GROUP_ORDER must be a positive integer, "
-            f"got {raw!r}\n"
-        )
 
     # SHA-256 of `table --format json`, the byte-level reference for the
     # values and their serialization.

@@ -148,17 +148,17 @@ def test_every_value_class_is_a_slotted_record():
 
 def test_importing_the_cli_generates_no_code():
     # A fresh interpreter without site imports: whatever loads
-    # dataclasses then is the package's own import.
+    # dataclasses or inspect then is the package's own import.
     src = str(Path(schubres.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     probe = (
         "import sys, schubres.cli\n"
         "print(sorted(m for m in sys.modules if m.startswith('schubres')))\n"
-        "print('dataclasses' in sys.modules)\n"
+        "print('dataclasses' in sys.modules, 'inspect' in sys.modules)\n"
     )
     out = subprocess.run(
         [sys.executable, "-S", "-c", probe],
         env=env, capture_output=True, text=True, check=True,
     ).stdout.splitlines()
     assert "'schubres.record'" in out[0] and "'schubres.verify'" in out[0]
-    assert out[1] == "False"
+    assert out[1] == "False False"

@@ -2,6 +2,7 @@
 
 import pytest
 
+from schubres import weyl
 from schubres.rootsys import (
     LieType,
     build_root_system,
@@ -550,6 +551,20 @@ class TestEnumeration:
         assert keys == sorted(keys)
         assert len(set(elements)) == len(elements)
 
-    def test_bound_is_enforced(self, a2):
-        with pytest.raises(ValueError):
-            enumerate_elements(root_system("A", 2), max_order=5)
+    def test_bound_is_enforced(self, monkeypatch):
+        monkeypatch.setattr(weyl, "MAX_GROUP_ORDER", 5)
+        message = "group order 6 of A2 exceeds the enumeration cap 5"
+        with pytest.raises(ValueError, match=message):
+            enumerate_elements(build_root_system(LieType("A", 2)))
+
+    @pytest.mark.parametrize("family,rank", [("A", 8), ("B", 7), ("C", 7)])
+    def test_refusal_caches_nothing(self, family, rank):
+        # The smallest groups over the cap are refused before any element
+        # is built, and a second call is refused the same way.
+        rs = build_root_system(LieType(family, rank))
+        message = f"of {family}{rank} exceeds the enumeration cap 100000"
+        for enumerate_group in (enumerate_elements, lower_ideals, enumerate_elements):
+            with pytest.raises(ValueError, match=message):
+                enumerate_group(rs)
+        assert "all_elements" not in rs._cache
+        assert "ideals" not in rs._cache
