@@ -15,8 +15,9 @@ for the pair payloads of restrict, the listings of chains and subwords and
 the suite results of verify, and compact (the default separators) for
 table.  One writer, :func:`_write_json`, renders all of them; it prints
 each polynomial term from a %-format built once per rank and nesting
-depth, formats each distinct term once per output, and writes the table
-to its output as it renders it.
+depth and formats each distinct term once per output.  ``table`` writes
+its output as it renders it, one row at a time, and renders each
+distinct value object of a row once.
 """
 
 from __future__ import annotations
@@ -487,18 +488,34 @@ def cmd_table(args) -> int:
     rs = build_root_system(lie_type)
     elements = _elements(rs)
     labels = [_element_label(el, "word") for el in elements]
-    rows = [list(row.values()) for row in _tau_table(elements).values()]
+    table = _tau_table(elements, copies=True)
+    rows = [list(row.values()) for row in table.values()]
     # Written as it is rendered, so the table's text is never held whole.
     with _output(args.out) as fh:
         if args.format == "json":
-            payload = {
+            # The payload as _write_json prints it with no indent, each row
+            # rendering each distinct polynomial object once: the fill's
+            # copies of an entry all lie in its row.
+            rendered = {}
+            head = {
                 "schema": verify_mod.SCHEMA,
                 "type": str(lie_type),
                 "elements": labels,
-                "values": rows,
             }
-            _write_json(payload, fh.write, None)
-            fh.write("\n")
+            sep = "{"
+            for key, value in head.items():
+                fh.write(f'{sep}"{key}": ')
+                _write_json(value, fh.write, None, rendered)
+                sep = ", "
+            sep = ', "values": ['
+            for row in rows:
+                texts = {}
+                for p in row:
+                    if id(p) not in texts:
+                        texts[id(p)] = _polynomial_json(p, None, rendered)
+                fh.write(sep + "[" + ", ".join([texts[id(p)] for p in row]) + "]")
+                sep = ", "
+            fh.write("]}\n")
         elif args.format == "latex":
             fh.write("\\begin{tabular}{l|" + "l" * len(labels) + "}\n")
             header = " & ".join(f"${lbl}$" for lbl in labels)

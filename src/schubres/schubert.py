@@ -23,7 +23,9 @@ one column per v (:meth:`_ChainColumn.covers`), which decides once
 whether an element lies below v, the walk's own start included, and
 checks each cover once per root system.  Tables are filled one v at a
 time (:func:`_tau_table`), so the one column kept per root system serves a whole column of the table; the
-fill values only the pairs u <= v of :func:`bruhat_pairs`.
+fill values only the pairs u <= v of :func:`bruhat_pairs`, and the
+``table`` command's fill copies each pair with a right descent of v
+that u lacks from a shorter v.
 """
 
 from __future__ import annotations
@@ -425,17 +427,47 @@ def tau_chain(u: WeylElement, v: WeylElement) -> Polynomial:
     return _chain_column(v).value(u)
 
 
-def _tau_table(elements):
+def _tau_table(elements, *, copies=False):
     """Restrictions as ``{u: {v: tau_chain(u, v)}}`` of every pair of the
     enumerated group ``elements``, each row in their order.  Every entry
     starts as the one zero of the table; then the pairs u <= v read off
     the group's lower ideals (:func:`bruhat_pairs`) are valued one v at a
-    time, so that one column serves every pair with that v."""
+    time, so that one column serves every pair with that v.
+
+    The full fill values every such pair by the chain column: the
+    ``oracle``, ``gkm`` and ``characterization`` suites take it, so that
+    they test the chain formula on every pair.  With ``copies`` (the
+    ``table`` command) a pair is valued so only when D_R(v) lies in D_R(u),
+    the right descent sets; otherwise, for the lowest j in D_R(v) \\ D_R(u),
+    the entry is the same object as that of (u, v s_j).  If u s_j > u the
+    class of u is pulled back from G/P_j, so tau_u(v) = tau_u(v s_j), which
+    the ``cosets`` suite checks on the full fill; v s_j is shorter than v,
+    so its entry is filled already.  By the lifting property u <= v s_j, so
+    a zero there is an internal fault."""
     rs = elements[0].rs
     zero = Polynomial.zero(rs.rank)
     table = {u: dict.fromkeys(elements, zero) for u in elements}
+    roots = root_table(rs)
+    npos, reflections = roots.npos, roots.simple_reflections
+    # D_R(w) as a bitmask, bit j - 1 for s_j; the full fill takes every
+    # set as empty, so that it copies nothing.
+    descents = {
+        w: sum(1 << i for i, k in enumerate(roots.simple) if w.perm[k] >= npos)
+        if copies else 0
+        for w in elements
+    }
     for u, v in bruhat_pairs(rs):
-        table[u][v] = _chain_column(v).value(u)
+        row, ascents = table[u], descents[v] & ~descents[u]
+        if not ascents:
+            row[v] = _chain_column(v).value(u)
+            continue
+        j = (ascents & -ascents).bit_length() - 1
+        got = row[v * reflections[j]]
+        if not got:
+            raise AssertionError(
+                f"the entry at u={u!r}, v={v!r} copies a zero from v s_{j + 1}"
+            )
+        row[v] = got
     return table
 
 

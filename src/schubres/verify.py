@@ -217,6 +217,32 @@ def suite_gkm(rs: RootSystem) -> SuiteResult:
     return result
 
 
+def suite_cosets(rs: RootSystem) -> SuiteResult:
+    """Parabolic coset invariance on the full chain table: tau_u(v) =
+    tau_u(v s_j) for every u, every j with u s_j > u and every v.
+
+    Such a class of u is pulled back from G/P_j (Kostant-Kumar 1986), but
+    the chain formula does not show it: the chains from u to v and to
+    v s_j are different sets.  This suite is what lets the ``table``
+    command copy those entries instead of valuing them
+    (:func:`_tau_table`)."""
+    result = SuiteResult(f"cosets[{rs.lie_type}]")
+    elements = enumerate_elements(rs)
+    table = _tau_table(elements)
+    for u in elements:
+        row = table[u]
+        for j in range(1, rs.rank + 1):
+            s = simple_reflection(rs, j)
+            if (u * s).length < u.length:
+                continue
+            for v in elements:
+                result.check(
+                    row[v] == row[v * s],
+                    lambda: f"coset invariance fails at u={u!r}, v={v!r}, j={j}",
+                )
+    return result
+
+
 def _random_alpha(rng, rank):
     return tuple(Fraction(rng.randint(1, 10**6)) for _ in range(rank))
 
@@ -509,6 +535,7 @@ SUITES = {
     "characterization": suite_characterization,
     "positivity": suite_positivity,
     "gkm": suite_gkm,
+    "cosets": suite_cosets,
     "gt": suite_gt,
     "limits": suite_limits,
     "lemmas": suite_lemmas,

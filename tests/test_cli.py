@@ -238,24 +238,30 @@ class TestRestrict:
         assert lines[0].startswith("error: internal error: CancellationError: ")
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv,broken",
         [
-            ("restrict", "--type", "A", "--rank", "2", "--u", "", "--v", "1,2,1"),
-            ("chains", "--type", "A", "--rank", "2", "--u", "", "--v", "1,2,1"),
-            ("verify", "--suite", "gt", "--type", "A", "--rank", "2", "--samples", "1"),
-            ("table", "--type", "A", "--rank", "2"),
-            ("verify", "--suite", "oracle", "--type", "A", "--rank", "2"),
+            (("restrict", "--type", "A", "--rank", "2", "--u", "", "--v", "1,2,1"), ()),
+            (("chains", "--type", "A", "--rank", "2", "--u", "", "--v", "1,2,1"), ()),
+            (
+                ("verify", "--suite", "gt", "--type", "A", "--rank", "2", "--samples", "1"),
+                (),
+            ),
+            # table copies every tau_e(v) from tau_e(e) = 1 and so walks no
+            # cover of the identity; it values tau_s2(s1 s2) by the covers of s2.
+            (("table", "--type", "A", "--rank", "2"), (2,)),
+            (("verify", "--suite", "oracle", "--type", "A", "--rank", "2"), ()),
         ],
         ids=["restrict", "chains", "verify-gt", "table", "verify-oracle"],
     )
-    def test_broken_chain_edge_exits_3(self, capsys, monkeypatch, argv):
+    def test_broken_chain_edge_exits_3(self, capsys, monkeypatch, argv, broken):
         real = schubert.covers_above
 
         def swapped(u):
-            # The covers of the identity with their roots exchanged: each
-            # edge is a cover, but not the reflection by its root.
+            # The covers of the element with reduced word ``broken`` with
+            # their roots exchanged: each edge is a cover, but not the
+            # reflection by its root.
             covers = real(u)
-            if u.length:
+            if u.canonical_word != broken:
                 return covers
             return tuple(
                 (beta, w) for (beta, _), (_, w) in zip(covers, covers[::-1])
@@ -908,6 +914,7 @@ class TestTableAndPlumbing:
         ("A", 3): "aa929571b70bfefd78daff9bc7b6e46fc09f437c46d27ed1f7cc69c42f3517da",
         ("B", 3): "a399849f3f8d142d8cc6dfe9c76f686631594f627d4e3defc361ca75200cae4c",
         ("C", 3): "0f8dedc6442a09c0c06eceb5b5bb668cbb89aece552a8a7fa8bfb7b06b9f477f",
+        ("A", 4): "f0a8ff2ee4a68d7f403d41bae13fc46ffc7326856f6330dae5c693af43c63d35",
     }
 
     @pytest.mark.parametrize("family,rank", sorted(TABLE_DIGESTS))
@@ -921,6 +928,56 @@ class TestTableAndPlumbing:
         assert code == 0
         digest = hashlib.sha256(target.read_bytes()).hexdigest()
         assert digest == self.TABLE_DIGESTS[(family, rank)]
+
+    # Pairs valued by the chain column: those of `table`, with D_R(v) in
+    # D_R(u), and every Bruhat pair in the full fill of the suites.
+    VALUED = {
+        ("A", 3): (58, 213),
+        ("B", 3): (242, 847),
+        ("C", 3): (242, 847),
+        ("A", 4): (682, 3781),
+    }
+
+    @pytest.mark.parametrize("family,rank", sorted(VALUED))
+    def test_table_values_only_the_pairs_it_must(
+        self, capsys, monkeypatch, tmp_path, family, rank
+    ):
+        real = schubert._ChainColumn.value
+        valued = []
+
+        def counted(column, u):
+            valued.append((u, column.v))
+            return real(column, u)
+
+        monkeypatch.setattr(schubert._ChainColumn, "value", counted)
+        code, _, _ = run(
+            capsys,
+            "table", "--type", family, "--rank", str(rank),
+            "--format", "json", "--out", str(tmp_path / "table.json"),
+        )
+        assert code == 0
+        copied, full = self.VALUED[(family, rank)]
+        assert len(valued) == len(set(valued)) == copied
+        valued.clear()
+        rs = build_root_system(LieType(family, rank))
+        schubert._tau_table(weyl.enumerate_elements(rs))
+        assert len(valued) == len(set(valued)) == full
+
+    def test_a_copy_of_a_zero_exits_3(self, capsys, monkeypatch):
+        # Every tau_e(v) is a copy of tau_e(e); valued as zero, the first
+        # copy reads a zero, which no Bruhat pair may hold.
+        real = schubert._ChainColumn.value
+
+        def dropped(column, u):
+            return real(column, u) if u.length else Polynomial.zero(u.rs.rank)
+
+        monkeypatch.setattr(schubert._ChainColumn, "value", dropped)
+        code, out, err = run(capsys, "table", "--type", "A", "--rank", "2")
+        assert (code, out) == (3, "")
+        assert err == (
+            "error: internal error: AssertionError: the entry at u=<A2 e>, "
+            "v=<A2 1> copies a zero from v s_1\n"
+        )
 
     # SHA-256 of `table --format text` and `--format latex`, recorded
     # when the table was still filled row by row.

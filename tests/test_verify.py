@@ -400,3 +400,34 @@ def test_gt_walks_no_pair_of_the_order(monkeypatch, family, options, cases):
     result = verify.suite_gt(build_root_system(LieType(family, 3)), **options)
     assert (result.cases, result.failures) == (cases, [])
     assert walks == []
+
+
+@pytest.mark.parametrize(
+    "family,rank,cases", [("A", 3, 864), ("B", 3, 3456), ("C", 3, 3456), ("A", 4, 28800)]
+)
+def test_cosets_case_counts(family, rank, cases):
+    result = verify.suite_cosets(root_system(family, rank))
+    assert (result.cases, result.failures) == (cases, [])
+
+
+def test_a_perturbed_entry_fails_cosets(monkeypatch):
+    # tau_s1(s1) is one more than the chain value: both v = s1 and v = s1 s2
+    # then differ from their neighbour under s2, an ascent of s1.
+    rs = build_root_system(LieType("A", 2))
+    s1 = simple_reflection(rs, 1)
+    real = schubert._ChainColumn.value
+
+    def mutated(column, u):
+        value = real(column, u)
+        if (u, column.v) == (s1, s1):
+            value = value + Polynomial.one(rs.rank)
+        return value
+
+    monkeypatch.setattr(schubert._ChainColumn, "value", mutated)
+    result = verify.suite_cosets(rs)
+    assert result.cases == 36
+    assert result.failures == [
+        "coset invariance fails at u=<A2 1>, v=<A2 1>, j=2",
+        "coset invariance fails at u=<A2 1>, v=<A2 1,2>, j=2",
+    ]
+
