@@ -16,8 +16,8 @@ the suite results of verify, and compact (the default separators) for
 table.  One writer, :func:`_write_json`, renders all of them; it prints
 each polynomial term from a %-format built once per rank and nesting
 depth and formats each distinct term once per output.  ``table`` writes
-its output as it renders it, one row at a time, and renders each
-distinct value object of a row once.
+its output as it renders it, one row at a time in one loop for every
+format, and renders each distinct value object of a row once.
 """
 
 from __future__ import annotations
@@ -489,46 +489,44 @@ def cmd_table(args) -> int:
     elements = _elements(rs)
     labels = [_element_label(el, "word") for el in elements]
     table = _tau_table(elements, copies=True)
-    rows = [list(row.values()) for row in table.values()]
+    fmt = args.format
     # Written as it is rendered, so the table's text is never held whole.
     with _output(args.out) as fh:
-        if args.format == "json":
-            # The payload as _write_json prints it with no indent, each row
-            # rendering each distinct polynomial object once: the fill's
-            # copies of an entry all lie in its row.
-            rendered = {}
-            head = {
-                "schema": verify_mod.SCHEMA,
-                "type": str(lie_type),
-                "elements": labels,
-            }
+        rendered = {}
+        if fmt == "json":
+            # The payload as _write_json prints it with no indent.
+            head = {"schema": verify_mod.SCHEMA, "type": str(lie_type), "elements": labels}
             sep = "{"
             for key, value in head.items():
                 fh.write(f'{sep}"{key}": ')
                 _write_json(value, fh.write, None, rendered)
                 sep = ", "
             sep = ', "values": ['
-            for row in rows:
-                texts = {}
-                for p in row:
-                    if id(p) not in texts:
-                        texts[id(p)] = _polynomial_json(p, None, rendered)
-                fh.write(sep + "[" + ", ".join([texts[id(p)] for p in row]) + "]")
-                sep = ", "
-            fh.write("]}\n")
-        elif args.format == "latex":
+        elif fmt == "latex":
             fh.write("\\begin{tabular}{l|" + "l" * len(labels) + "}\n")
             header = " & ".join(f"${lbl}$" for lbl in labels)
             fh.write(f" & {header} \\\\ \\hline\n")
-            for lbl, row in zip(labels, rows):
-                cells = " & ".join(f"${p.to_latex()}$" for p in row)
-                fh.write(f"${lbl}$ & {cells} \\\\\n")
-            fh.write("\\end{tabular}\n")
-        else:
-            for lbl, row in zip(labels, rows):
-                for vlbl, p in zip(labels, row):
-                    if p:
-                        fh.write(f"tau[{lbl}]({vlbl}) = {p.to_text()}\n")
+        for lbl, row in zip(labels, table.values()):
+            # Each distinct value object of a row is rendered once: the
+            # fill's copies of an entry all lie in its row.
+            texts = {}
+            for p in row.values():
+                if id(p) not in texts:
+                    texts[id(p)] = (
+                        _polynomial_json(p, None, rendered) if fmt == "json"
+                        else f"${p.to_latex()}$" if fmt == "latex"
+                        else p.to_text()
+                    )
+            cells = [texts[id(p)] for p in row.values()]
+            if fmt == "json":
+                fh.write(sep + "[" + ", ".join(cells) + "]")
+                sep = ", "
+            elif fmt == "latex":
+                fh.write(f"${lbl}$ & " + " & ".join(cells) + " \\\\\n")
+            else:
+                entries = zip(labels, row.values(), cells)
+                fh.write("".join([f"tau[{lbl}]({v}) = {t}\n" for v, p, t in entries if p]))
+        fh.write("]}\n" if fmt == "json" else "\\end{tabular}\n" if fmt == "latex" else "")
     return 0
 
 

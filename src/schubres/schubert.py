@@ -22,10 +22,10 @@ enumerators and the moment-map path sum -- lists the covers below v from
 one column per v (:meth:`_ChainColumn.covers`), which decides once
 whether an element lies below v, the walk's own start included, and
 checks each cover once per root system.  Tables are filled one v at a
-time (:func:`_tau_table`), so the one column kept per root system serves a whole column of the table; the
-fill values only the pairs u <= v of :func:`bruhat_pairs`, and the
-``table`` command's fill copies each pair with a right descent of v
-that u lacks from a shorter v.
+time (:func:`_tau_table`), so the one column kept per root system
+serves a whole column of the table; the fill values only the pairs
+u <= v of :func:`bruhat_pairs`, and the ``table`` command's fill copies
+each pair with a right descent of v that u lacks from a shorter v.
 """
 
 from __future__ import annotations
@@ -435,15 +435,15 @@ def _tau_table(elements, *, copies=False):
     time, so that one column serves every pair with that v.
 
     The full fill values every such pair by the chain column: the
-    ``oracle``, ``gkm`` and ``characterization`` suites take it, so that
-    they test the chain formula on every pair.  With ``copies`` (the
-    ``table`` command) a pair is valued so only when D_R(v) lies in D_R(u),
-    the right descent sets; otherwise, for the lowest j in D_R(v) \\ D_R(u),
-    the entry is the same object as that of (u, v s_j).  If u s_j > u the
-    class of u is pulled back from G/P_j, so tau_u(v) = tau_u(v s_j), which
-    the ``cosets`` suite checks on the full fill; v s_j is shorter than v,
-    so its entry is filled already.  By the lifting property u <= v s_j, so
-    a zero there is an internal fault."""
+    ``oracle``, ``gkm``, ``characterization`` and ``cosets`` suites take
+    it, so that they test the chain formula on every pair.  With
+    ``copies`` (the ``table`` command) a pair is valued so only when
+    D_R(v) lies in D_R(u), the right descent sets; otherwise, for the
+    lowest j in D_R(v) \\ D_R(u), the entry is the same object as that of
+    (u, v s_j).  If u s_j > u the class of u is pulled back from G/P_j, so
+    tau_u(v) = tau_u(v s_j), which the ``cosets`` suite checks on the full
+    fill; v s_j is shorter than v, so its entry is filled already.  By the
+    lifting property u <= v s_j, so a zero there is an internal fault."""
     rs = elements[0].rs
     zero = Polynomial.zero(rs.rank)
     table = {u: dict.fromkeys(elements, zero) for u in elements}

@@ -979,8 +979,9 @@ class TestTableAndPlumbing:
             "v=<A2 1> copies a zero from v s_1\n"
         )
 
-    # SHA-256 of `table --format text` and `--format latex`, recorded
-    # when the table was still filled row by row.
+    # SHA-256 of `table --format text` and `--format latex`: A3 and B2
+    # recorded when the table was still filled row by row, B3 and C3 while
+    # those formats still rendered every entry.
     RENDERED_DIGESTS = {
         ("A", 3, "text"): (
             "e17050563718db805d15fc29bae3edfb97f8ae0551a5509d9f64b2cb27b55945"
@@ -993,6 +994,18 @@ class TestTableAndPlumbing:
         ),
         ("B", 2, "latex"): (
             "6280b522eadc9370815bbf831ccc081ddee79ac2ee818df72c8088b8db084526"
+        ),
+        ("B", 3, "text"): (
+            "a201b31831ebae03413ace7ae338588a349cd0f655342b9a4248e8d3738b9292"
+        ),
+        ("B", 3, "latex"): (
+            "92044948c5f4f6339a80e1fbee1ebd960d34abc30be98680219c8d0b26ef6dcf"
+        ),
+        ("C", 3, "text"): (
+            "778cc16de91796b9a4138663d1e30a7a361b435bfec7e2bdf8165fd5da253ce3"
+        ),
+        ("C", 3, "latex"): (
+            "649c79c0f4d8059bf4be1ba84620c2cf431e823c87f29f026cb3588bc816c075"
         ),
     }
 
@@ -1009,6 +1022,34 @@ class TestTableAndPlumbing:
         assert code == 0
         digest = hashlib.sha256(target.read_bytes()).hexdigest()
         assert digest == self.RENDERED_DIGESTS[(family, rank, fmt)]
+
+    # Distinct value objects per row of the copy-filled table, summed over
+    # the rows: the render calls of `table` in text and in LaTeX.
+    RENDER_CALLS = {("A", 3): 81, ("B", 3): 289}
+
+    @pytest.mark.parametrize("fmt,method", [("text", "to_text"), ("latex", "to_latex")])
+    @pytest.mark.parametrize("family,rank", sorted(RENDER_CALLS))
+    def test_table_renders_each_distinct_value_of_a_row_once(
+        self, capsys, monkeypatch, tmp_path, family, rank, fmt, method
+    ):
+        real = getattr(Polynomial, method)
+        calls = []
+
+        def counted(p):
+            calls.append(p)
+            return real(p)
+
+        monkeypatch.setattr(Polynomial, method, counted)
+        code, _, _ = run(
+            capsys,
+            "table", "--type", family, "--rank", str(rank),
+            "--format", fmt, "--out", str(tmp_path / "table.txt"),
+        )
+        assert code == 0
+        rs = build_root_system(LieType(family, rank))
+        table = schubert._tau_table(weyl.enumerate_elements(rs), copies=True)
+        distinct = sum(len({id(p) for p in row.values()}) for row in table.values())
+        assert len(calls) == distinct == self.RENDER_CALLS[(family, rank)]
 
     # SHA-256 of `restrict --method all` in every format, on rank-4 and
     # rank-5 pairs of A, B and C (A4 s1s2s3s4, s4s3s2s1 is not a Bruhat
