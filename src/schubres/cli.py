@@ -13,11 +13,12 @@ before any element is built; the cap is a constant with no override.
 JSON output is byte-identical to ``json.dumps``: with an indent of 2
 for the pair payloads of restrict, the listings of chains and subwords and
 the suite results of verify, and compact (the default separators) for
-table.  One writer, :func:`_write_json`, renders all of them; it prints
-each polynomial term from a %-format built once per rank and nesting
-depth and formats each distinct term once per output.  ``table`` writes
-its output as it renders it, one row at a time in one loop for every
-format, and renders each distinct value object of a row once.
+table.  The indented payloads go through one writer, :func:`_write_json`;
+``table`` writes its compact JSON row by row.  Both print each polynomial
+term from a %-format built once per rank and nesting depth and format
+each distinct term once per output.  ``table`` writes its output as it
+renders it, one row at a time in one loop for every format, and renders
+each distinct value object of a row once.
 """
 
 from __future__ import annotations
@@ -189,7 +190,8 @@ def _term_format(rank: int, level):
 
 
 def _polynomial_json(p: Polynomial, level, rendered: dict) -> str:
-    """``p.to_json()`` as :func:`_write_json` prints it, with no
+    """``p.to_json()`` as :func:`_write_json` prints it ``level`` deep, or
+    as ``json.dumps`` does when ``level`` is None (a ``table`` row), with no
     intermediate dict.  ``rendered[level, rank, den]`` maps the packed key
     and numerator of each term already printed at that depth to its text,
     so each distinct term of one output is formatted once."""
@@ -216,9 +218,8 @@ def _polynomial_json(p: Polynomial, level, rendered: dict) -> str:
 
 def _write_json(obj, write, level=0, rendered=None):
     """Write ``obj`` through ``write`` as ``json.dumps`` with an indent of
-    2 prints it when nested ``level`` deep, or as ``json.dumps(obj)`` when
-    ``level`` is None, with a ``Polynomial`` standing for its
-    ``to_json()`` list.  It takes None, bools, ints, strings, lists and
+    2 prints it when nested ``level`` deep, with a ``Polynomial`` standing
+    for its ``to_json()`` list.  It takes None, bools, ints, strings, lists and
     dicts with string keys; anything else raises ``TypeError``.  The
     polynomial terms rendered so far (see :func:`_polynomial_json`) are
     kept for one top-level call: one output."""
@@ -241,23 +242,22 @@ def _write_json(obj, write, level=0, rendered=None):
         if not obj:
             write(opening + closing)
             return
-        inner = None if level is None else level + 1
-        newline = "" if level is None else "\n" + "  " * inner
-        comma = "," + (newline or " ")
+        newline = "\n" + "  " * (level + 1)
+        comma = "," + newline
         sep = opening + newline
         if isinstance(obj, list):
             for item in obj:
                 write(sep)
-                _write_json(item, write, inner, rendered)
+                _write_json(item, write, level + 1, rendered)
                 sep = comma
         else:
             for key, value in obj.items():
                 if not isinstance(key, str):
                     raise TypeError(f"keys must be str, not {type(key).__name__}")
                 write(sep + encode_basestring_ascii(key) + ": ")
-                _write_json(value, write, inner, rendered)
+                _write_json(value, write, level + 1, rendered)
                 sep = comma
-        write(("" if level is None else "\n" + "  " * level) + closing)
+        write("\n" + "  " * level + closing)
     else:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
@@ -494,14 +494,13 @@ def cmd_table(args) -> int:
     with _output(args.out) as fh:
         rendered = {}
         if fmt == "json":
-            # The payload as _write_json prints it with no indent.
-            head = {"schema": verify_mod.SCHEMA, "type": str(lie_type), "elements": labels}
-            sep = "{"
-            for key, value in head.items():
-                fh.write(f'{sep}"{key}": ')
-                _write_json(value, fh.write, None, rendered)
-                sep = ", "
-            sep = ', "values": ['
+            # The payload as json.dumps prints it with no indent.
+            quote = encode_basestring_ascii
+            fh.write(
+                f'{{"schema": {quote(verify_mod.SCHEMA)}, "type": {quote(str(lie_type))}, '
+                f'"elements": [{", ".join(map(quote, labels))}], "values": ['
+            )
+            sep = ""
         elif fmt == "latex":
             fh.write("\\begin{tabular}{l|" + "l" * len(labels) + "}\n")
             header = " & ".join(f"${lbl}$" for lbl in labels)

@@ -58,6 +58,7 @@ from .weyl import (
     identity,
     inversion_roots,
     reflection,
+    right_descents,
     root_table,
     simple_reflection,
 )
@@ -438,7 +439,8 @@ def _tau_table(elements, *, copies=False):
     ``oracle``, ``gkm``, ``characterization`` and ``cosets`` suites take
     it, so that they test the chain formula on every pair.  With
     ``copies`` (the ``table`` command) a pair is valued so only when
-    D_R(v) lies in D_R(u), the right descent sets; otherwise, for the
+    D_R(v) lies in D_R(u), the right descent sets
+    (:func:`right_descents`), read once per element; otherwise, for the
     lowest j in D_R(v) \\ D_R(u), the entry is the same object as that of
     (u, v s_j).  If u s_j > u the class of u is pulled back from G/P_j, so
     tau_u(v) = tau_u(v s_j), which the ``cosets`` suite checks on the full
@@ -447,25 +449,18 @@ def _tau_table(elements, *, copies=False):
     rs = elements[0].rs
     zero = Polynomial.zero(rs.rank)
     table = {u: dict.fromkeys(elements, zero) for u in elements}
-    roots = root_table(rs)
-    npos, reflections = roots.npos, roots.simple_reflections
-    # D_R(w) as a bitmask, bit j - 1 for s_j; the full fill takes every
-    # set as empty, so that it copies nothing.
-    descents = {
-        w: sum(1 << i for i, k in enumerate(roots.simple) if w.perm[k] >= npos)
-        if copies else 0
-        for w in elements
-    }
+    descents = copies and {w: right_descents(w) for w in elements}
     for u, v in bruhat_pairs(rs):
-        row, ascents = table[u], descents[v] & ~descents[u]
+        row = table[u]
+        ascents = descents and descents[v] & ~descents[u]
         if not ascents:
             row[v] = _chain_column(v).value(u)
             continue
-        j = (ascents & -ascents).bit_length() - 1
-        got = row[v * reflections[j]]
+        j = (ascents & -ascents).bit_length()
+        got = row[v * simple_reflection(rs, j)]
         if not got:
             raise AssertionError(
-                f"the entry at u={u!r}, v={v!r} copies a zero from v s_{j + 1}"
+                f"the entry at u={u!r}, v={v!r} copies a zero from v s_{j}"
             )
         row[v] = got
     return table

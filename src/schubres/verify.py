@@ -41,6 +41,7 @@ from .weyl import (
     lower_ideals,
     omega_drop,
     reflection,
+    right_descents,
     simple_reflection,
 )
 
@@ -99,9 +100,10 @@ def _reduced_word_trie(rs: RootSystem):
     while stack:
         word, v, states = stack.pop()
         yield word, v, states
+        descents = right_descents(v)
         for i in range(rs.rank, 0, -1):
-            w = v * simple_reflection(rs, i)
-            if w.length == v.length + 1:
+            if not descents >> (i - 1) & 1:
+                w = v * simple_reflection(rs, i)
                 stack.append((word + (i,), w, _subword_step(states, v, i)))
 
 
@@ -231,10 +233,11 @@ def suite_cosets(rs: RootSystem) -> SuiteResult:
     table = _tau_table(elements)
     for u in elements:
         row = table[u]
+        descents = right_descents(u)
         for j in range(1, rs.rank + 1):
-            s = simple_reflection(rs, j)
-            if (u * s).length < u.length:
+            if descents >> (j - 1) & 1:
                 continue
+            s = simple_reflection(rs, j)
             for v in elements:
                 result.check(
                     row[v] == row[v * s],

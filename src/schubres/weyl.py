@@ -19,9 +19,10 @@ when ``perm[k]`` indexes a negative root.  It is computed once per element.
 The length is its popcount.  A positive root beta outside ``N(u)`` gives
 a cover ``u s_beta`` exactly when ``l(s_beta) - 2 |N(u) & N(s_beta)|``
 is 1, since ``l(u s_beta) = l(u) + l(s_beta) - 2 |N(u) & N(s_beta)|``:
-one AND and one popcount per root.  Each element also keeps its first
-right descent s and the element ``w s``, so the Bruhat test walks each
-descent chain with products built once, and the canonical word of w is
+one AND and one popcount per root.  Each element also keeps its right
+descent set D_R(w) as a bitmask (:func:`right_descents`), the one place a
+descent set is read off the permutation: the Bruhat test walks down the
+lowest descents of its upper element, and the canonical word of w is
 read off the descents of ``w^-1``.
 
 Each element memoizes its right neighbours, the products ``w s_i``: at
@@ -132,7 +133,7 @@ class WeylElement:
     """
 
     __slots__ = (
-        "rs", "perm", "_inversions", "_descent", "_canonical",
+        "rs", "perm", "_inversions", "_descents", "_canonical",
         "_omega_images", "_letter", "_right",
     )
 
@@ -140,7 +141,7 @@ class WeylElement:
         self.rs = rs
         self.perm = perm
         self._inversions = None
-        self._descent = None
+        self._descents = None
         self._canonical = None
         self._omega_images = None
         self._letter = None
@@ -223,9 +224,10 @@ class WeylElement:
         if self._canonical is None:
             word = []
             cur = self.inverse()
-            while cur.length:
-                i, _, _, cur = _right_descent(cur)
+            while descents := right_descents(cur):
+                i = (descents & -descents).bit_length()
                 word.append(i)
+                cur = cur * simple_reflection(self.rs, i)
             self._canonical = tuple(word)
         return self._canonical
 
@@ -245,20 +247,17 @@ def _inversions(w: WeylElement) -> int:
     return mask
 
 
-def _right_descent(w: WeylElement):
-    """``(i, k, s, w s)`` for the first simple reflection s = s_i with
-    w alpha_i negative, k the root index of alpha_i; memoized on ``w``,
-    which must not be the identity."""
-    got = w._descent
-    if got is None:
-        table = root_table(w.rs)
-        perm = w.perm
-        npos = table.npos
-        for i, (k, s) in enumerate(zip(table.simple, table.simple_reflections), 1):
-            if perm[k] >= npos:
-                got = w._descent = (i, k, s, w * s)
-                break
-    return got
+def right_descents(w: WeylElement) -> int:
+    """D_R(w) as a bitmask: bit i - 1 is set when w alpha_i is a negative
+    root, that is, when alpha_i lies in N(w), so that l(w s_i) < l(w);
+    memoized on ``w``."""
+    mask = w._descents
+    if mask is None:
+        perm, table = w.perm, root_table(w.rs)
+        mask = w._descents = sum(
+            1 << i for i, k in enumerate(table.simple) if perm[k] >= table.npos
+        )
+    return mask
 
 
 def _element(rs: RootSystem, perm) -> WeylElement:
@@ -312,9 +311,10 @@ def all_reduced_words(u: WeylElement):
             out = ((),)
         else:
             words = []
+            descents = right_descents(el)
             for i in range(1, el.rs.rank + 1):
-                lower = el * simple_reflection(el.rs, i)
-                if lower.length < el.length:
+                if descents >> (i - 1) & 1:
+                    lower = el * simple_reflection(el.rs, i)
                     words.extend(w + (i,) for w in rec(lower))
             out = tuple(sorted(words))
         memo[el] = out
@@ -354,22 +354,25 @@ def bruhat_leq(u: WeylElement, v: WeylElement) -> bool:
     """Strong Bruhat order, by descent down the right descents of v;
     agrees with cover closure.
 
-    For the first right descent s of b (:func:`_right_descent`, memoized
-    per element), a <= b iff a' <= b s, where a' is a s if s is a descent
-    of a and a otherwise (the lifting property).  Each step shortens b by
-    one and a by one or none, so the lengths are counted, not read.  No
-    pair is stored: a whole-group question reads :func:`lower_ideals`.
+    For the lowest right descent s of b (:func:`right_descents`), a <= b
+    iff a' <= b s, where a' is a s if s is a descent of a and a otherwise
+    (the lifting property).  Each step shortens b by one and a by one or
+    none, so the lengths are counted, not read.  No pair is stored: a
+    whole-group question reads :func:`lower_ideals`.
     """
     if u.rs is not v.rs:
         raise ValueError("cannot compare elements of different root systems")
-    npos = len(u.perm) >> 1
+    table = root_table(u.rs)
+    npos, simple, reflections = table.npos, table.simple, table.simple_reflections
     a, b = u, v
     la, lb = u.length, v.length
     while la < lb:
-        _, k, s, b = _right_descent(b)
+        descents = right_descents(b)
+        i = (descents & -descents).bit_length() - 1
+        b = b * reflections[i]
         lb -= 1
-        if a.perm[k] >= npos:
-            a = a * s
+        if a.perm[simple[i]] >= npos:
+            a = a * reflections[i]
             la -= 1
     # No element lies below one of its own length or shorter but itself.
     return a is b

@@ -1304,8 +1304,10 @@ SHARED_TERMS = [
 
 
 class TestJsonWriter:
-    """``cli._write_json`` prints what ``json.dumps`` prints for the
-    ``to_json()`` form of the payload, indented and compact."""
+    """``cli._write_json`` prints what ``json.dumps`` with an indent of 2
+    prints for the ``to_json()`` form of the payload, and
+    ``cli._polynomial_json`` at no depth what ``json.dumps`` prints for
+    one polynomial, as ``table`` writes its rows."""
 
     @given(obj=payloads)
     @example(obj=EVERY_LEAF)
@@ -1315,16 +1317,20 @@ class TestJsonWriter:
         assert cli._dumps(obj) == json.dumps(plain(obj), indent=2)
         assert written(obj, 0) == json.dumps(plain(obj), indent=2)
 
-    @given(obj=payloads)
-    @example(obj=EVERY_LEAF)
+    @given(p=polynomials())
+    @example(p=EVERY_LEAF["zero"])
+    @example(p=EVERY_LEAF["halves"])
     @settings(deadline=None)
-    def test_compact_output_is_json_dumps(self, obj):
-        assert written(obj, None) == json.dumps(plain(obj))
+    def test_compact_output_is_json_dumps(self, p):
+        assert cli._polynomial_json(p, None, {}) == json.dumps(p.to_json())
 
     def test_shared_terms_print_as_json_dumps(self):
         assert SHARED_TERMS[3].terms == SHARED.terms
         assert cli._dumps(SHARED_TERMS) == json.dumps(plain(SHARED_TERMS), indent=2)
-        assert written(SHARED_TERMS, None) == json.dumps(plain(SHARED_TERMS))
+        polys = SHARED_TERMS[:5] + SHARED_TERMS[5]["nested"]
+        rendered = {}  # one memo, as for the rows of one table
+        compact = [cli._polynomial_json(p, None, rendered) for p in polys]
+        assert compact == [json.dumps(p.to_json()) for p in polys]
 
     def test_each_output_formats_its_own_terms(self, monkeypatch):
         # Each distinct term is formatted once per output, and only for

@@ -31,6 +31,7 @@ from schubres.weyl import (
     lower_ideals,
     omega_drop,
     reflection,
+    right_descents,
     simple_reflection,
 )
 
@@ -323,6 +324,27 @@ class TestLength:
                 first = next(c for c in image if c)
                 count += first < 0
             assert count == u.length
+
+
+class TestRightDescents:
+    @pytest.mark.parametrize(
+        "family,rank,total",
+        [("A", 3, 36), ("B", 3, 72), ("C", 3, 72),
+         ("B", 2, 8), ("C", 2, 8), ("A", 4, 240)],
+    )
+    def test_bits_are_the_letters_that_shorten(self, family, rank, total):
+        # Each s_i is a descent of exactly half the group (w <-> w s_i), so
+        # the popcounts sum to rank |W| / 2.
+        rs = root_system(family, rank)
+        elements = enumerate_elements(rs)
+        for w in elements:
+            for i in range(1, rank + 1):
+                shorter = (w * simple_reflection(rs, i)).length < w.length
+                assert bool(right_descents(w) >> (i - 1) & 1) == shorter, (w, i)
+        assert right_descents(identity(rs)) == 0
+        assert right_descents(elements[-1]) == (1 << rank) - 1
+        assert sum(right_descents(w).bit_count() for w in elements) == total
+        assert total == rank * len(elements) // 2
 
 
 class TestReducedWords:
