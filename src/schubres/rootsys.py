@@ -11,7 +11,9 @@ squared lengths of the simple roots, the fundamental weights scaled to
 integers by their closed forms (there is no Cartan inverse), and the
 integer coroot pairings <omega_i, beta> of each root, memoized on first
 use, so that the chain route runs in integer arithmetic.  The rational
-Gram matrix and fundamental weights are derived from these integers.
+Gram matrix and fundamental weights are derived from these integers on
+first read; only :func:`bilinear`, :func:`pairing` and :func:`reflect`
+read them, so building a root system makes no ``Fraction``.
 One closure finds the positive roots, their images under the simple
 reflections and its tree, from which :mod:`weyl` builds the group table.
 
@@ -23,6 +25,7 @@ type C it is long.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from math import factorial
 
 from .record import Record
@@ -137,9 +140,10 @@ class RootSystem:
     ``_images`` and ``_tree`` are the rest of :func:`_close_simple_roots`.
 
     Instances are immutable after construction and safe to share between
-    threads.  The ``_cache`` dict holds the group and chain layers' memos,
+    threads.  ``gram`` and ``fundamental_weights`` are derived on first
+    read, the ``_cache`` dict holds the group and chain layers' memos,
     keyed by element, cover or mask and never by a pair of elements, and
-    :meth:`pairings` memoizes per root; entries are only ever filled
+    :meth:`pairings` memoizes per root; all are only ever filled
     idempotently, so concurrent readers at worst duplicate work.
     """
 
@@ -155,7 +159,6 @@ class RootSystem:
         self._form = tuple(
             tuple(c * length for c, length in zip(row, lengths)) for row in self.cartan
         )
-        self.gram = tuple(tuple(Fraction(c, 2) for c in row) for row in self._form)
         self.simple_roots = tuple(
             tuple(int(i == j) for j in range(n)) for i in range(n)
         )
@@ -166,11 +169,22 @@ class RootSystem:
             tuple(-c for c in beta) for beta in self.positive_roots
         )
         self.scale, self.omegas = _weights(lie_type)
-        self.fundamental_weights = tuple(
-            tuple(Fraction(c, self.scale) for c in omega) for omega in self.omegas
-        )
         self._pairings: dict = {}
         self._cache: dict = {}
+
+    @cached_property
+    def gram(self):
+        """The Gram matrix ((alpha_a, alpha_b)) as Fractions, from the
+        integer form on first read."""
+        return tuple(tuple(Fraction(c, 2) for c in row) for row in self._form)
+
+    @cached_property
+    def fundamental_weights(self):
+        """omega_1, ..., omega_n as Fraction tuples, from ``omegas`` on
+        first read."""
+        return tuple(
+            tuple(Fraction(c, self.scale) for c in omega) for omega in self.omegas
+        )
 
     def pairings(self, beta) -> tuple:
         """(<omega_1, beta>, ..., <omega_n, beta>) for a root beta, in integers.

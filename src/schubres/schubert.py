@@ -18,14 +18,17 @@ All of them produce exact rational data and must agree; the ``verify``
 module wires the cross-checks together.
 
 Every walk up to a top element v -- the chain sum, both chain
-enumerators and the moment-map path sum -- lists the covers below v from
-one column per v (:meth:`_ChainColumn.covers`), which decides once
-whether an element lies below v, the walk's own start included, and
-checks each cover once per root system.  Tables are filled one v at a
-time (:func:`_tau_table`), so the one column kept per root system
-serves a whole column of the table; the fill values only the pairs
-u <= v of :func:`bruhat_pairs`, and the ``table`` command's fill copies
-each pair with a right descent of v that u lacks from a shorter v.
+enumerators and the moment-map path sum -- lists its covers from one
+column per v (:meth:`_ChainColumn.covers`), which checks each cover once
+per root system.  The column decides once whether an element lies below
+v, the walk's own start included, by the lower ideals of an enumerated
+group or, for the walks over all maximal chains, by the descent walk;
+the h-monotone walk of a group that is not enumerated tests no order,
+since a walk that leaves the interval never reaches v.  Tables are
+filled one v at a time (:func:`_tau_table`), so the one column kept per
+root system serves a whole column of the table; the fill values only the
+pairs u <= v of :func:`bruhat_pairs`, and the ``table`` command's fill
+copies each pair with a right descent of v that u lacks from a shorter v.
 """
 
 from __future__ import annotations
@@ -33,7 +36,8 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from operator import mul
+from functools import reduce
+from operator import mul, or_
 
 from .poly import (
     MAX_DEGREE,
@@ -57,6 +61,7 @@ from .weyl import (
     h_pair,
     identity,
     inversion_roots,
+    omega_image,
     reflection,
     right_descents,
     root_table,
@@ -213,9 +218,10 @@ def _edge_term(p: WeylElement, beta, v: WeylElement, factors: int):
     ratios are integers in types A and C and halves in type B.
 
     The denominator is (p omega_i - v omega_i) for i = h(beta), from the
-    integer omega images.  Roots of types A, B and C are primitive
-    vectors, so the denominator divided by the gcd of its coordinates is,
-    up to sign, the one factor it can be proportional to.
+    integer omega images of that one index (:func:`omega_image`).  Roots
+    of types A, B and C are primitive vectors, so the denominator divided
+    by the gcd of its coordinates is, up to sign, the one factor it can be
+    proportional to.
     """
     rs = v.rs
     i = h_root(beta)
@@ -225,7 +231,7 @@ def _edge_term(p: WeylElement, beta, v: WeylElement, factors: int):
             f"expected a positive integer pairing, got {numerator}"
         )
     denom = div_exact(
-        tuple(a - b for a, b in zip(p.omega_images[i - 1], v.omega_images[i - 1])),
+        tuple(a - b for a, b in zip(omega_image(p, i), omega_image(v, i))),
         rs.scale,
     )
     g = math.gcd(*denom)
@@ -289,13 +295,15 @@ class _ChainColumn:
     Every walk lists the covers below v by :meth:`covers`; ``under``
     memoizes whether an element is below v (read off the lower ideals when
     the group's order is built, :func:`lower_ideals`, otherwise by
-    :func:`bruhat_leq`), and ``checked`` is the root system's set of
-    checked covers, shared by every column.
+    :func:`bruhat_leq`, in the walks over all maximal chains only), and
+    ``checked`` is the root system's set of checked covers, shared by
+    every column.
     ``states[w]`` maps each set of cancelled factors (a mask of the bits
     of ``factors``, N(v^-1): bit k is root k of the root table) to the
     summed scalar of the h-monotone maximal chains from w to v; ``states[v]``
-    holds the empty chain, nothing cancelled.  Such a chain takes exactly
-    the monotone covers of :meth:`covers`, which :meth:`sums` follows.
+    holds the empty chain, nothing cancelled, and a w from which no such
+    chain reaches v holds ``{}``.  Such a chain takes exactly the monotone
+    covers of :meth:`covers`, which :meth:`sums` follows.
     Each chain has l(v) - l(w) edges, and its scalar is the product of its
     doubled edge terms (:func:`_edge_term`), so every sum is an int,
     2^(l(v) - l(w)) times the true one.  ``expansions`` holds the product
@@ -320,31 +328,50 @@ class _ChainColumn:
 
     def covers(self, p: WeylElement, monotone: bool) -> list:
         """The covers (beta, w) of ``covers_above(p)`` below v, in that order;
-        with ``monotone``, only those with h(beta) = h_pair(p, v), tested
-        first.  A cover p -beta-> w below v has h(beta) = h_pair(p, w) >=
-        h_pair(p, v), and reflecting by beta fixes omega_j for every
-        j < h(beta); so an h-monotone chain takes exactly these covers, and
-        every chain that does is h-monotone.  Each cover met below v is
-        checked once per root system: one that is not an ascending right
-        reflection raising the length by one is an internal fault.  A cover
-        p -beta-> w <= v gives p < w <= v, so for p not below v the list is
-        empty: the column decides the support, and no walk tests its own
-        pair."""
+        with ``monotone``, only those with h(beta) = h_pair(p, v), the one
+        class of covers it builds.  A cover p -beta-> w below v has h(beta)
+        = h_pair(p, w) >= h_pair(p, v), and reflecting by beta fixes omega_j
+        for every j < h(beta); so an h-monotone chain takes exactly these
+        covers, and every chain that does is h-monotone.  A cover p -beta->
+        w <= v gives p < w <= v, so for p not below v the list is empty:
+        the column decides the support, and no walk tests its own pair.
+
+        Whether w is below v is read off the lower ideals when the group's
+        order is built (:func:`lower_ideals`), so that a fill holds one
+        state per pair below v.  Otherwise the walks over all maximal
+        chains test it by :func:`bruhat_leq`, memoized in ``under``, but
+        the h-monotone walk tests nothing: it keeps the covers shorter than
+        v, and v itself.  A walk from a cover w not below v never reaches
+        v, so it adds nothing to any sum or chain list, and the walk
+        memoizes w as a dead end.
+
+        Each cover returned is checked once per root system: one that is
+        not an ascending right reflection raising the length by one is an
+        internal fault."""
         v, ideals = self.v, self.ideals
-        top = h_pair(p, v) if monotone else None
+        tested = True
+        if not monotone:
+            candidates = covers_above(p)
+        elif p is v:
+            return []
+        else:
+            candidates = covers_above(p, h_pair(p, v))
+            if ideals is None:
+                tested = False
+                if p.length + 1 >= v.length:
+                    candidates = [(beta, w) for beta, w in candidates if w is v]
         got = []
-        for beta, w in covers_above(p):
-            if monotone and h_root(beta) != top:
-                continue
-            under = self.under.get(w)
-            if under is None:
-                if ideals is None:
-                    under = bruhat_leq(w, v)
-                else:
-                    under = ideals[w] & ideals[v] == ideals[w]
-                self.under[w] = under
-            if not under:
-                continue
+        for beta, w in candidates:
+            if tested:
+                under = self.under.get(w)
+                if under is None:
+                    if ideals is None:
+                        under = bruhat_leq(w, v)
+                    else:
+                        under = ideals[w] & ideals[v] == ideals[w]
+                    self.under[w] = under
+                if not under:
+                    continue
             if (p, beta) not in self.checked:
                 fault = _edge_fault(p, beta, w)
                 if fault is None and w.length != p.length + 1:
@@ -386,8 +413,9 @@ class _ChainColumn:
         for mask, scalar in self.sums(u).items():
             for key, c in self.expansion(mask).terms.items():
                 total[key] = total.get(key, 0) + scalar * c
+        # An empty total is u not below v, where the shift may be negative.
         shift = v.length - u.length
-        if any(c & (1 << shift) - 1 for c in total.values()):
+        if total and reduce(or_, total.values()) & (1 << shift) - 1:
             raise CancellationError(
                 f"chain sum at u={u!r}, v={v!r} is not divisible by 2^{shift}"
             )

@@ -19,11 +19,14 @@ when ``perm[k]`` indexes a negative root.  It is computed once per element.
 The length is its popcount.  A positive root beta outside ``N(u)`` gives
 a cover ``u s_beta`` exactly when ``l(s_beta) - 2 |N(u) & N(s_beta)|``
 is 1, since ``l(u s_beta) = l(u) + l(s_beta) - 2 |N(u) & N(s_beta)|``:
-one AND and one popcount per root.  Each element also keeps its right
-descent set D_R(w) as a bitmask (:func:`right_descents`), the one place a
-descent set is read off the permutation: the Bruhat test walks down the
-lowest descents of its upper element, and the canonical word of w is
-read off the descents of ``w^-1``.
+one AND and one popcount per root.  The positive roots of one h class
+are one range of indices, so :func:`covers_above` builds the covers of
+one class at a time, as the h-monotone chain walk asks for them.
+
+Each element also keeps its right descent set D_R(w) as a bitmask
+(:func:`right_descents`), the one place a descent set is read off the
+permutation: the Bruhat test walks down the lowest descents of its upper
+element, and the canonical word of w is read off the descents of ``w^-1``.
 
 Each element memoizes its right neighbours, the products ``w s_i``: at
 most ``rank`` entries, each composed on first use.  Every walk along the
@@ -34,15 +37,21 @@ reads it back.
 A group that is already enumerated holds its whole order as data
 (:func:`lower_ideals`): one bitmask per element, its lower ideal, built
 in one length-ordered pass over the covers.  Whole-group fills read its
-set bits as the pairs u <= v (:func:`bruhat_pairs`); :func:`bruhat_leq`
-tests only the covers met by walks that never enumerate the group.
+set bits as the pairs u <= v (:func:`bruhat_pairs`).  A walk that never
+enumerates the group tests order by :func:`bruhat_leq` only where the
+walk needs it: the h-monotone chain walk needs no test, since a cover
+outside the interval ends in a walk that never reaches its top, and the
+walks over all maximal chains test each cover they meet.
 
 Weights stay in integers too.  The root system holds ``scale``, the
 least common denominator of the fundamental weights, and ``omegas``,
-``scale * omega_i`` as integer tuples; ``omega_images`` of an element is
-``scale * w(omega_i)`` for every i, computed once from the integer
-matrix.  ``h_pair`` and ``omega_drop`` compare and subtract these images,
-and the chain route reads its weight differences from them.
+``scale * omega_i`` as integer tuples.  :func:`omega_image` of an element
+and an index i is ``scale * w(omega_i)``, a sum of the images of the
+simple roots weighted by ``omegas[i - 1]``, built on first read and kept
+per element and per index: ``h_pair`` builds them in order up to the
+first index where two elements differ, and the chain route reads the one
+image of each edge's h.  ``omega_images`` is the tuple of all n, for the
+checks that read every index.
 
 Elements are interned per root system, so equality is identity;
 elements of two systems never meet: every operation on two elements
@@ -56,9 +65,11 @@ Words are tuples of 1-based simple-reflection indices.
 
 from __future__ import annotations
 
+import itertools
 import math
+from operator import mul
 
-from .rootsys import RootSystem, Vector, div_exact
+from .rootsys import RootSystem, Vector, div_exact, h_root
 
 #: Cap on the group order for exhaustive enumeration.  The smallest
 #: groups above it would need 16.5 GB (A8) and 52 GB (B7, C7) for their
@@ -76,6 +87,8 @@ class RootTable:
 
     ``roots[k]`` for ``k < npos`` are the positive roots in
     ``rs.positive_roots`` order; ``roots[k + npos]`` is ``-roots[k]``.
+    The sorted positive roots have non-increasing h, so ``classes[h - 1]``,
+    the indices of the positive roots with h(beta) = h, is one range.
     ``identity`` and ``simple_reflections`` (s_1, ..., s_n) are built with
     it, and ``positive[k]`` is ``(s_beta, N(s_beta))`` for positive root k:
     one reflection per positive root, since s_{-beta} = s_beta.  s_i maps
@@ -85,7 +98,7 @@ class RootTable:
 
     __slots__ = (
         "roots", "index", "npos", "simple", "identity", "simple_reflections",
-        "positive",
+        "positive", "classes",
     )
 
     def __init__(self, rs: RootSystem):
@@ -95,6 +108,11 @@ class RootTable:
         self.index = {beta: k for k, beta in enumerate(self.roots)}
         #: Index of alpha_j for j = 1..n, in order.
         self.simple = tuple(self.index[alpha] for alpha in rs.simple_roots)
+        # above[h]: the number of positive roots with h(beta) > h, listed first.
+        above = [sum(h_root(b) > h for b in positive) for h in range(rs.rank + 1)]
+        self.classes = tuple(
+            range(above[h], above[h - 1]) for h in range(1, rs.rank + 1)
+        )
         self.identity = _element(rs, tuple(range(len(self.roots))))
         # s_i(-beta) = -s_i(beta) fills the negative half.
         simple = []
@@ -129,12 +147,13 @@ class WeylElement:
     ``perm`` is the permutation of root indices (see :class:`RootTable`)
     that identifies the element; ``matrix`` is derived from it.  A simple
     reflection s_i carries ``_letter = i - 1``; ``_right[i - 1]`` is the
-    product by s_i, filled on first use (:meth:`__mul__`).
+    product by s_i, filled on first use (:meth:`__mul__`), and
+    ``_omega[i - 1]`` is :func:`omega_image` of i.
     """
 
     __slots__ = (
         "rs", "perm", "_inversions", "_descents", "_canonical",
-        "_omega_images", "_letter", "_right",
+        "_omega", "_omega_images", "_letter", "_right",
     )
 
     def __init__(self, rs: RootSystem, perm):
@@ -143,6 +162,7 @@ class WeylElement:
         self._inversions = None
         self._descents = None
         self._canonical = None
+        self._omega = None
         self._omega_images = None
         self._letter = None
         self._right = None
@@ -180,13 +200,10 @@ class WeylElement:
 
     @property
     def omega_images(self):
-        """``scale * w(omega_i)`` for i = 1..n, as integer tuples, where
-        ``scale`` is that of the root system."""
+        """:func:`omega_image` of every i = 1..n, as one tuple."""
         if self._omega_images is None:
-            matrix = self.matrix
             self._omega_images = tuple(
-                tuple(sum(a * b for a, b in zip(row, omega)) for row in matrix)
-                for omega in self.rs.omegas
+                omega_image(self, i) for i in range(1, self.rs.rank + 1)
             )
         return self._omega_images
 
@@ -260,6 +277,24 @@ def right_descents(w: WeylElement) -> int:
     return mask
 
 
+def omega_image(w: WeylElement, i: int) -> Vector:
+    """``scale * w(omega_i)`` as an integer tuple, where ``scale`` is that
+    of the root system: ``sum_j omegas[i - 1][j] * w(alpha_j)``, each
+    w(alpha_j) a root of the root table; memoized on ``w`` per index."""
+    images = w._omega
+    if images is None:
+        images = w._omega = [None] * w.rs.rank
+    got = images[i - 1]
+    if got is None:
+        table = root_table(w.rs)
+        roots, perm, omega = table.roots, w.perm, w.rs.omegas[i - 1]
+        got = images[i - 1] = tuple(
+            sum(map(mul, omega, row))
+            for row in zip(*(roots[perm[k]] for k in table.simple))
+        )
+    return got
+
+
 def _element(rs: RootSystem, perm) -> WeylElement:
     table = rs._cache.get("elements")
     if table is None:
@@ -323,30 +358,45 @@ def all_reduced_words(u: WeylElement):
     return rec(u)
 
 
-def covers_above(u: WeylElement):
-    """All (beta, v = u s_beta) with beta positive and l(v) = l(u) + 1.
+def covers_above(u: WeylElement, h=None):
+    """The (beta, v = u s_beta) with beta positive and l(v) = l(u) + 1:
+    those with h(beta) = h, or all of them, in root-table order, which is
+    the classes h = n, ..., 1 concatenated.
 
     A root in N(u) gives u s_beta < u and is skipped by one bit test; for
     the others l(u s_beta) - l(u) = l(s_beta) - 2 |N(u) & N(s_beta)| on
-    the inversion masks, and only the covers are built.
+    the inversion masks, and only the covers are built.  Each element
+    keeps one memo, slot h for the class h (:attr:`RootTable.classes`),
+    each filled when first asked for, and slot 0 for the whole list.
     """
+    if h is not None and not 1 <= h <= u.rs.rank:
+        raise ValueError(f"no h class {h} in {u.rs.lie_type}")
     cache = u.rs._cache.get("covers_above")
     if cache is None:
         cache = u.rs._cache["covers_above"] = {}
-    got = cache.get(u)
-    if got is None:
-        table = root_table(u.rs)
-        mask = _inversions(u)
-        out = []
-        # ``table.positive`` follows the sorted ``rs.positive_roots``, so
-        # the order is deterministic.
-        for k, (r, rmask) in enumerate(table.positive):
-            if mask >> k & 1:
-                continue
-            if rmask.bit_count() - 2 * (mask & rmask).bit_count() == 1:
-                out.append((table.roots[k], u * r))
-        got = tuple(out)
-        cache[u] = got
+    memo = cache.get(u)
+    if memo is None:
+        memo = cache[u] = [None] * (u.rs.rank + 1)
+    got = memo[h or 0]
+    if got is not None:
+        return got
+    if h is None:
+        got = memo[0] = tuple(
+            itertools.chain.from_iterable(
+                covers_above(u, c) for c in range(u.rs.rank, 0, -1)
+            )
+        )
+        return got
+    table = root_table(u.rs)
+    mask = _inversions(u)
+    out = []
+    for k in table.classes[h - 1]:
+        if mask >> k & 1:
+            continue
+        r, rmask = table.positive[k]
+        if rmask.bit_count() - 2 * (mask & rmask).bit_count() == 1:
+            out.append((table.roots[k], u * r))
+    got = memo[h] = tuple(out)
     return got
 
 
@@ -367,9 +417,12 @@ def bruhat_leq(u: WeylElement, v: WeylElement) -> bool:
     a, b = u, v
     la, lb = u.length, v.length
     while la < lb:
-        descents = right_descents(b)
+        # The memos of b, read in place; the calls fill them when empty.
+        descents = b._descents
+        if descents is None:
+            descents = right_descents(b)
         i = (descents & -descents).bit_length() - 1
-        b = b * reflections[i]
+        b = b._right and b._right[i] or b * reflections[i]
         lb -= 1
         if a.perm[simple[i]] >= npos:
             a = a * reflections[i]
@@ -382,9 +435,10 @@ def h_pair(p: WeylElement, q: WeylElement):
     """Smallest i with p omega_i != q omega_i; INFINITY when p == q."""
     if p.rs is not q.rs:
         raise ValueError("cannot compare elements of different root systems")
-    for i, (a, b) in enumerate(zip(p.omega_images, q.omega_images)):
-        if a != b:
-            return i + 1
+    if p is not q:
+        for i in range(1, p.rs.rank + 1):
+            if omega_image(p, i) != omega_image(q, i):
+                return i
     return INFINITY
 
 
@@ -398,7 +452,7 @@ def omega_drop(u: WeylElement, j: int):
     if j != h:
         raise ValueError(f"precondition violation: j={j} but h(id, u)={h}")
     drop = div_exact(
-        tuple(a - b for a, b in zip(rs.omegas[j - 1], u.omega_images[j - 1])),
+        tuple(a - b for a, b in zip(rs.omegas[j - 1], omega_image(u, j))),
         rs.scale,
     )
     if drop in rs.roots:

@@ -367,21 +367,32 @@ class TestChainProgram:
         assert rows == [list(row) for row in zip(*columns)]
         assert [u.canonical_word for u in us] == [v.canonical_word for v in vs]
 
-    def test_fill_equals_tau_chain_on_another_system(self):
+    @pytest.mark.parametrize(
+        "family,rank,pairs",
+        [("A", 3, 576), ("B", 3, 2304), ("C", 3, 2304), ("A", 4, 14400)],
+    )
+    def test_fill_equals_tau_chain_on_another_system(
+        self, monkeypatch, family, rank, pairs
+    ):
         # The fill reads u <= v off the lower ideals of one fresh system and
         # values each pair below from its column; tau_chain walks each pair
-        # of a second fresh system on its own.
-        filled = build_root_system(LieType("B", 3))
-        walked = build_root_system(LieType("B", 3))
+        # of a second fresh system on its own, with no order test and no
+        # lower ideals: a walk that leaves [u, v] never reaches v.
+        filled = build_root_system(LieType(family, rank))
+        walked = build_root_system(LieType(family, rank))
         table = schubert._tau_table(enumerate_elements(filled))
         twin = dict(zip(enumerate_elements(filled), enumerate_elements(walked)))
         assert all(u.canonical_word == w.canonical_word for u, w in twin.items())
-        pairs = 0
+        walks = []
+        monkeypatch.setattr(schubert, "bruhat_leq", lambda u, v: walks.append((u, v)))
+        seen = 0
         for v in twin:
             for u in twin:
                 assert table[u][v] == tau_chain(twin[u], twin[v]), (u, v)
-                pairs += 1
-        assert pairs == 2304
+                seen += 1
+        assert seen == pairs
+        assert walks == []
+        assert "ideals" not in walked._cache
 
     def test_edge_term_guards(self, a3, monkeypatch):
         u = element_from_word(a3, (1, 3))
@@ -433,7 +444,9 @@ class TestChainProgram:
     @pytest.mark.parametrize("family", ["A", "B", "C"])
     def test_covers_lists_the_covers_below_v_in_order(self, family, ideals):
         # A fresh system, with or without the lower ideals, so that the
-        # column tests w <= v by each of its two paths.
+        # column tests w <= v by each of its two paths.  Without them the
+        # monotone walk tests no order: it keeps the covers of the class
+        # h_pair(p, v) that are shorter than v, and v itself.
         rs = root_system(family, 3)
         if ideals:
             lower_ideals(rs)
@@ -447,9 +460,16 @@ class TestChainProgram:
                 below = [(b, w) for b, w in covers_above(p) if bruhat_leq(w, v)]
                 top = h_pair(p, v)
                 assert column.covers(p, False) == below, (p, v)
-                assert column.covers(p, True) == [
-                    (b, w) for b, w in below if h_root(b) == top
-                ], (p, v)
+                if ideals:
+                    assert column.covers(p, True) == [
+                        (b, w) for b, w in below if h_root(b) == top
+                    ], (p, v)
+                else:
+                    assert column.covers(p, True) == [
+                        (b, w)
+                        for b, w in covers_above(p)
+                        if h_root(b) == top and (w is v or w.length < v.length)
+                    ], (p, v)
 
 
 class TestSubwords:

@@ -6,6 +6,7 @@ from schubres import weyl
 from schubres.rootsys import (
     LieType,
     build_root_system,
+    h_root,
     reflect,
     root_system,
 )
@@ -425,6 +426,31 @@ class TestCovers:
                 if (u * reflection(rs, beta)).length == u.length + 1
             ]
             assert list(covers_above(u)) == expected, u
+
+    @pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("C", 3), ("A", 4)])
+    def test_the_list_is_its_h_classes_concatenated(self, family, rank):
+        # Fresh systems: one asks for each class before the whole list, the
+        # other for the whole list first.
+        by_class = build_root_system(LieType(family, rank))
+        whole = build_root_system(LieType(family, rank))
+        twins = zip(enumerate_elements(by_class), enumerate_elements(whole))
+        for u, twin in twins:
+            classes = [covers_above(u, h) for h in range(rank, 0, -1)]
+            full = covers_above(twin)
+            assert [c for part in classes for c in part] == [
+                (beta, u * reflection(by_class, beta)) for beta, _ in full
+            ], u
+            assert list(covers_above(u)) == [c for part in classes for c in part]
+            for h, part in zip(range(rank, 0, -1), classes):
+                assert all(h_root(beta) == h for beta, _ in part), (u, h)
+                assert covers_above(twin, h) == tuple(
+                    c for c in full if h_root(c[0]) == h
+                ), (u, h)
+
+    def test_a_class_outside_1_to_n_is_refused(self, a2):
+        for h in (0, 3, INFINITY):
+            with pytest.raises(ValueError, match="no h class"):
+                covers_above(identity(a2), h)
 
     def test_atoms_of_identity(self, a2):
         assert set(covers_above(identity(a2))) == {
