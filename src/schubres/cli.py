@@ -488,7 +488,7 @@ def cmd_table(args) -> int:
     rs = build_root_system(lie_type)
     elements = _elements(rs)
     labels = [_element_label(el, "word") for el in elements]
-    table = _tau_table(elements, copies=True)
+    table = _tau_table(elements)
     fmt = args.format
     # Written as it is rendered, so the table's text is never held whole.
     with _output(args.out) as fh:

@@ -27,8 +27,8 @@ the h-monotone walk of a group that is not enumerated tests no order,
 since a walk that leaves the interval never reaches v.  Tables are
 filled one v at a time (:func:`_tau_table`), so the one column kept per
 root system serves a whole column of the table; the fill values only the
-pairs u <= v of :func:`bruhat_pairs`, and the ``table`` command's fill
-copies each pair with a right descent of v that u lacks from a shorter v.
+pairs u <= v of :func:`bruhat_pairs` with D_R(v) in D_R(u), and copies
+every other pair u <= v from a shorter v.
 """
 
 from __future__ import annotations
@@ -456,31 +456,31 @@ def tau_chain(u: WeylElement, v: WeylElement) -> Polynomial:
     return _chain_column(v).value(u)
 
 
-def _tau_table(elements, *, copies=False):
-    """Restrictions as ``{u: {v: tau_chain(u, v)}}`` of every pair of the
-    enumerated group ``elements``, each row in their order.  Every entry
-    starts as the one zero of the table; then the pairs u <= v read off
-    the group's lower ideals (:func:`bruhat_pairs`) are valued one v at a
-    time, so that one column serves every pair with that v.
+def _tau_table(elements):
+    """Restrictions as ``{u: {v: tau_u(v)}}`` of every pair of the
+    enumerated group ``elements``, each row in their order: the table the
+    ``table`` command prints and the ``oracle``, ``gkm``,
+    ``characterization`` and ``cosets`` suites check.  Every entry starts
+    as the one zero of the table; then the pairs u <= v read off the
+    group's lower ideals (:func:`bruhat_pairs`) are filled one v at a time,
+    so that one column serves every pair with that v.
 
-    The full fill values every such pair by the chain column: the
-    ``oracle``, ``gkm``, ``characterization`` and ``cosets`` suites take
-    it, so that they test the chain formula on every pair.  With
-    ``copies`` (the ``table`` command) a pair is valued so only when
-    D_R(v) lies in D_R(u), the right descent sets
-    (:func:`right_descents`), read once per element; otherwise, for the
-    lowest j in D_R(v) \\ D_R(u), the entry is the same object as that of
-    (u, v s_j).  If u s_j > u the class of u is pulled back from G/P_j, so
-    tau_u(v) = tau_u(v s_j), which the ``cosets`` suite checks on the full
-    fill; v s_j is shorter than v, so its entry is filled already.  By the
-    lifting property u <= v s_j, so a zero there is an internal fault."""
+    A pair is valued by the chain column only when D_R(v) lies in D_R(u),
+    the right descent sets (:func:`right_descents`), read once per
+    element; otherwise, for the lowest j in D_R(v) \\ D_R(u), the entry is
+    the same object as that of (u, v s_j).  If u s_j > u the class of u is
+    pulled back from G/P_j (Kostant-Kumar 1986), so tau_u(v) =
+    tau_u(v s_j), which the ``cosets`` suite checks against the chain
+    value of every pair; v s_j is shorter than v, so its entry is filled
+    already.  By the lifting property u <= v s_j, so a zero there is an
+    internal fault."""
     rs = elements[0].rs
     zero = Polynomial.zero(rs.rank)
     table = {u: dict.fromkeys(elements, zero) for u in elements}
-    descents = copies and {w: right_descents(w) for w in elements}
+    descents = {w: right_descents(w) for w in elements}
     for u, v in bruhat_pairs(rs):
         row = table[u]
-        ascents = descents and descents[v] & ~descents[u]
+        ascents = descents[v] & ~descents[u]
         if not ascents:
             row[v] = _chain_column(v).value(u)
             continue

@@ -934,14 +934,9 @@ class TestTableAndPlumbing:
         digest = hashlib.sha256(target.read_bytes()).hexdigest()
         assert digest == self.TABLE_DIGESTS[(family, rank)]
 
-    # Pairs valued by the chain column: those of `table`, with D_R(v) in
-    # D_R(u), and every Bruhat pair in the full fill of the suites.
-    VALUED = {
-        ("A", 3): (58, 213),
-        ("B", 3): (242, 847),
-        ("C", 3): (242, 847),
-        ("A", 4): (682, 3781),
-    }
+    # Pairs valued by the chain column, those with D_R(v) in D_R(u): the
+    # one fill values the same pairs for `table` and for a direct call.
+    VALUED = {("A", 3): 58, ("B", 3): 242, ("C", 3): 242, ("A", 4): 682}
 
     @pytest.mark.parametrize("family,rank", sorted(VALUED))
     def test_table_values_only_the_pairs_it_must(
@@ -951,7 +946,7 @@ class TestTableAndPlumbing:
         valued = []
 
         def counted(column, u):
-            valued.append((u, column.v))
+            valued.append((repr(u), repr(column.v)))
             return real(column, u)
 
         monkeypatch.setattr(schubert._ChainColumn, "value", counted)
@@ -961,12 +956,12 @@ class TestTableAndPlumbing:
             "--format", "json", "--out", str(tmp_path / "table.json"),
         )
         assert code == 0
-        copied, full = self.VALUED[(family, rank)]
-        assert len(valued) == len(set(valued)) == copied
+        by_table = valued[:]
+        assert len(by_table) == len(set(by_table)) == self.VALUED[(family, rank)]
         valued.clear()
         rs = build_root_system(LieType(family, rank))
         schubert._tau_table(weyl.enumerate_elements(rs))
-        assert len(valued) == len(set(valued)) == full
+        assert valued == by_table
 
     def test_a_copy_of_a_zero_exits_3(self, capsys, monkeypatch):
         # Every tau_e(v) is a copy of tau_e(e); valued as zero, the first
@@ -1028,8 +1023,8 @@ class TestTableAndPlumbing:
         digest = hashlib.sha256(target.read_bytes()).hexdigest()
         assert digest == self.RENDERED_DIGESTS[(family, rank, fmt)]
 
-    # Distinct value objects per row of the copy-filled table, summed over
-    # the rows: the render calls of `table` in text and in LaTeX.
+    # Distinct value objects per row of the table, summed over the rows:
+    # the render calls of `table` in text and in LaTeX.
     RENDER_CALLS = {("A", 3): 81, ("B", 3): 289}
 
     @pytest.mark.parametrize("fmt,method", [("text", "to_text"), ("latex", "to_latex")])
@@ -1052,7 +1047,7 @@ class TestTableAndPlumbing:
         )
         assert code == 0
         rs = build_root_system(LieType(family, rank))
-        table = schubert._tau_table(weyl.enumerate_elements(rs), copies=True)
+        table = schubert._tau_table(weyl.enumerate_elements(rs))
         distinct = sum(len({id(p) for p in row.values()}) for row in table.values())
         assert len(calls) == distinct == self.RENDER_CALLS[(family, rank)]
 

@@ -411,8 +411,11 @@ def test_cosets_case_counts(family, rank, cases):
 
 
 def test_a_perturbed_entry_fails_cosets(monkeypatch):
-    # tau_s1(s1) is one more than the chain value: both v = s1 and v = s1 s2
-    # then differ from their neighbour under s2, an ascent of s1.
+    # tau_s1(s1) is one more than the chain value, wherever it is read:
+    # the table copies it to (s1, s1 s2), and the suite's own chain value
+    # at (s1, s1) equals that copy.  Only the chain value at (s1, s1 s2)
+    # then differs from the table's entry at (s1, s1), its neighbour
+    # under s2, an ascent of s1.
     rs = build_root_system(LieType("A", 2))
     s1 = simple_reflection(rs, 1)
     real = schubert._ChainColumn.value
@@ -427,7 +430,38 @@ def test_a_perturbed_entry_fails_cosets(monkeypatch):
     result = verify.suite_cosets(rs)
     assert result.cases == 36
     assert result.failures == [
-        "coset invariance fails at u=<A2 1>, v=<A2 1>, j=2",
         "coset invariance fails at u=<A2 1>, v=<A2 1,2>, j=2",
     ]
 
+
+def test_a_copy_from_a_wrong_source_fails_cosets(monkeypatch):
+    # The fill copies (s1, s1 s2 s1) of A3 from v s1 = s1 s2, through s1,
+    # a descent of u, instead of from v s2 = s2 s1: tau_s1 is alpha_1 at
+    # s1 s2 and alpha_1 + alpha_2 at s1 s2 s1.  The fault is injected by
+    # handing the fill s1 as the reflection of that one pair; the wrong
+    # entry spreads to the entries of the row copied from it.
+    rs = build_root_system(LieType("A", 3))
+    u, v = simple_reflection(rs, 1), element_from_word(rs, (1, 2, 1))
+    real_pairs, real_reflection = schubert.bruhat_pairs, schubert.simple_reflection
+    current = []
+
+    def pairs(rs):
+        for pair in real_pairs(rs):
+            current[:] = pair
+            yield pair
+
+    def source(rs, j):
+        return real_reflection(rs, 1 if current == [u, v] else j)
+
+    monkeypatch.setattr(schubert, "bruhat_pairs", pairs)
+    monkeypatch.setattr(schubert, "simple_reflection", source)
+    result = verify.suite_cosets(rs)
+    assert result.cases == 864
+    assert result.failures == [
+        "coset invariance fails at u=<A3 1>, v=<A3 2,1>, j=2",
+        "coset invariance fails at u=<A3 1>, v=<A3 1,2,1>, j=3",
+        "coset invariance fails at u=<A3 1>, v=<A3 1,2,1,3>, j=2",
+        "coset invariance fails at u=<A3 1>, v=<A3 1,2,1,3>, j=3",
+        "coset invariance fails at u=<A3 1>, v=<A3 2,1,3,2>, j=3",
+        "coset invariance fails at u=<A3 1>, v=<A3 1,2,1,3,2>, j=2",
+    ]
